@@ -84,7 +84,8 @@ void decide_all(benchmark::State& state, const std::string& name,
                 std::size_t eval_budget) {
   auto strategy = StrategyRegistry::instance().create(name);
   const drv::Capabilities caps = drv::mx_myrinet_profile();
-  StatsRegistry stats;
+  StatsRegistry registry;
+  EngineStats stats(registry);
   StrategyEnv env{caps, 0, /*window=*/16, eval_budget, 0, &stats};
   std::uint64_t order = 1;
   std::uint64_t decisions = 0;

@@ -73,10 +73,11 @@ class IncomingMessage {
 
  private:
   friend class Channel;
-  IncomingMessage(Engine* eng, NodeId peer, ChannelId ch, MsgSeq seq)
-      : eng_(eng), peer_(peer), ch_(ch), seq_(seq) {}
+  IncomingMessage(Engine* eng, void* peer_cache, ChannelId ch, MsgSeq seq)
+      : eng_(eng), peer_cache_(peer_cache), ch_(ch), seq_(seq) {}
   Engine* eng_ = nullptr;
-  NodeId peer_ = 0;
+  /// The channel's cached peer shard: receive calls never touch the map.
+  void* peer_cache_ = nullptr;
   ChannelId ch_ = 0;
   MsgSeq seq_ = 0;
   FragIdx next_ = 0;
@@ -119,8 +120,8 @@ class Channel {
   ChannelId id_ = 0;
   TrafficClass cls_ = TrafficClass::SmallEager;
   /// Peer shard resolved once at open_channel (opaque: the shard type is
-  /// private to Engine). post() hands it back so the submit fast path never
-  /// touches the peer map.
+  /// private to Engine). post() and every receive call hand it back, so
+  /// neither path touches the peer map.
   void* peer_cache_ = nullptr;
 };
 

@@ -18,17 +18,6 @@ thread_local ProgressLap* t_progress_lap = nullptr;
 }  // namespace detail
 
 namespace {
-/// Per-traffic-class latency histogram names. StatsRegistry::observe takes
-/// a transparent string_view key, so passing these literals stays
-/// allocation-free after the first use of each — the same contract the
-/// zero-alloc decision loop relies on for counters.
-constexpr const char* kLatHold[kTrafficClassCount] = {
-    "lat.hold.control", "lat.hold.small_eager", "lat.hold.bulk",
-    "lat.hold.putget"};
-constexpr const char* kLatComplete[kTrafficClassCount] = {
-    "lat.complete.control", "lat.complete.small_eager", "lat.complete.bulk",
-    "lat.complete.putget"};
-
 /// Which engine's progress thread (if any) is executing on this thread.
 /// Lets a timer callback decide "am I already on the shard's owner?"
 /// without any lock; distinct engines sharing a thread never confuse each
@@ -60,14 +49,6 @@ Engine::Engine(NodeId self, EngineConfig cfg, TimerHost& timers)
     slot->idle_sleeps = &stats_.handle(prefix + "idle_sleeps");
     prog_slots_.push_back(std::move(slot));
   }
-  prog_laps_total_ = &stats_.handle("prog.shard_laps");
-  prog_steals_total_ = &stats_.handle("prog.steals");
-  prog_wakeups_total_ = &stats_.handle("prog.wakeups");
-  prog_idle_total_ = &stats_.handle("prog.idle_sleeps");
-  prog_self_pumps_ = &stats_.handle("prog.self_pumps");
-  timer_arms_ = &stats_.handle("timer.arms");
-  timer_cancelled_ = &stats_.handle("timer.cancelled");
-  timer_stale_ = &stats_.handle("timer.stale_fires");
 }
 
 Engine::~Engine() {
@@ -102,7 +83,7 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
                                                     prog_nthreads_);
       slot = std::make_unique<PeerState>(peer, cfg_, owner);
       // Register the shard: the root registry aggregates it on every read.
-      stats_.add_child(&slot->stats);
+      stats_.add_child(&slot->registry);
     }
     psp = slot.get();
   }
@@ -216,23 +197,21 @@ RailId Engine::rail_for_submit_locked(const PeerState& ps,
 
 // ---- submit path -----------------------------------------------------------
 
-SendHandle Engine::submit(NodeId peer, ChannelId ch, TrafficClass cls,
-                          Message msg, void* peer_hint) {
+SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
+                          Message msg) {
   MADO_CHECK_MSG(!msg.empty(), "cannot post an empty message");
-  PeerState& ps = peer_hint != nullptr ? *static_cast<PeerState*>(peer_hint)
-                                       : peer_ref(peer);
   const auto nfrags = static_cast<std::uint16_t>(msg.fragment_count());
   auto state = std::make_shared<SendState>();
   state->pending.store(nfrags, std::memory_order_relaxed);
   state->submit_time = timers_.now();
   state->cls = cls;
-  state->peer = peer;
+  state->peer = ps.id;
 
   if (!ps.any_rail_up.load(std::memory_order_acquire)) {
     // Every rail toward the peer is dead: fail fast instead of queueing onto
     // a corpse (wait_send() then returns false immediately).
     state->failed.store(true, std::memory_order_release);
-    ps.stats.inc("rel.failed_sends");
+    ps.stats.inc(Ctr::RelFailedSends);
     return SendHandle(state);
   }
 
@@ -243,7 +222,7 @@ SendHandle Engine::submit(NodeId peer, ChannelId ch, TrafficClass cls,
       // parked, then submit inline. A single application thread always
       // lands here, so post() latency with the ring enabled is identical
       // to the ring-disabled engine (and to the pre-sharding locked path).
-      ps.lock_acqs->fetch_add(1, std::memory_order_relaxed);
+      ps.stats.inc(Ctr::OptLockAcquisitions);
       drain_submit_ring_locked(ps);
       submit_locked(ps, ch, std::move(msg), state, state->submit_time);
       ps.mu.unlock();
@@ -269,7 +248,7 @@ SendHandle Engine::submit(NodeId peer, ChannelId ch, TrafficClass cls,
         // The holder may have released between our failed try_lock and the
         // push landing; re-check so the op cannot linger un-drained until
         // the next pump.
-        ps.lock_acqs->fetch_add(1, std::memory_order_relaxed);
+        ps.stats.inc(Ctr::OptLockAcquisitions);
         drain_submit_ring_locked(ps);
         ps.mu.unlock();
       }
@@ -278,7 +257,7 @@ SendHandle Engine::submit(NodeId peer, ChannelId ch, TrafficClass cls,
     // Ring full: fall through to the locked path (which drains the ring
     // first, preserving submit order). `op` still owns the message — a
     // failed try_push does not consume its argument.
-    ps.stats.inc("submit.ring_full");
+    ps.stats.inc(Ctr::SubmitRingFull);
     msg = std::move(op.msg);
   }
 
@@ -300,7 +279,7 @@ std::size_t Engine::drain_submit_ring_locked(PeerState& ps) {
     ps.ring_pending.fetch_sub(1, std::memory_order_release);
     ++n;
   }
-  if (n > 0) ps.stats.inc("submit.ring_ops", n);
+  if (n > 0) ps.stats.inc(Ctr::SubmitRingOps, n);
   return n;
 }
 
@@ -318,7 +297,7 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
     // fail the message (its pending count never reaches zero, the failed
     // flag routes wait_send() to false).
     if (!state->failed.exchange(true, std::memory_order_acq_rel))
-      ps.stats.inc("rel.failed_sends");
+      ps.stats.inc(Ctr::RelFailedSends);
     return;
   }
 
@@ -378,7 +357,7 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
       tf.owned = ps.slab.take(RtsBody::kWireSize);
       encode_rts(tf.owned, body);
       tf.len = tf.owned.size();
-      ps.stats.inc("tx.rdv_rts");
+      ps.stats.inc(Ctr::TxRdvRts);
       trace_locked(TraceEvent::RdvRts, ps.id, rail_id, token, mf.len);
     } else {
       tf.kind = FragKind::Data;
@@ -408,8 +387,8 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
     rail.backlog.push(std::move(tf));
   }
 
-  ps.stats.inc("tx.msgs");
-  ps.stats.inc("tx.frags_submitted", nfrags);
+  ps.stats.inc(Ctr::TxMsgs);
+  ps.stats.inc(Ctr::TxFragsSubmitted, nfrags);
   trace_locked(TraceEvent::MsgSubmit, ps.id, rail_id, ch, nfrags,
                msg.total_bytes());
   pump_rail_locked(ps, rail);
@@ -457,7 +436,7 @@ void Engine::pump_rail_locked(PeerState& ps, Rail& rail) {
   // otherwise has_pending() stays true and parked progress threads keep
   // waking for a timer that has nothing to do.
   if (rail.backlog.empty() && timers_.cancel(rail.nagle_timer))
-    timer_cancelled_->fetch_add(1, std::memory_order_relaxed);
+    eng_stats_.inc(Ctr::TimerCancelled);
 }
 
 bool Engine::try_send_eager_locked(PeerState& ps, Rail& rail) {
@@ -469,12 +448,12 @@ bool Engine::try_send_eager_locked(PeerState& ps, Rail& rail) {
   StrategyEnv env{rail.ep->caps(), timers_.now(), cfg_.lookahead_window,
                   cfg_.eval_budget, cfg_.nagle_delay, &ps.stats};
   PacketDecision d = ps.strategy->next_packet(rail.backlog, env);
-  ps.stats.inc("opt.decisions");
+  ps.stats.inc(Ctr::OptDecisions);
   // Surface the incremental flow-index maintenance cost (delta since the
   // last decision on this rail) so it stays observable.
   const std::uint64_t idx_ops = rail.backlog.flow_index_ops();
   if (idx_ops != rail.flow_index_ops_flushed) {
-    ps.stats.inc("opt.flow_index_ops", idx_ops - rail.flow_index_ops_flushed);
+    ps.stats.inc(Ctr::OptFlowIndexOps, idx_ops - rail.flow_index_ops_flushed);
     rail.flow_index_ops_flushed = idx_ops;
   }
   if (tracer_.load(std::memory_order_acquire)) {
@@ -543,8 +522,8 @@ bool Engine::pop_bulk_chunk_locked(PeerState& ps, Rail& rail,
     if (victim != nullptr) {
       out = victim->bulk_q.back();
       victim->bulk_q.pop_back();
-      ps.stats.inc("stripe.steals");
-      ps.stats.inc("stripe.steal_bytes", out.len);
+      ps.stats.inc(Ctr::StripeSteals);
+      ps.stats.inc(Ctr::StripeStealBytes, out.len);
       trace_locked(TraceEvent::BulkSteal, ps.id, rail.port.rail, out.token,
                    out.offset, out.len, victim->port.rail);
       return true;
@@ -604,19 +583,18 @@ void Engine::send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags) {
 
   ++rail.outstanding[drv::kTrackEager];
   rail.inflight_bytes += rec.wire_bytes;
-  ps.stats.inc("tx.packets");
-  ps.stats.inc("tx.bytes", rec.wire_bytes);
-  ps.stats.inc("tx.frags", rec.frags.size());
-  ps.stats.observe("tx.pkt_frags", rec.frags.size());
-  ps.stats.observe("tx.pkt_bytes", rec.wire_bytes);
+  ps.stats.inc(Ctr::TxPackets);
+  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
+  ps.stats.inc(Ctr::TxFrags, rec.frags.size());
+  ps.stats.observe(Hist::TxPktFrags, rec.frags.size());
+  ps.stats.observe(Hist::TxPktBytes, rec.wire_bytes);
   // Optimizer hold: how long each fragment waited in the collect layer
   // before leaving in a packet — submit → first favorable decision, split
   // by traffic class (nanoseconds).
   {
     const Nanos now = timers_.now();
     for (const TxFrag& f : rec.frags)
-      ps.stats.observe(kLatHold[static_cast<std::size_t>(f.cls)],
-                       now - std::min(now, f.submit_time));
+      ps.stats.observe(lat_hold(f.cls), now - std::min(now, f.submit_time));
   }
   MADO_TRACE("node " << self_ << " tx packet " << token << " nfrags="
                      << rec.frags.size() << " bytes=" << rec.wire_bytes);
@@ -680,8 +658,8 @@ void Engine::send_bulk_chunk_locked(PeerState& ps, Rail& rail,
 
   ++rail.outstanding[rec.track];
   rail.inflight_bytes += rec.wire_bytes;
-  ps.stats.inc("tx.bulk_chunks");
-  ps.stats.inc("tx.bytes", rec.wire_bytes);
+  ps.stats.inc(Ctr::TxBulkChunks);
+  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
   trace_locked(TraceEvent::BulkTx, ps.id, rail.port.rail, chunk.token,
                chunk.offset, chunk.len, chunk.stripe);
   rail.ep->send(rec.track, gl, token);
@@ -711,7 +689,7 @@ void Engine::schedule_nagle_timer_locked(PeerState& ps, Rail& rail,
             Rail& r = *p->rails[rail_id];
             if (r.nagle_timer.gen() != gen) {
               // A re-arm or cancel raced this firing out of the wheel.
-              timer_stale_->fetch_add(1, std::memory_order_relaxed);
+              eng_stats_.inc(Ctr::TimerStaleFires);
               return;
             }
             drain_submit_ring_locked(*p);
@@ -720,7 +698,7 @@ void Engine::schedule_nagle_timer_locked(PeerState& ps, Rail& rail,
           wake_peer(*p);
         }));
   }
-  timer_arms_->fetch_add(1, std::memory_order_relaxed);
+  eng_stats_.inc(Ctr::TimerArms);
   arm_peer_timer(ps, rail.nagle_timer, when);
 }
 
@@ -812,10 +790,10 @@ void Engine::finalize_inflight_locked(PeerState& ps, InFlight& rec) {
       // local buffer hold is released here.
       if (rdv.state)
         complete_frag_state_locked(ps, rdv.channel, rdv.state);
-      ps.stats.inc("tx.rdv_completed");
+      ps.stats.inc(Ctr::TxRdvCompleted);
       if (rdv.rts_timed) {
         const Nanos now = timers_.now();
-        ps.stats.observe("lat.rdv_complete",
+        ps.stats.observe(Hist::LatRdvComplete,
                          now - std::min(now, rdv.rts_time));
       }
       trace_locked(TraceEvent::RdvDone, ps.id, 0, rec.rdv_token, rdv.total);
@@ -846,10 +824,10 @@ void Engine::complete_frag_state_locked(PeerState& ps, ChannelId ch,
     MADO_ASSERT(it->second.outstanding_sends > 0);
     --it->second.outstanding_sends;
   }
-  ps.stats.inc("tx.msgs_completed");
+  ps.stats.inc(Ctr::TxMsgsCompleted);
   // submit → every fragment fully transmitted, split by traffic class.
   const Nanos now = timers_.now();
-  ps.stats.observe(kLatComplete[static_cast<std::size_t>(state->cls)],
+  ps.stats.observe(lat_complete(state->cls),
                    now - std::min(now, state->submit_time));
 }
 
@@ -904,7 +882,7 @@ void Engine::process_acks_locked(PeerState& ps, Rail& rail,
     // has_pending() true and waking parked threads for nothing). A tail
     // remains: restart the clock for it (cancel + fresh arm, both O(1)).
     if (timers_.cancel(rt.rto_timer))
-      timer_cancelled_->fetch_add(1, std::memory_order_relaxed);
+      eng_stats_.inc(Ctr::TimerCancelled);
     if (!rt.unacked.empty()) arm_rto_locked(ps, rail, s);
     progressed = true;
   }
@@ -938,7 +916,7 @@ void Engine::arm_rto_locked(PeerState& ps, Rail& rail, int stream) {
             RelTrack& t = r.rel[stream];
             if (t.rto_timer.gen() != gen) {
               // A re-arm or cancel raced this firing out of the wheel.
-              timer_stale_->fetch_add(1, std::memory_order_relaxed);
+              eng_stats_.inc(Ctr::TimerStaleFires);
               return;
             }
             if (r.state == RailState::Down || t.unacked.empty()) return;
@@ -970,14 +948,14 @@ void Engine::arm_rto_locked(PeerState& ps, Rail& rail, int stream) {
       rail.rel[0].unacked_bytes + rail.rel[1].unacked_bytes;
   const Nanos wire_floor =
       model.busy_time(pending_bytes, 1) + 2 * model.propagation_latency();
-  timer_arms_->fetch_add(1, std::memory_order_relaxed);
+  eng_stats_.inc(Ctr::TimerArms);
   arm_peer_timer(ps, rt.rto_timer, timers_.now() + rt.rto + wire_floor);
 }
 
 void Engine::rto_expired_locked(PeerState& ps, Rail& rail, int stream) {
   RelTrack& rt = rail.rel[stream];
   ++rt.retries;
-  ps.stats.inc("rel.rto_backoffs");
+  ps.stats.inc(Ctr::RelRtoBackoffs);
   if (rt.retries > cfg_.rel_max_retries) {
     // The link is not coming back: give up and fail over.
     fail_rail_locked(ps, rail);
@@ -1012,8 +990,8 @@ void Engine::retransmit_locked(PeerState& ps, Rail& rail, std::uint64_t token,
   ++rec.tx_outstanding;
   ++rail.outstanding[rec.track];
   rail.inflight_bytes += rec.wire_bytes;
-  ps.stats.inc("rel.retransmits");
-  ps.stats.inc("tx.bytes", rec.wire_bytes);
+  ps.stats.inc(Ctr::RelRetransmits);
+  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
   trace_locked(TraceEvent::RelRetx, rec.peer, rec.rail, token,
                rec.rel_stream, rail.rel[rec.rel_stream].retries);
   MADO_TRACE("node " << self_ << " retransmit token=" << token << " stream="
@@ -1053,8 +1031,8 @@ void Engine::maybe_send_ack_locked(PeerState& ps, Rail& rail) {
   rec.wire_bytes = gl.total_bytes();
   ++rail.outstanding[drv::kTrackEager];
   rail.inflight_bytes += rec.wire_bytes;
-  ps.stats.inc("rel.acks_tx");
-  ps.stats.inc("tx.bytes", rec.wire_bytes);
+  ps.stats.inc(Ctr::RelAcksTx);
+  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
   rail.ep->send(drv::kTrackEager, gl, token);
 }
 
@@ -1071,11 +1049,11 @@ bool Engine::rel_rx_accept_locked(PeerState& ps, Rail& rail, int stream,
   if (seq_less(seq, rt.rx_next)) {
     // Retransmitted copy of something already delivered (our ack was lost
     // or late): suppress the duplicate, refresh the ack.
-    ps.stats.inc("rel.dup_drops");
+    ps.stats.inc(Ctr::RelDupDrops);
   } else {
     // Gap: a go-back-N receiver drops past the first hole; the sender's
     // timeout resends the whole tail in order.
-    ps.stats.inc("rel.ooo_drops");
+    ps.stats.inc(Ctr::RelOooDrops);
   }
   return false;
 }
@@ -1084,7 +1062,7 @@ void Engine::fail_state_locked(PeerState& ps, ChannelId ch,
                                const SendStateRef& state) {
   if (!state) return;
   if (state->failed.exchange(true, std::memory_order_acq_rel)) return;
-  ps.stats.inc("rel.failed_sends");
+  ps.stats.inc(Ctr::RelFailedSends);
   if (ch == kRmaChannel) return;
   auto it = ps.channels.find(ch);
   if (it != ps.channels.end() && it->second.outstanding_sends > 0)
@@ -1101,7 +1079,7 @@ void Engine::note_rdv_done_locked(PeerState& ps, std::uint64_t token) {
   while (ps.rdv_rx_done_fifo.size() > cfg_.rdv_done_window) {
     ps.rdv_rx_done.erase(ps.rdv_rx_done_fifo.front());
     ps.rdv_rx_done_fifo.pop_front();
-    ps.stats.inc("cap.rdv_done_evictions");
+    ps.stats.inc(Ctr::CapRdvDoneEvictions);
   }
 }
 
@@ -1144,16 +1122,16 @@ void Engine::apply_link_down_locked(PeerState& ps, RailId rail_id) {
 void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
   if (rail.state == RailState::Down) return;
   rail.state = RailState::Down;
-  ps.stats.inc("rel.rail_failovers");
+  ps.stats.inc(Ctr::RelRailFailovers);
 
   // Cancel every pending timer on this rail (nagle + both RTOs). Physical
   // cancellation: the wheel entries are unlinked here, not left to fire
   // into no-ops at their dead deadlines.
   if (timers_.cancel(rail.nagle_timer))
-    timer_cancelled_->fetch_add(1, std::memory_order_relaxed);
+    eng_stats_.inc(Ctr::TimerCancelled);
   for (auto& rt : rail.rel)
     if (timers_.cancel(rt.rto_timer))
-      timer_cancelled_->fetch_add(1, std::memory_order_relaxed);
+      eng_stats_.inc(Ctr::TimerCancelled);
   rail.ack_owed = false;
 
   Rail* survivor = nullptr;
@@ -1207,13 +1185,13 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
         else
           survivor->bulk_q.push_back(chunk);
         ++replayed_chunks;
-        ps.stats.inc("rel.replayed_chunks");
+        ps.stats.inc(Ctr::RelReplayedChunks);
       } else {
         for (TxFrag& f : rec.frags) {
           f.submit_time = replay_time;
           f.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
           ++replayed_frags;
-          ps.stats.inc("rel.replayed_frags");
+          ps.stats.inc(Ctr::RelReplayedFrags);
           if (f.kind == FragKind::RdvCts || f.kind == FragKind::RmaAck)
             survivor->backlog.push_control(std::move(f));
           else
@@ -1541,14 +1519,14 @@ void Engine::progress_thread_main(std::size_t idx) {
         if (pump_shard(*ps, events, eps)) {
           work = true;
           slot.steals->fetch_add(1, std::memory_order_relaxed);
-          prog_steals_total_->fetch_add(1, std::memory_order_relaxed);
+          eng_stats_.inc(Ctr::ProgSteals);
           break;
         }
       }
     }
     if (timers_.run_due() > 0) work = true;
     slot.laps->fetch_add(1, std::memory_order_relaxed);
-    prog_laps_total_->fetch_add(1, std::memory_order_relaxed);
+    eng_stats_.inc(Ctr::ProgShardLaps);
     return work;
   };
 
@@ -1592,7 +1570,7 @@ void Engine::progress_thread_main(std::size_t idx) {
       }
       if (slot.ticket.load(std::memory_order_seq_cst) == ticket) {
         slot.idle_sleeps->fetch_add(1, std::memory_order_relaxed);
-        prog_idle_total_->fetch_add(1, std::memory_order_relaxed);
+        eng_stats_.inc(Ctr::ProgIdleSleeps);
         slot.parked.store(true, std::memory_order_seq_cst);
         slot.cv.wait_for(lk, std::chrono::nanoseconds(park_bound()));
         slot.parked.store(false, std::memory_order_seq_cst);
@@ -1600,7 +1578,7 @@ void Engine::progress_thread_main(std::size_t idx) {
     }
     slot.armed.store(false, std::memory_order_seq_cst);
     slot.wakeups->fetch_add(1, std::memory_order_relaxed);
-    prog_wakeups_total_->fetch_add(1, std::memory_order_relaxed);
+    eng_stats_.inc(Ctr::ProgWakeups);
     // Resume in the yield phase: if still idle we re-park quickly instead
     // of burning a fresh spin window.
     idle = yield_laps;
@@ -1658,9 +1636,12 @@ bool Engine::wait_until_impl(const std::function<bool()>& pred,
     }
   }
   const Nanos deadline = timers_.now() + timeout;
-  global_waiters_.fetch_add(1, std::memory_order_acq_rel);
+  global_waiters_.fetch_add(1, std::memory_order_seq_cst);
   bool ok = false;
   for (;;) {
+    // Epoch before pred: a wake_global() that lands after this load (even
+    // while pred runs) moves the epoch, and the check below skips the park.
+    const std::uint64_t epoch = global_epoch_.load(std::memory_order_seq_cst);
     // Self-pump only when no progress thread is attached: with one (or N)
     // running, a waiter pumping too would double-poll endpoints and
     // contend every shard lock it touches (inflating opt.lock_wait_ns for
@@ -1669,7 +1650,7 @@ bool Engine::wait_until_impl(const std::function<bool()>& pred,
     // pumping duty back to the waiter.
     if (!prog_running_.load(std::memory_order_acquire)) {
       progress();
-      prog_self_pumps_->fetch_add(1, std::memory_order_relaxed);
+      eng_stats_.inc(Ctr::ProgSelfPumps);
     }
     if (pred()) {
       ok = true;
@@ -1677,14 +1658,18 @@ bool Engine::wait_until_impl(const std::function<bool()>& pred,
     }
     if (timers_.now() > deadline) break;
     std::unique_lock<std::mutex> lk(wait_mu_);
-    cv_.wait_for(lk, std::chrono::microseconds(200));
+    if (global_epoch_.load(std::memory_order_seq_cst) == epoch)
+      cv_.wait_for(lk, std::chrono::microseconds(200));
   }
-  global_waiters_.fetch_sub(1, std::memory_order_acq_rel);
+  global_waiters_.fetch_sub(1, std::memory_order_seq_cst);
   return ok;
 }
 
 bool Engine::wait_peer_impl(PeerState& ps, const std::function<bool()>& pred,
                             Nanos timeout) {
+  // Already satisfied (an arrived message, a completed send): no hook copy,
+  // no waiter registration, no self-pump.
+  if (pred()) return true;
   std::function<bool()> ext;
   {
     std::lock_guard<std::mutex> lk(misc_mu_);
@@ -1692,19 +1677,20 @@ bool Engine::wait_peer_impl(PeerState& ps, const std::function<bool()>& pred,
   }
   if (ext) {
     for (;;) {
-      if (pred()) return true;
       if (!ext()) return pred();
+      if (pred()) return true;
     }
   }
   const Nanos deadline = timers_.now() + timeout;
-  ps.waiters.fetch_add(1, std::memory_order_acq_rel);
+  ps.waiters.fetch_add(1, std::memory_order_seq_cst);
   bool ok = false;
   for (;;) {
-    // Same self-pump gate as wait_until_impl: pump only when no progress
-    // thread is attached, park on the peer's cv otherwise.
+    // Same epoch protocol and self-pump gate as wait_until_impl, on the
+    // peer's own cv.
+    const std::uint64_t epoch = ps.wake_epoch.load(std::memory_order_seq_cst);
     if (!prog_running_.load(std::memory_order_acquire)) {
       progress();
-      prog_self_pumps_->fetch_add(1, std::memory_order_relaxed);
+      eng_stats_.inc(Ctr::ProgSelfPumps);
     }
     if (pred()) {
       ok = true;
@@ -1712,9 +1698,10 @@ bool Engine::wait_peer_impl(PeerState& ps, const std::function<bool()>& pred,
     }
     if (timers_.now() > deadline) break;
     std::unique_lock<std::mutex> lk(ps.wait_mu);
-    ps.cv.wait_for(lk, std::chrono::microseconds(200));
+    if (ps.wake_epoch.load(std::memory_order_seq_cst) == epoch)
+      ps.cv.wait_for(lk, std::chrono::microseconds(200));
   }
-  ps.waiters.fetch_sub(1, std::memory_order_acq_rel);
+  ps.waiters.fetch_sub(1, std::memory_order_seq_cst);
   return ok;
 }
 
@@ -1737,6 +1724,7 @@ bool Engine::wait_send(const SendHandle& h, Nanos timeout) {
     // failed: stop waiting, report false
     return ok || state->failed.load(std::memory_order_acquire);
   };
+  if (pred()) return ok;  // already over: no peer lookup, no wait
   PeerState* ps = find_peer(state->peer);
   if (ps)
     wait_peer_impl(*ps, pred, timeout);
@@ -1823,7 +1811,7 @@ SendHandle Engine::rma_put(NodeId peer, WindowId window, std::uint64_t offset,
   Rail& rail = *ps.rails[rail_id];
   if (rail.state == RailState::Down) {
     state->failed.store(true, std::memory_order_release);
-    ps.stats.inc("rel.failed_sends");  // every rail toward the peer is dead
+    ps.stats.inc(Ctr::RelFailedSends);  // every rail toward the peer is dead
     return SendHandle(state);
   }
   const std::size_t rdv_thr = cfg_.rdv_threshold_override != 0
@@ -1868,7 +1856,7 @@ SendHandle Engine::rma_put(NodeId peer, WindowId window, std::uint64_t offset,
     tf.len = tf.owned.size();
     rail.backlog.push(std::move(tf));
   }
-  ps.stats.inc("rma.puts");
+  ps.stats.inc(Ctr::RmaPuts);
   trace_locked(TraceEvent::RmaOp, peer, rail_id, 0, window, len);
   pump_rail_locked(ps, rail);
   // Wake the shard's owner for the completion poll (slot mutexes sit below
@@ -1894,7 +1882,7 @@ SendHandle Engine::rma_get(NodeId peer, WindowId window, std::uint64_t offset,
   Rail& rail = *ps.rails[rail_id];
   if (rail.state == RailState::Down) {
     state->failed.store(true, std::memory_order_release);
-    ps.stats.inc("rel.failed_sends");  // every rail toward the peer is dead
+    ps.stats.inc(Ctr::RelFailedSends);  // every rail toward the peer is dead
     return SendHandle(state);
   }
   const std::uint64_t get_token =
@@ -1907,7 +1895,7 @@ SendHandle Engine::rma_get(NodeId peer, WindowId window, std::uint64_t offset,
   encode_rma_get(tf.owned, RmaGetBody{window, offset, len, get_token});
   tf.len = tf.owned.size();
   rail.backlog.push(std::move(tf));
-  ps.stats.inc("rma.gets");
+  ps.stats.inc(Ctr::RmaGets);
   trace_locked(TraceEvent::RmaOp, peer, rail_id, 1, window, len);
   pump_rail_locked(ps, rail);
   note_activity(ps);  // wake the shard's owner for the completion poll
@@ -1962,7 +1950,7 @@ void Engine::rebalance_classes() {
       lightest, std::memory_order_relaxed);
   class_rail_[static_cast<std::size_t>(TrafficClass::SmallEager)].store(
       lightest, std::memory_order_relaxed);
-  stats_.inc("sched.rebalances");
+  eng_stats_.inc(Ctr::SchedRebalances);
   trace_locked(TraceEvent::Rebalance, 0, lightest, lightest);
 }
 
@@ -2108,34 +2096,37 @@ std::string Engine::Snapshot::to_string() const {
 
 SendHandle Channel::post(Message msg) {
   MADO_CHECK(valid());
-  return eng_->submit(peer_, id_, cls_, std::move(msg), peer_cache_);
+  return eng_->submit(Engine::shard_of(peer_cache_), id_, cls_,
+                      std::move(msg));
 }
 
 IncomingMessage Channel::begin_recv() {
   MADO_CHECK(valid());
-  return IncomingMessage(eng_, peer_, id_, eng_->attach_recv(peer_, id_));
+  return IncomingMessage(eng_, peer_cache_, id_,
+                         eng_->attach_recv(Engine::shard_of(peer_cache_), id_));
 }
 
 void Channel::flush() {
   MADO_CHECK(valid());
-  eng_->flush_channel(peer_, id_);
+  eng_->flush_channel(Engine::shard_of(peer_cache_), id_);
 }
 
 bool Channel::probe() const {
   MADO_CHECK(valid());
-  return eng_->probe_recv(peer_, id_);
+  return eng_->probe_recv(Engine::shard_of(peer_cache_), id_);
 }
 
 void IncomingMessage::unpack(void* buf, std::size_t len, RecvMode mode) {
   MADO_CHECK_MSG(!finished_, "unpack after finish");
-  eng_->post_unpack(peer_, ch_, seq_, next_, buf, len);
-  if (mode == RecvMode::Express) eng_->wait_frag(peer_, ch_, seq_, next_);
+  auto& ps = Engine::shard_of(peer_cache_);
+  const bool done = eng_->post_unpack(ps, ch_, seq_, next_, buf, len);
+  if (mode == RecvMode::Express && !done) eng_->wait_frag(ps, ch_, seq_, next_);
   ++next_;
 }
 
 std::size_t IncomingMessage::next_size() {
   MADO_CHECK_MSG(!finished_, "next_size after finish");
-  return eng_->wait_frag_size(peer_, ch_, seq_, next_);
+  return eng_->wait_frag_size(Engine::shard_of(peer_cache_), ch_, seq_, next_);
 }
 
 Bytes IncomingMessage::unpack_bytes() {
@@ -2146,13 +2137,13 @@ Bytes IncomingMessage::unpack_bytes() {
 
 void IncomingMessage::finish() {
   MADO_CHECK_MSG(!finished_, "finish called twice");
-  eng_->finish_recv(peer_, ch_, seq_, next_);
+  eng_->finish_recv(Engine::shard_of(peer_cache_), ch_, seq_, next_);
   finished_ = true;
 }
 
 bool IncomingMessage::ready() const {
   MADO_CHECK_MSG(!finished_, "ready after finish");
-  return eng_->recv_complete(peer_, ch_, seq_);
+  return eng_->recv_complete(Engine::shard_of(peer_cache_), ch_, seq_);
 }
 
 }  // namespace mado::core

@@ -62,6 +62,7 @@
 #include "core/api.hpp"
 #include "core/backlog.hpp"
 #include "core/config.hpp"
+#include "core/counters.hpp"
 #include "core/message.hpp"
 #include "core/packet.hpp"
 #include "core/payload_pool.hpp"
@@ -496,16 +497,13 @@ class Engine final {
         while (cap < cfg.submit_ring) cap <<= 1;
         ring = std::make_unique<MpmcRing<SubmitOp>>(cap);
       }
-      lock_acqs = &stats.handle("opt.lock_acquisitions");
-      lock_wait_ns = &stats.handle("opt.lock_wait_ns");
       // State tables share one budget policy: start empty, grow in powers
       // of two, shrink back when a burst drains. Rehashes land in the
       // cap.* counters so a misbehaving workload is visible.
       TokenTableOpts topts;
       topts.min_capacity = cfg.table_min_capacity;
       topts.shrink = cfg.table_shrink;
-      topts.growths = &stats.handle("cap.table_growths");
-      topts.shrinks = &stats.handle("cap.table_shrinks");
+      topts.stats = &stats;
       inflight.set_opts(topts);
       rdv_tx.set_opts(topts);
       rdv_rx.set_opts(topts);
@@ -532,15 +530,20 @@ class Engine final {
     mutable std::mutex mu;  ///< guards every non-atomic member below
 
     /// Completion waiters parked on this peer (wait_send, wait_frag, ...).
-    /// `cv` is notified only when `waiters` is non-zero; waits are bounded,
-    /// so a racing lost notify costs one bounded nap, never a hang.
+    /// `cv` is notified only when `waiters` is non-zero. Every such wake
+    /// bumps `wake_epoch`; a waiter snapshots it before its predicate and
+    /// parks only if it is unchanged under `wait_mu`, so a wake that lands
+    /// while the predicate runs is never lost.
     mutable std::condition_variable cv;
     mutable std::mutex wait_mu;  ///< cv's mutex — NOT `mu`, so waiters
                                  ///< never contend with the hot path
     std::atomic<int> waiters{0};
+    std::atomic<std::uint64_t> wake_epoch{0};
 
-    /// Per-peer stats shard (registered as a child of the engine root).
-    StatsRegistry stats;
+    /// Per-peer stats shard (registered as a child of the engine root),
+    /// bumped through the lookup-free counter table.
+    StatsRegistry registry;
+    EngineStats stats{registry};
     PayloadSlab slab;
     std::unique_ptr<Strategy> strategy;  ///< strategies may be stateful
 
@@ -572,11 +575,6 @@ class Engine final {
     /// from racing threads can arrive slightly out of order, but the
     /// backlog's flow index requires submit_time non-decreasing in `order`.
     Nanos last_drain_time = 0;
-
-    /// Cached stats cells for the lock-contention instrumentation (hot:
-    /// bumped on every peer-lock acquisition, so no name lookup).
-    std::atomic<std::uint64_t>* lock_acqs = nullptr;
-    std::atomic<std::uint64_t>* lock_wait_ns = nullptr;
   };
 
   /// RAII peer-lock with contention accounting: try_lock fast path; on
@@ -588,13 +586,13 @@ class Engine final {
         const auto t0 = std::chrono::steady_clock::now();
         ps.mu.lock();
         const auto dt = std::chrono::steady_clock::now() - t0;
-        ps.lock_wait_ns->fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                    .count()),
-            std::memory_order_relaxed);
+        ps.stats.inc(Ctr::OptLockWaitNs,
+                     static_cast<std::uint64_t>(
+                         std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             dt)
+                             .count()));
       }
-      ps.lock_acqs->fetch_add(1, std::memory_order_relaxed);
+      ps.stats.inc(Ctr::OptLockAcquisitions);
     }
     ~PeerLock() { ps_.mu.unlock(); }
     PeerLock(const PeerLock&) = delete;
@@ -606,18 +604,27 @@ class Engine final {
 
   // ---- submit path (called from handles) -------------------------------
 
-  SendHandle submit(NodeId peer, ChannelId ch, TrafficClass cls, Message msg,
-                    void* peer_hint);
-  MsgSeq attach_recv(NodeId peer, ChannelId ch);
-  bool probe_recv(NodeId peer, ChannelId ch) const;
-  bool recv_complete(NodeId peer, ChannelId ch, MsgSeq seq) const;
-  void post_unpack(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx idx,
+  /// The peer shard a Channel cached at open_channel (opaque to handles).
+  static PeerState& shard_of(void* peer_cache) {
+    return *static_cast<PeerState*>(peer_cache);
+  }
+
+  // Every handle call works on the shard the Channel resolved at
+  // open_channel, so none of them touches the peer map.
+  SendHandle submit(PeerState& ps, ChannelId ch, TrafficClass cls,
+                    Message msg);
+  MsgSeq attach_recv(PeerState& ps, ChannelId ch);
+  bool probe_recv(PeerState& ps, ChannelId ch) const;
+  bool recv_complete(PeerState& ps, ChannelId ch, MsgSeq seq) const;
+  /// Register the destination of fragment `idx`; true if the fragment was
+  /// already here and has been copied (an Express unpack need not wait).
+  bool post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx,
                    void* buf, std::size_t len);
-  void wait_frag(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx idx);
-  std::size_t wait_frag_size(NodeId peer, ChannelId ch, MsgSeq seq,
+  void wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx);
+  std::size_t wait_frag_size(PeerState& ps, ChannelId ch, MsgSeq seq,
                              FragIdx idx);
-  void finish_recv(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx nposted);
-  void flush_channel(NodeId peer, ChannelId ch);
+  void finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx nposted);
+  void flush_channel(PeerState& ps, ChannelId ch);
 
   // ---- driver callback entry (no engine lock held) ---------------------
 
@@ -733,6 +740,11 @@ class Engine final {
   /// would double-charge a loaded rail).
   static std::size_t rail_pending_bytes_locked(const Rail& rail);
   void mark_slot_done_locked(RxMessage& msg, RxSlot& slot);
+  /// finish() bookkeeping: if message (ch, seq) is complete, check that
+  /// `nposted` fragments were unpacked, erase it and advance the channel's
+  /// rx_done_floor. Returns false, changing nothing, while it is not.
+  bool retire_if_complete_locked(PeerState& ps, ChannelId ch, MsgSeq seq,
+                                 FragIdx nposted);
 
   // RMA internals.
   void handle_rma_put_locked(PeerState& ps, ByteSpan payload);
@@ -753,7 +765,8 @@ class Engine final {
   /// Generic wait: pred synchronizes itself; sleeps on the GLOBAL cv.
   bool wait_until_impl(const std::function<bool()>& pred, Nanos timeout);
   /// Peer-scoped wait: pred synchronizes itself; sleeps on ps.cv so only
-  /// completions on this peer wake it.
+  /// completions on this peer wake it. A pred that already holds returns
+  /// at once, before any of the wait machinery.
   bool wait_peer_impl(PeerState& ps, const std::function<bool()>& pred,
                       Nanos timeout);
 
@@ -842,14 +855,24 @@ class Engine final {
   void arm_peer_timer(PeerState& ps, TimerHandle& h, Nanos when);
 
   /// Wake this peer's waiters and any global (flush / wait_until) waiters.
-  /// Cheap when nobody waits: two relaxed atomic loads.
+  /// Cheap when nobody waits: two atomic loads. Otherwise bump the epoch
+  /// the waiters re-check before parking, and lock/unlock their mutex
+  /// before notifying, so the notify cannot slip between a waiter's epoch
+  /// check and its cv wait (the ProgSlot protocol).
   void wake_peer(PeerState& ps) {
-    if (ps.waiters.load(std::memory_order_acquire) > 0) ps.cv.notify_all();
+    if (ps.waiters.load(std::memory_order_seq_cst) > 0) {
+      ps.wake_epoch.fetch_add(1, std::memory_order_seq_cst);
+      { std::lock_guard<std::mutex> lk(ps.wait_mu); }
+      ps.cv.notify_all();
+    }
     wake_global();
   }
   void wake_global() {
-    if (global_waiters_.load(std::memory_order_acquire) > 0)
+    if (global_waiters_.load(std::memory_order_seq_cst) > 0) {
+      global_epoch_.fetch_add(1, std::memory_order_seq_cst);
+      { std::lock_guard<std::mutex> lk(wait_mu_); }
       cv_.notify_all();
+    }
   }
 
   /// Emit a trace record if a tracer is attached. Callable under any peer
@@ -895,9 +918,10 @@ class Engine final {
   mutable std::shared_mutex windows_mu_;
   std::map<WindowId, RmaWindow> windows_;
 
-  /// Root stats: engine-level counters (sched.*, prog.*) plus aggregation
-  /// over the per-peer shards registered as children.
+  /// Root stats: engine-level counters (sched.*, prog.*, timer.*) plus
+  /// aggregation over the per-peer shards registered as children.
   StatsRegistry stats_;
+  EngineStats eng_stats_{stats_};
   /// Atomic so attach/detach is race-free against hot-path reads; see
   /// set_tracer for the detach-quiescence sweep.
   std::atomic<Tracer*> tracer_{nullptr};
@@ -913,29 +937,12 @@ class Engine final {
   mutable std::mutex wait_mu_;
   mutable std::condition_variable cv_;
   std::atomic<int> global_waiters_{0};
+  std::atomic<std::uint64_t> global_epoch_{0};  ///< as PeerState::wake_epoch
 
   /// Park/wakeup slots, one per progress thread, created in the
   /// constructor so note_activity() never races start/stop of the threads.
   /// unique_ptr: slots hold mutexes/cvs and must never move.
   std::vector<std::unique_ptr<ProgSlot>> prog_slots_;
-
-  /// Totals across threads (the per-thread cells live in each ProgSlot).
-  std::atomic<std::uint64_t>* prog_laps_total_ = nullptr;
-  std::atomic<std::uint64_t>* prog_steals_total_ = nullptr;
-  std::atomic<std::uint64_t>* prog_wakeups_total_ = nullptr;
-  std::atomic<std::uint64_t>* prog_idle_total_ = nullptr;
-  /// wait_until/wait_peer pumped the engine themselves (no progress thread
-  /// attached) — stays 0 while threads run (the double-pump bugfix).
-  std::atomic<std::uint64_t>* prog_self_pumps_ = nullptr;
-
-  /// Cached timer.* cells (engine-level: timers are host-wide, not
-  /// per-peer). arms = every (re-)arm; cancelled = retired before firing;
-  /// stale_fires = callbacks that found their generation superseded (a
-  /// cancel/re-arm raced an in-flight firing — rare by construction now
-  /// that cancellation physically unlinks).
-  std::atomic<std::uint64_t>* timer_arms_ = nullptr;
-  std::atomic<std::uint64_t>* timer_cancelled_ = nullptr;
-  std::atomic<std::uint64_t>* timer_stale_ = nullptr;
 
   /// Guards the odds and ends below (external progress hook, rebalance
   /// interval/chain).

@@ -76,14 +76,14 @@ void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,
     // Headers decoded cleanly but the payload was damaged on the wire.
     // The reliable sequence was NOT consumed, so the sender's retransmit
     // repairs this — counted separately from protocol violations.
-    ps.stats.inc("rel.payload_crc_drops");
+    ps.stats.inc(Ctr::RelPayloadCrcDrops);
     MADO_WARN("node " << self_ << ": dropping corrupt payload from peer "
                       << ps.id << ": " << err.what());
   } catch (const CheckError& err) {
     // A malformed or protocol-violating packet must not take the engine
     // down with it (the socket driver's RX thread delivers these); count
     // and drop. The CRC makes corrupted headers land here.
-    ps.stats.inc("rx.malformed");
+    ps.stats.inc(Ctr::RxMalformed);
     MADO_WARN("node " << self_ << ": dropping malformed packet from peer "
                       << ps.id << ": " << err.what());
   }
@@ -102,13 +102,13 @@ void Engine::handle_eager_packet_locked(PeerState& ps, RailId rail_id,
     process_acks_locked(ps, rail, ph.ack_eager, ph.ack_bulk);
   }
   if (cfg_.reliability && ph.nfrags == 0 && !(ph.flags & kPhFlagRelSeq)) {
-    ps.stats.inc("rel.acks_rx");  // standalone ack: nothing else to deliver
+    ps.stats.inc(Ctr::RelAcksRx);  // standalone ack: nothing else to deliver
     return;
   }
   if (!rel_rx_accept_locked(ps, rail, 0, ph.flags, ph.pkt_seq)) return;
-  ps.stats.inc("rx.packets");
-  ps.stats.inc("rx.bytes", payload.size());
-  ps.stats.inc("rx.frags", pkt.frags.size());
+  ps.stats.inc(Ctr::RxPackets);
+  ps.stats.inc(Ctr::RxBytes, payload.size());
+  ps.stats.inc(Ctr::RxFrags, pkt.frags.size());
   trace_locked(TraceEvent::PacketRx, ps.id, rail_id, pkt.frags.size(),
                payload.size(), 0, ph.pkt_seq);
   for (std::size_t i = 0; i < pkt.frags.size(); ++i) {
@@ -162,7 +162,7 @@ void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
     auto cit = ps.channels.find(fh.channel);
     if (cit != ps.channels.end() &&
         fh.msg_seq < cit->second.rx_done_floor) {
-      ps.stats.inc("rel.dup_drops");
+      ps.stats.inc(Ctr::RelDupDrops);
       return;
     }
   }
@@ -170,7 +170,7 @@ void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
   note_nfrags_locked(msg, fh);
   RxSlot& slot = msg.slot(fh.frag_idx);
   if (cfg_.reliability && (slot.have_data || slot.is_rdv)) {
-    ps.stats.inc("rel.dup_drops");
+    ps.stats.inc(Ctr::RelDupDrops);
     return;
   }
   MADO_CHECK_MSG(!slot.have_data && !slot.is_rdv, "duplicate fragment");
@@ -184,7 +184,7 @@ void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
     mark_slot_done_locked(msg, slot);
   } else {
     slot.buffered.assign(payload.begin(), payload.end());
-    ps.stats.inc("rx.unexpected_frags");
+    ps.stats.inc(Ctr::RxUnexpectedFrags);
   }
 }
 
@@ -201,7 +201,7 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
                                ByteSpan payload) {
   const RtsBody rts = decode_rts(payload);
   if (rdv_was_done_locked(ps, rts.token)) {
-    ps.stats.inc("rel.dup_drops");  // replayed RTS of a finished rendezvous
+    ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS of a finished rendezvous
     return;
   }
   trace_locked(TraceEvent::RdvRts, ps.id, 0, rts.token, rts.total_len);
@@ -211,7 +211,7 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
         auto cit = ps.channels.find(fh.channel);
         if (cit != ps.channels.end() &&
             fh.msg_seq < cit->second.rx_done_floor) {
-          ps.stats.inc("rel.dup_drops");
+          ps.stats.inc(Ctr::RelDupDrops);
           return;
         }
       }
@@ -219,7 +219,7 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
       note_nfrags_locked(msg, fh);
       RxSlot& slot = msg.slot(fh.frag_idx);
       if (cfg_.reliability && (slot.have_data || slot.is_rdv)) {
-        ps.stats.inc("rel.dup_drops");
+        ps.stats.inc(Ctr::RelDupDrops);
         return;
       }
       MADO_CHECK_MSG(!slot.have_data && !slot.is_rdv, "duplicate RTS");
@@ -232,7 +232,7 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
       rx.seq = fh.msg_seq;
       rx.idx = fh.frag_idx;
       ps.rdv_rx.insert_or_assign(rts.token, std::move(rx));
-      ps.stats.inc("rx.rdv_rts");
+      ps.stats.inc(Ctr::RxRdvRts);
       if (slot.posted) {
         MADO_CHECK_MSG(slot.dest_len == slot.total,
                        "unpack size " << slot.dest_len
@@ -253,12 +253,12 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
       rx.len = rts.total_len;
       rx.ack_token = rts.aux;
       if (cfg_.reliability && ps.rdv_rx.contains(rts.token)) {
-        ps.stats.inc("rel.dup_drops");  // replayed RTS, transfer in progress
+        ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS, transfer in progress
         return;
       }
       MADO_CHECK_MSG(ps.rdv_rx.emplace(rts.token, std::move(rx)).second,
                      "duplicate RTS token");
-      ps.stats.inc("rx.rma_put_rts");
+      ps.stats.inc(Ctr::RxRmaPutRts);
       send_auto_cts_locked(ps, fh, rts.token);
       return;
     }
@@ -266,12 +266,12 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
       // Bulk reply to our own rma_get: route chunks into the requester's
       // destination buffer.
       if (cfg_.reliability && ps.rdv_rx.contains(rts.token)) {
-        ps.stats.inc("rel.dup_drops");  // replayed RTS, transfer in progress
+        ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS, transfer in progress
         return;
       }
       PendingGet* pg = ps.pending_gets.find(rts.aux);
       if (cfg_.reliability && !pg) {
-        ps.stats.inc("rel.dup_drops");  // replayed RTS, get already finished
+        ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS, get already finished
         return;
       }
       MADO_CHECK_MSG(pg != nullptr, "RTS for unknown get token " << rts.aux);
@@ -307,7 +307,7 @@ void Engine::send_auto_cts_locked(PeerState& ps, const FragHeader& fh,
   tf.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
   const RailId rail = rail_for_class_locked(ps, TrafficClass::Control);
   ps.rails[rail]->backlog.push_control(std::move(tf));
-  ps.stats.inc("tx.rdv_cts");
+  ps.stats.inc(Ctr::TxRdvCts);
 }
 
 void Engine::send_cts_locked(PeerState& ps, const FragHeader& fh,
@@ -331,7 +331,7 @@ void Engine::send_cts_locked(PeerState& ps, const FragHeader& fh,
   tf.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
   const RailId rail = rail_for_class_locked(ps, TrafficClass::Control);
   ps.rails[rail]->backlog.push_control(std::move(tf));
-  ps.stats.inc("tx.rdv_cts");
+  ps.stats.inc(Ctr::TxRdvCts);
   // Caller pumps (post_unpack and handle_eager_packet both do).
 }
 
@@ -340,22 +340,22 @@ void Engine::handle_cts_locked(PeerState& ps, ByteSpan payload) {
   trace_locked(TraceEvent::RdvCts, ps.id, 0, cts.token);
   RdvTx* rdvp = ps.rdv_tx.find(cts.token);
   if (cfg_.reliability && !rdvp) {
-    ps.stats.inc("rel.dup_drops");  // replayed CTS, rendezvous already done
+    ps.stats.inc(Ctr::RelDupDrops);  // replayed CTS, rendezvous already done
     return;
   }
   MADO_CHECK_MSG(rdvp != nullptr, "CTS for unknown rendezvous");
   RdvTx& rdv = *rdvp;
   if (cfg_.reliability && rdv.cts_received) {
-    ps.stats.inc("rel.dup_drops");  // replayed CTS, chunks already queued
+    ps.stats.inc(Ctr::RelDupDrops);  // replayed CTS, chunks already queued
     return;
   }
   MADO_CHECK_MSG(!rdv.cts_received, "duplicate CTS");
   rdv.cts_received = true;
-  ps.stats.inc("rx.rdv_cts");
+  ps.stats.inc(Ctr::RxRdvCts);
   // Handshake latency: RTS submitted → CTS back from the receiver.
   if (rdv.rts_timed) {
     const Nanos now = timers_.now();
-    ps.stats.observe("lat.rdv_handshake", now - std::min(now, rdv.rts_time));
+    ps.stats.observe(Hist::LatRdvHandshake, now - std::min(now, rdv.rts_time));
   }
   distribute_chunks_locked(ps, cts.token, rdv);
 }
@@ -451,9 +451,9 @@ void Engine::stripe_chunks_locked(PeerState& ps, std::uint64_t token,
     shares.assign(ps.rails.size(), 0);
     shares[r] = rdv.total;
   }
-  ps.stats.inc("stripe.transfers");
+  ps.stats.inc(Ctr::StripeTransfers);
   // Histogram values are integral; record the predicted spread in percent.
-  ps.stats.observe("stripe.imbalance_pct",
+  ps.stats.observe(Hist::StripeImbalancePct,
                    static_cast<std::uint64_t>(imbalance + 0.5));
 
   // Cut each rail's contiguous range into chunks on its queue. Offsets run
@@ -473,7 +473,7 @@ void Engine::stripe_chunks_locked(PeerState& ps, std::uint64_t token,
       left -= chunk.len;
       rdv.queued += chunk.len;
       ps.rails[i]->bulk_q.push_back(chunk);
-      ps.stats.inc("stripe.chunks");
+      ps.stats.inc(Ctr::StripeChunks);
     }
   }
   MADO_ASSERT(off == rdv.total);
@@ -494,24 +494,24 @@ void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
     // A chunk delivered on a rail that then died was replayed on the
     // survivor (its ack was lost in the failover) after the rendezvous
     // finished: drop the second copy.
-    ps.stats.inc("rel.dup_drops");
+    ps.stats.inc(Ctr::RelDupDrops);
     return;
   }
   MADO_CHECK_MSG(rxp != nullptr, "bulk chunk for unknown rendezvous");
   RdvRx& rx = *rxp;
   if (cfg_.reliability && !rx.seen_offsets.insert(bh.offset)) {
     // Same story, rendezvous still in progress: the offset already landed.
-    ps.stats.inc("rel.dup_drops");
+    ps.stats.inc(Ctr::RelDupDrops);
     return;
   }
-  ps.stats.inc("rx.bulk_chunks");
-  ps.stats.inc("rx.bytes", payload.size());
+  ps.stats.inc(Ctr::RxBulkChunks);
+  ps.stats.inc(Ctr::RxBytes, payload.size());
   // Reassembly watermark: a chunk starting above the in-order front arrived
   // out of order — another rail (or a stolen chunk) ran ahead. The memcpy
   // below is offset-addressed, so OOO landing is free; the counter just
   // makes cross-rail interleaving observable.
   if (bh.offset > rx.next_contig)
-    ps.stats.inc("stripe.reassembly_ooo");
+    ps.stats.inc(Ctr::StripeReassemblyOoo);
   else
     rx.next_contig = std::max(rx.next_contig, bh.offset + bh.len);
   trace_locked(TraceEvent::BulkRx, ps.id, rail_id, bh.token, bh.offset,
@@ -533,7 +533,7 @@ void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
       mark_slot_done_locked(msg, slot);
       note_rdv_done_locked(ps, bh.token);
       ps.rdv_rx.erase(bh.token);
-      ps.stats.inc("rx.rdv_completed");
+      ps.stats.inc(Ctr::RxRdvCompleted);
       trace_locked(TraceEvent::RdvDone, ps.id, rail_id, bh.token,
                    slot.total);
     }
@@ -549,12 +549,12 @@ void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
 
   if (rx.target == RdvTarget::Window) {
     push_rma_ack_locked(ps, rx.ack_token);
-    ps.stats.inc("rx.rma_puts_completed");
+    ps.stats.inc(Ctr::RxRmaPutsCompleted);
   } else {
     PendingGet* pg = ps.pending_gets.find(rx.get_token);
     MADO_CHECK(pg != nullptr);
     if (pg->state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      ps.stats.inc("rma.gets_completed");
+      ps.stats.inc(Ctr::RmaGetsCompleted);
     ps.pending_gets.erase(rx.get_token);
   }
   note_rdv_done_locked(ps, bh.token);
@@ -571,7 +571,7 @@ void Engine::push_rma_ack_locked(PeerState& ps, std::uint64_t ack_token) {
   tf.len = tf.owned.size();
   const RailId rail = rail_for_class_locked(ps, TrafficClass::Control);
   ps.rails[rail]->backlog.push_control(std::move(tf));
-  ps.stats.inc("tx.rma_acks");
+  ps.stats.inc(Ctr::TxRmaAcks);
 }
 
 void Engine::handle_rma_put_locked(PeerState& ps, ByteSpan payload) {
@@ -580,14 +580,14 @@ void Engine::handle_rma_put_locked(PeerState& ps, ByteSpan payload) {
   const RmaWindow win = window_checked(b.window, b.offset, data.size());
   if (!data.empty())
     std::memcpy(win.base + b.offset, data.data(), data.size());
-  ps.stats.inc("rx.rma_puts");
+  ps.stats.inc(Ctr::RxRmaPuts);
   push_rma_ack_locked(ps, b.ack_token);
 }
 
 void Engine::handle_rma_get_locked(PeerState& ps, ByteSpan payload) {
   const RmaGetBody b = decode_rma_get(payload);
   const RmaWindow win = window_checked(b.window, b.offset, b.len);
-  ps.stats.inc("rx.rma_gets");
+  ps.stats.inc(Ctr::RxRmaGets);
 
   MADO_CHECK(!ps.rails.empty());
   const RailId rail_id = rail_for_class_locked(ps, TrafficClass::PutGet);
@@ -638,7 +638,7 @@ void Engine::handle_rma_get_data_locked(PeerState& ps, ByteSpan payload) {
   const RmaGetDataBody b = decode_rma_get_data(payload, data);
   PendingGet* pg = ps.pending_gets.find(b.get_token);
   if (cfg_.reliability && !pg) {
-    ps.stats.inc("rel.dup_drops");  // replayed reply, get already finished
+    ps.stats.inc(Ctr::RelDupDrops);  // replayed reply, get already finished
     return;
   }
   MADO_CHECK_MSG(pg != nullptr,
@@ -646,7 +646,7 @@ void Engine::handle_rma_get_data_locked(PeerState& ps, ByteSpan payload) {
   MADO_CHECK_MSG(pg->len == data.size(), "get reply size mismatch");
   std::memcpy(pg->dest, data.data(), data.size());
   if (pg->state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    ps.stats.inc("rma.gets_completed");
+    ps.stats.inc(Ctr::RmaGetsCompleted);
   ps.pending_gets.erase(b.get_token);
 }
 
@@ -654,47 +654,51 @@ void Engine::handle_rma_ack_locked(PeerState& ps, ByteSpan payload) {
   const RmaAckBody b = decode_rma_ack(payload);
   SendStateRef* sp = ps.rma_acks.find(b.ack_token);
   if (cfg_.reliability && !sp) {
-    ps.stats.inc("rel.dup_drops");  // replayed ack, put already completed
+    ps.stats.inc(Ctr::RelDupDrops);  // replayed ack, put already completed
     return;
   }
   MADO_CHECK_MSG(sp != nullptr, "unexpected RMA ack " << b.ack_token);
   if ((*sp)->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    ps.stats.inc("rma.puts_completed");
+    ps.stats.inc(Ctr::RmaPutsCompleted);
   ps.rma_acks.erase(b.ack_token);
 }
 
 // ---- application receive API ------------------------------------------------------
+//
+// Every call below gets the shard the Channel cached at open_channel. A
+// message that has already arrived is received with one peer-lock
+// acquisition per call: post_unpack copies the buffered fragment and
+// reports it done (an Express unpack then skips wait_frag), and
+// finish_recv retires a complete message under the same lock that checks
+// it. Only data still on the wire takes the wait path (wait_peer_impl),
+// which itself returns before touching any wait state when its predicate
+// already holds.
 
-MsgSeq Engine::attach_recv(NodeId peer, ChannelId ch) {
-  PeerState& ps = peer_ref(peer);
+MsgSeq Engine::attach_recv(PeerState& ps, ChannelId ch) {
   std::lock_guard<std::mutex> lk(ps.mu);
   auto it = ps.channels.find(ch);
   MADO_CHECK_MSG(it != ps.channels.end(), "channel " << ch << " not open");
   return it->second.next_attach_seq++;
 }
 
-bool Engine::probe_recv(NodeId peer, ChannelId ch) const {
-  const PeerState* ps = find_peer(peer);
-  if (!ps) return false;
-  std::lock_guard<std::mutex> lk(ps->mu);
-  auto cit = ps->channels.find(ch);
-  MADO_CHECK_MSG(cit != ps->channels.end(), "channel " << ch << " not open");
-  auto it = ps->rx_msgs.find({ch, cit->second.next_attach_seq});
-  return it != ps->rx_msgs.end() && it->second.nfrags_total != 0;
+bool Engine::probe_recv(PeerState& ps, ChannelId ch) const {
+  std::lock_guard<std::mutex> lk(ps.mu);
+  auto cit = ps.channels.find(ch);
+  MADO_CHECK_MSG(cit != ps.channels.end(), "channel " << ch << " not open");
+  auto it = ps.rx_msgs.find({ch, cit->second.next_attach_seq});
+  return it != ps.rx_msgs.end() && it->second.nfrags_total != 0;
 }
 
-bool Engine::recv_complete(NodeId peer, ChannelId ch, MsgSeq seq) const {
-  const PeerState* ps = find_peer(peer);
-  if (!ps) return false;
-  std::lock_guard<std::mutex> lk(ps->mu);
-  auto it = ps->rx_msgs.find({ch, seq});
-  return it != ps->rx_msgs.end() && it->second.complete();
+bool Engine::recv_complete(PeerState& ps, ChannelId ch, MsgSeq seq) const {
+  std::lock_guard<std::mutex> lk(ps.mu);
+  auto it = ps.rx_msgs.find({ch, seq});
+  return it != ps.rx_msgs.end() && it->second.complete();
 }
 
-void Engine::post_unpack(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx idx,
-                         void* buf, std::size_t len) {
+bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
+                         FragIdx idx, void* buf, std::size_t len) {
   MADO_CHECK(buf != nullptr || len == 0);
-  PeerState& ps = peer_ref(peer);
+  bool done = false;
   {
     std::lock_guard<std::mutex> lk(ps.mu);
     RxMessage& msg = ps.rx_msgs[{ch, seq}];
@@ -711,6 +715,7 @@ void Engine::post_unpack(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx idx,
                                     << slot.buffered.size());
       if (len > 0) std::memcpy(buf, slot.buffered.data(), len);
       mark_slot_done_locked(msg, slot);
+      done = true;
     } else if (slot.is_rdv && !slot.cts_sent) {
       MADO_CHECK_MSG(slot.total == len,
                      "unpack size " << len << " != rendezvous size "
@@ -725,10 +730,10 @@ void Engine::post_unpack(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx idx,
     }
   }
   wake_peer(ps);
+  return done;
 }
 
-void Engine::wait_frag(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx idx) {
-  PeerState& ps = peer_ref(peer);
+void Engine::wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx) {
   const bool ok = wait_peer_impl(
       ps,
       [&ps, ch, seq, idx] {
@@ -744,11 +749,10 @@ void Engine::wait_frag(NodeId peer, ChannelId ch, MsgSeq seq, FragIdx idx) {
                                                        << seq);
 }
 
-std::size_t Engine::wait_frag_size(NodeId peer, ChannelId ch, MsgSeq seq,
+std::size_t Engine::wait_frag_size(PeerState& ps, ChannelId ch, MsgSeq seq,
                                    FragIdx idx) {
   // A fragment's size is known once either its eager payload is buffered,
   // its unpack already completed, or — for rendezvous — the RTS arrived.
-  PeerState& ps = peer_ref(peer);
   std::size_t size = 0;
   const bool ok = wait_peer_impl(
       ps,
@@ -777,12 +781,33 @@ std::size_t Engine::wait_frag_size(NodeId peer, ChannelId ch, MsgSeq seq,
   return size;
 }
 
-void Engine::finish_recv(NodeId peer, ChannelId ch, MsgSeq seq,
+bool Engine::retire_if_complete_locked(PeerState& ps, ChannelId ch,
+                                       MsgSeq seq, FragIdx nposted) {
+  auto it = ps.rx_msgs.find({ch, seq});
+  if (it == ps.rx_msgs.end() || !it->second.complete()) return false;
+  MADO_CHECK_MSG(nposted == it->second.nfrags_total,
+                 "finish() after unpacking " << nposted << " of "
+                                             << it->second.nfrags_total
+                                             << " fragments");
+  ps.rx_msgs.erase(it);
+  auto cit = ps.channels.find(ch);
+  if (cit != ps.channels.end() && seq >= cit->second.rx_done_floor)
+    cit->second.rx_done_floor = seq + 1;  // dedup floor for rail replays
+  ps.stats.inc(Ctr::RxMsgsCompleted);
+  return true;
+}
+
+void Engine::finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq,
                          FragIdx nposted) {
+  {
+    // Fast path: the whole message is here — check and retire it under
+    // this one lock.
+    std::lock_guard<std::mutex> lk(ps.mu);
+    if (retire_if_complete_locked(ps, ch, seq, nposted)) return;
+  }
   // First learn the message's fragment count (the first arrived fragment
   // carries it), then check the application consumed everything, then wait
   // for full delivery.
-  PeerState& ps = peer_ref(peer);
   bool ok = wait_peer_impl(
       ps,
       [&ps, ch, seq] {
@@ -809,28 +834,20 @@ void Engine::finish_recv(NodeId peer, ChannelId ch, MsgSeq seq,
       },
       kDefaultTimeout);
   MADO_CHECK_MSG(ok, "timed out completing message " << seq);
-  {
-    std::lock_guard<std::mutex> lk(ps.mu);
-    ps.rx_msgs.erase({ch, seq});
-    auto cit = ps.channels.find(ch);
-    if (cit != ps.channels.end() && seq >= cit->second.rx_done_floor)
-      cit->second.rx_done_floor = seq + 1;  // dedup floor for rail replays
-    ps.stats.inc("rx.msgs_completed");
-  }
+  std::lock_guard<std::mutex> lk(ps.mu);
+  retire_if_complete_locked(ps, ch, seq, nposted);
 }
 
-void Engine::flush_channel(NodeId peer, ChannelId ch) {
-  PeerState* ps = find_peer(peer);
-  if (!ps) return;  // peer never attached: trivially flushed
+void Engine::flush_channel(PeerState& ps, ChannelId ch) {
   const bool ok = wait_peer_impl(
-      *ps,
-      [ps, ch] {
-        std::lock_guard<std::mutex> lk(ps->mu);
-        auto it = ps->channels.find(ch);
-        return it == ps->channels.end() ||
+      ps,
+      [&ps, ch] {
+        std::lock_guard<std::mutex> lk(ps.mu);
+        auto it = ps.channels.find(ch);
+        return it == ps.channels.end() ||
                (it->second.outstanding_sends == 0 &&
-                (!ps->ring ||
-                 ps->ring_pending.load(std::memory_order_acquire) == 0));
+                (!ps.ring ||
+                 ps.ring_pending.load(std::memory_order_acquire) == 0));
       },
       kDefaultTimeout);
   MADO_CHECK_MSG(ok, "timed out flushing channel " << ch);

@@ -10,7 +10,7 @@
 // taker: steady state performs zero heap allocations for payload copies or
 // header blocks.
 //
-// Counters (when a StatsRegistry is attached):
+// Counters (when an EngineStats is attached):
 //   opt.slab_hits    — takes satisfied from the free list
 //   opt.slab_misses  — takes that had to allocate a fresh buffer
 //   opt.alloc_bytes  — bytes heap-reserved by takes (misses + regrows)
@@ -22,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/stats.hpp"
+#include "core/counters.hpp"
 #include "util/wire.hpp"
 
 namespace mado::core {
@@ -35,7 +35,7 @@ class PayloadSlab {
   };
   static constexpr Limits kDefaultLimits{64, 64 * 1024};
 
-  explicit PayloadSlab(StatsRegistry* stats = nullptr,
+  explicit PayloadSlab(EngineStats* stats = nullptr,
                        Limits limits = kDefaultLimits)
       : stats_(stats), limits_(limits) {
     free_.reserve(limits_.max_buffers);
@@ -48,16 +48,16 @@ class PayloadSlab {
     if (!free_.empty()) {
       Bytes b = std::move(free_.back());
       free_.pop_back();
-      if (stats_) stats_->inc("opt.slab_hits");
+      if (stats_) stats_->inc(Ctr::OptSlabHits);
       if (b.capacity() < reserve_hint) {
-        if (stats_) stats_->inc("opt.alloc_bytes", reserve_hint);
+        if (stats_) stats_->inc(Ctr::OptAllocBytes, reserve_hint);
         b.reserve(reserve_hint);
       }
       return b;
     }
     if (stats_) {
-      stats_->inc("opt.slab_misses");
-      stats_->inc("opt.alloc_bytes", reserve_hint);
+      stats_->inc(Ctr::OptSlabMisses);
+      stats_->inc(Ctr::OptAllocBytes, reserve_hint);
     }
     Bytes b;
     b.reserve(reserve_hint);
@@ -73,7 +73,7 @@ class PayloadSlab {
     if (b.capacity() == 0) return;
     if (b.capacity() > limits_.max_capacity ||
         free_.size() >= limits_.max_buffers) {
-      if (stats_) stats_->inc("cap.slab_sheds");
+      if (stats_) stats_->inc(Ctr::CapSlabSheds);
       Bytes{}.swap(b);  // release now
       return;
     }
@@ -85,7 +85,7 @@ class PayloadSlab {
   const Limits& limits() const { return limits_; }
 
  private:
-  StatsRegistry* stats_ = nullptr;
+  EngineStats* stats_ = nullptr;
   Limits limits_;
   std::vector<Bytes> free_;
 };

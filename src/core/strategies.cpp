@@ -127,7 +127,7 @@ class AggregStrategy final : public Strategy {
     const Plan plan = plan_greedy(backlog, env, used, 0);
     pop_plan(backlog, plan, d.frags);
     if (d.frags.empty()) return d;
-    if (env.stats && plan.count > 1) env.stats->inc("opt.aggregated_packets");
+    if (env.stats && plan.count > 1) env.stats->inc(Ctr::OptAggregatedPackets);
     d.action = PacketDecision::Action::Send;
     return d;
   }
@@ -185,7 +185,7 @@ class AggregExhaustiveStrategy final : public Strategy {
 
     Search search{env, flowq, max_take, ctrl_used, {}, {}};
     search.run();
-    if (env.stats) env.stats->inc("opt.evals", search.evals);
+    if (env.stats) env.stats->inc(Ctr::OptEvals, search.evals);
 
     if (search.best_total == 0) {
       // Nothing fit beside the controls (or budget 0): fall back to the
@@ -332,7 +332,7 @@ class NagleStrategy final : public Strategy {
     PacketDecision d;
     d.action = PacketDecision::Action::Wait;
     d.wait_until = deadline;
-    if (env.stats) env.stats->inc("opt.nagle_waits");
+    if (env.stats) env.stats->inc(Ctr::OptNagleWaits);
     return d;
   }
 
@@ -446,7 +446,7 @@ class AdaptiveStrategy final : public Strategy {
         PacketDecision d;
         d.action = PacketDecision::Action::Wait;
         d.wait_until = deadline;
-        if (env.stats) env.stats->inc("opt.adaptive_holds");
+        if (env.stats) env.stats->inc(Ctr::OptAdaptiveHolds);
         return d;
       }
     }

@@ -27,9 +27,9 @@
 
 #include "core/backlog.hpp"
 #include "core/config.hpp"
+#include "core/counters.hpp"
 #include "drivers/capabilities.hpp"
 #include "util/small_vector.hpp"
-#include "util/stats.hpp"
 
 namespace mado::core {
 
@@ -45,7 +45,7 @@ struct StrategyEnv {
   std::size_t lookahead_window = 0;  ///< 0 = unbounded
   std::size_t eval_budget = 0;       ///< 0 = unbounded
   Nanos nagle_delay = 0;
-  StatsRegistry* stats = nullptr;    ///< may be null
+  EngineStats* stats = nullptr;      ///< may be null
 };
 
 struct PacketDecision {

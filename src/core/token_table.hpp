@@ -23,13 +23,13 @@
 // used before the next same-table mutation).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
 #include <utility>
 
+#include "core/counters.hpp"
 #include "util/assert.hpp"
 
 namespace mado::core {
@@ -41,9 +41,8 @@ struct TokenTableOpts {
   /// Shrink the slot array when load falls to <= capacity/8 (down to
   /// min_capacity). Disable for tables that oscillate around a boundary.
   bool shrink = true;
-  /// Optional counters (StatsRegistry cells): rehash-up / rehash-down.
-  std::atomic<std::uint64_t>* growths = nullptr;
-  std::atomic<std::uint64_t>* shrinks = nullptr;
+  /// Optional: rehashes are counted as cap.table_growths / _shrinks.
+  EngineStats* stats = nullptr;
 };
 
 namespace detail {
@@ -226,12 +225,8 @@ class TokenTable {
       state_[j] = kFull;
       old_slots[i].~Slot();
     }
-    if (growing) {
-      if (opts_.growths)
-        opts_.growths->fetch_add(1, std::memory_order_relaxed);
-    } else if (opts_.shrinks) {
-      opts_.shrinks->fetch_add(1, std::memory_order_relaxed);
-    }
+    if (opts_.stats)
+      opts_.stats->inc(growing ? Ctr::CapTableGrowths : Ctr::CapTableShrinks);
   }
 
   /// Backward-shift deletion: walk the probe chain after the freed slot and

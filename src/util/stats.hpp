@@ -8,8 +8,9 @@
 // aggregates them on read (counters()/histograms()/counter() sum own values
 // plus all registered children). Mutation is wait-free after the first bump
 // of a name: values live in std::atomic cells behind map nodes whose
-// addresses are stable, so hot paths can cache a handle() reference and
-// bump it without any lookup or lock at all.
+// addresses are stable, so hot paths can cache a handle() /
+// histogram_handle() reference and bump it without any lookup or lock at
+// all.
 #pragma once
 
 #include <atomic>
@@ -148,11 +149,11 @@ class Log2Histogram {
 /// observe() after creation are lock-free writes under a shared lock.
 ///
 /// Lookups are transparent (string_view keys, std::less<>): bumping an
-/// existing counter performs no heap allocation, which keeps StatsRegistry
-/// safe to use from the optimizer's zero-allocation decision loop. Only the
-/// FIRST bump of a new name allocates (the map node + key copy). Hot paths
-/// can go one step further and cache handle(name) — a stable atomic
-/// reference that skips even the map lookup.
+/// existing counter performs no heap allocation. Only the FIRST bump of a
+/// new name allocates (the map node + key copy). Every inc()/observe()
+/// still takes the shared lock and walks the map, so hot paths cache
+/// handle(name) / histogram_handle(name) — stable references that skip
+/// the lookup and the lock.
 ///
 /// Aggregation: add_child() registers shard registries (the engine's
 /// per-peer stats). Readers — counter(), counters(), histogram(),
@@ -201,16 +202,19 @@ class StatsRegistry {
   }
 
   void observe(std::string_view name, std::uint64_t v) {
+    histogram_handle(name).add(v);
+  }
+
+  /// Stable reference to the histogram for `name` (created on first use).
+  /// Valid for the registry's lifetime; survives reset().
+  Log2Histogram& histogram_handle(std::string_view name) {
     {
       std::shared_lock<std::shared_mutex> lk(mu_);
       auto it = histograms_.find(name);
-      if (it != histograms_.end()) {
-        it->second.add(v);
-        return;
-      }
+      if (it != histograms_.end()) return it->second;
     }
     std::unique_lock<std::shared_mutex> lk(mu_);
-    histograms_[std::string(name)].add(v);
+    return histograms_[std::string(name)];
   }
 
   /// Histogram for `name`, aggregated across children; nullptr when no shard

@@ -423,6 +423,46 @@ TEST(ProgressWakeup, WaitersParkWithProgressThreadAttached) {
       << "with no progress thread the waiter must pump for itself";
 }
 
+// A wake that lands while the waiter is evaluating its predicate (after the
+// predicate read the state, before the waiter parks) must not be lost: the
+// waiter re-checks its activity epoch under the wait mutex and skips the
+// park, so the next predicate call follows at once instead of after the
+// waiter's bounded 200 µs nap.
+TEST(ProgressWakeup, WakeDuringPredicateIsNotLost) {
+  HubWorld w(1, EngineConfig{});
+  Channel tx = w.peers[0]->open_channel(0, 3);
+  Channel rx = w.hub->open_channel(1, 3);
+  using Clock = std::chrono::steady_clock;
+  auto best = Clock::duration::max();
+  for (std::uint32_t trial = 0; trial < 5; ++trial) {
+    int calls = 0;
+    Clock::time_point first_done;
+    Clock::duration gap{};
+    ASSERT_TRUE(w.hub->wait_until([&] {
+      if (++calls == 1) {
+        const std::uint64_t before = w.hub->stats().counter("rx.packets");
+        send_bytes(tx, pattern(64, trial));
+        while (w.hub->stats().counter("rx.packets") == before)
+          std::this_thread::yield();
+        // The hub's progress thread counts the packet under the peer lock
+        // and wakes waiters right after releasing it: give the wake time
+        // to run before reporting "not yet".
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        first_done = Clock::now();
+        return false;
+      }
+      gap = Clock::now() - first_done;
+      return true;
+    }));
+    best = std::min(best, gap);
+    EXPECT_EQ(recv_bytes(rx, 64), pattern(64, trial));
+  }
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(best)
+                .count(),
+            100)
+      << "a wake during the predicate was lost: the waiter slept its nap";
+}
+
 /// Decorator that detects two threads inside the wrapped endpoint's
 /// progress() at once. The shard pump claim promises this never happens, no
 /// matter how owners, stealers and manual progress() calls interleave.

@@ -1,17 +1,22 @@
 // Incremental-unpack semantics: express vs cheaper interleavings, multiple
 // attached receives, messages split across several packets, and consumption
-// ordering across concurrent messages.
+// ordering across concurrent messages. The ReceiveFastPath cases pin the
+// one-lock path for messages that have already arrived: it must not wait,
+// and it must keep every check and the reliability dedup floor.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/timer_host.hpp"
 #include "core/world.hpp"
 #include "drivers/profiles.hpp"
+#include "drivers/shm_driver.hpp"
 #include "tests/core/engine_test_util.hpp"
 
 namespace mado::core {
 namespace {
 
 using testing::pattern;
+using testing::recv_bytes;
 using testing::send_bytes;
 
 class UnpackTest : public ::testing::Test {
@@ -200,6 +205,105 @@ TEST_F(UnpackTest, ExpressHeaderWhilePayloadStillInFlight) {
   im.unpack(p.data(), 2000, RecvMode::Cheaper);
   im.finish();
   EXPECT_EQ(p, pattern(2000, 2));
+}
+
+// An Express unpack of a fragment that is already buffered, and the finish
+// after it, neither wait nor pump: with no progress thread and no external
+// progress hook, any wait would self-pump the engine (prog.self_pumps).
+TEST(ReceiveFastPath, ArrivedMessageIsReceivedWithoutWaiting) {
+  RealTimerHost ta, tb;
+  Engine a(0, EngineConfig{}, ta), b(1, EngineConfig{}, tb);
+  auto pair = drv::ShmEndpoint::make_pair();
+  a.add_rail(1, std::move(pair.a));
+  b.add_rail(0, std::move(pair.b));
+  Channel tx = a.open_channel(1, 7);
+  Channel rx = b.open_channel(0, 7);
+  send_bytes(tx, pattern(64, 5));
+  for (int i = 0; i < 100000 && b.stats().counter("rx.packets") == 0; ++i) {
+    a.progress();
+    b.progress();
+  }
+  ASSERT_EQ(b.stats().counter("rx.packets"), 1u);
+  EXPECT_EQ(recv_bytes(rx, 64), pattern(64, 5));
+  EXPECT_EQ(b.stats().counter("prog.self_pumps"), 0u)
+      << "receiving an arrived message went through the wait path";
+  EXPECT_EQ(b.stats().counter("rx.msgs_completed"), 1u);
+}
+
+// Pending events stay pending: receiving an arrived message does not step
+// the shared simulation, so a later message still in flight stays there.
+TEST_F(UnpackTest, ArrivedMessageDoesNotStepTheWorld) {
+  post_frags({64}, 1);
+  world_->run();
+  post_frags({64}, 2);  // in flight: its events wait in the fabric
+  const std::uint64_t rx_packets =
+      world_->node(1).stats().counter("rx.packets");
+  Bytes r(64);
+  IncomingMessage im = b_.begin_recv();
+  im.unpack(r.data(), r.size(), RecvMode::Express);
+  im.finish();
+  EXPECT_EQ(r, pattern(64, 1));
+  EXPECT_EQ(world_->node(1).stats().counter("rx.packets"), rx_packets);
+  EXPECT_EQ(recv_bytes(b_, 64), pattern(64, 2));
+}
+
+TEST_F(UnpackTest, FinishAfterTooFewUnpacksOfArrivedMessageThrows) {
+  post_frags({16, 32});
+  world_->run();
+  Bytes r(16);
+  IncomingMessage im = b_.begin_recv();
+  im.unpack(r.data(), r.size(), RecvMode::Express);
+  EXPECT_THROW(im.finish(), CheckError);
+}
+
+TEST_F(UnpackTest, FinishAfterTooManyUnpacksOfArrivedMessageThrows) {
+  // The one real fragment completes the message, so finish() takes the
+  // fast path — which must still reject the extra unpack.
+  post_frags({16});
+  world_->run();
+  Bytes r(16), extra(8);
+  IncomingMessage im = b_.begin_recv();
+  im.unpack(r.data(), r.size(), RecvMode::Express);
+  im.unpack(extra.data(), extra.size(), RecvMode::Cheaper);
+  EXPECT_THROW(im.finish(), CheckError);
+}
+
+TEST_F(UnpackTest, UnpackSizeMismatchOfArrivedFragmentThrows) {
+  post_frags({64});
+  world_->run();
+  Bytes r(32);
+  IncomingMessage im = b_.begin_recv();
+  EXPECT_THROW(im.unpack(r.data(), r.size(), RecvMode::Express), CheckError);
+}
+
+// A message finished on the fast path still advances the channel's dedup
+// floor: when its rail dies before the receiver's ack gets back, the
+// sender replays the packet on the surviving rail with a fresh reliable
+// sequence, and the receiver must drop that copy as rel.dup_drops instead
+// of resurrecting the message.
+TEST(ReceiveFastPath, ReplayAfterFastFinishIsDroppedAsDuplicate) {
+  EngineConfig cfg;
+  cfg.reliability = true;
+  cfg.rel_rto_initial = usec(50000);  // no retransmit before failover
+  SimWorld w(2, cfg);
+  drv::FaultPlan clean, acks_lost;
+  acks_lost.drop = 1.0;
+  w.connect(0, 1, drv::test_profile(), clean, acks_lost);  // rail 0
+  w.connect(0, 1, drv::test_profile());                    // rail 1
+  Channel tx = w.node(0).open_channel(1, 7);
+  Channel rx = w.node(1).open_channel(0, 7);
+  Engine& b = w.node(1);
+  const SendHandle h = send_bytes(tx, pattern(64, 9));
+  ASSERT_TRUE(w.run_until([&] { return b.stats().counter("rx.packets") > 0; }));
+  EXPECT_EQ(recv_bytes(rx, 64), pattern(64, 9));  // arrived: fast path
+  EXPECT_EQ(b.stats().counter("rel.dup_drops"), 0u);
+  w.fail_link(0, 1, 0);
+  EXPECT_TRUE(w.node(0).wait_send(h));
+  w.run();
+  EXPECT_EQ(b.stats().counter("rel.dup_drops"), 1u);
+  EXPECT_EQ(b.stats().counter("rx.msgs_completed"), 1u);
+  EXPECT_EQ(b.stats().counter("rx.malformed"), 0u);
+  EXPECT_FALSE(rx.probe());
 }
 
 }  // namespace

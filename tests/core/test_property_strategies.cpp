@@ -34,7 +34,8 @@ TEST_P(StrategyPropertyTest, InvariantsHoldOnRandomBacklog) {
   const auto& [name, window, seed] = GetParam();
   auto strategy = StrategyRegistry::instance().create(name);
   drv::Capabilities caps = drv::test_profile();  // max_eager = 1024
-  StatsRegistry stats;
+  StatsRegistry registry;
+  EngineStats stats(registry);
   Rng rng(seed);
 
   // Build a random backlog: up to 12 flows, random per-flow message/frag

@@ -35,10 +35,11 @@ TxFrag ctrl_frag(std::uint64_t order) {
 struct StrategyFixture : ::testing::Test {
   drv::Capabilities caps = drv::test_profile();  // max_eager = 1024
   StatsRegistry stats;
+  EngineStats engine_stats{stats};
 
   StrategyEnv env(std::size_t window = 0, std::size_t budget = 0,
                   Nanos nagle = 0, Nanos now = 0) {
-    return StrategyEnv{caps, now, window, budget, nagle, &stats};
+    return StrategyEnv{caps, now, window, budget, nagle, &engine_stats};
   }
 
   /// Checks the universal invariants on a Send decision given the original

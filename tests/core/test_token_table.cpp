@@ -122,17 +122,17 @@ TEST(TokenTable, SequentialKeysStayFast) {
 }
 
 TEST(TokenTable, BurstDrainsBackToMinCapacity) {
-  std::atomic<std::uint64_t> growths{0}, shrinks{0};
+  StatsRegistry registry;
+  EngineStats stats(registry);
   TokenTableOpts opts;
   opts.min_capacity = 16;
   opts.shrink = true;
-  opts.growths = &growths;
-  opts.shrinks = &shrinks;
+  opts.stats = &stats;
   TokenTable<std::uint64_t> t(opts);
   constexpr std::uint64_t kBurst = 10'000;
   for (std::uint64_t k = 0; k < kBurst; ++k) t.emplace(k, k);
   EXPECT_GE(t.capacity(), kBurst);
-  EXPECT_GT(growths.load(), 0u);
+  EXPECT_GT(registry.counter("cap.table_growths"), 0u);
   const std::size_t peak = t.capacity();
   for (std::uint64_t k = 0; k < kBurst; ++k) EXPECT_TRUE(t.erase(k));
   // The burst drained: the slot array must have shrunk back toward the
@@ -140,7 +140,7 @@ TEST(TokenTable, BurstDrainsBackToMinCapacity) {
   EXPECT_TRUE(t.empty());
   EXPECT_LT(t.capacity(), peak / 8);
   EXPECT_LE(t.capacity(), 16u * 4);  // within hysteresis of the floor
-  EXPECT_GT(shrinks.load(), 0u);
+  EXPECT_GT(registry.counter("cap.table_shrinks"), 0u);
   // And the table still works after the round trip.
   EXPECT_TRUE(t.emplace(7, 7).second);
   EXPECT_NE(t.find(7), nullptr);
