@@ -17,18 +17,6 @@ namespace detail {
 thread_local ProgressLap* t_progress_lap = nullptr;
 }  // namespace detail
 
-namespace {
-/// Which engine's progress thread (if any) is executing on this thread.
-/// Lets a timer callback decide "am I already on the shard's owner?"
-/// without any lock; distinct engines sharing a thread never confuse each
-/// other because the engine pointer is part of the identity.
-struct ProgThreadId {
-  const void* engine = nullptr;
-  std::size_t idx = 0;
-};
-thread_local ProgThreadId t_prog_id;
-}  // namespace
-
 Engine::Engine(NodeId self, EngineConfig cfg, TimerHost& timers)
     : self_(self), cfg_(std::move(cfg)),
       prog_nthreads_(cfg_.progress_threads == 0 ? 1 : cfg_.progress_threads),
@@ -679,8 +667,8 @@ void Engine::schedule_nagle_timer_locked(PeerState& ps, Rail& rail,
   if (!rail.nagle_timer.has_callback()) {
     const NodeId peer = ps.id;
     const RailId rail_id = rail.port.rail;
-    rail.nagle_timer.set_callback(peer_timer_cb(
-        ps.owner, [this, peer, rail_id](std::uint64_t gen) {
+    rail.nagle_timer.set_callback(
+        peer_timer_cb([this, peer, rail_id](std::uint64_t gen) {
           PeerState* p = find_peer(peer);
           if (!p) return;
           {
@@ -905,8 +893,8 @@ void Engine::arm_rto_locked(PeerState& ps, Rail& rail, int stream) {
     // callback — progress since arming means "not a timeout".
     const NodeId peer = ps.id;
     const RailId rail_id = rail.port.rail;
-    rt.rto_timer.set_callback(peer_timer_cb(
-        ps.owner, [this, peer, rail_id, stream](std::uint64_t gen) {
+    rt.rto_timer.set_callback(
+        peer_timer_cb([this, peer, rail_id, stream](std::uint64_t gen) {
           PeerState* p = find_peer(peer);
           if (!p) return;
           {
@@ -1361,23 +1349,8 @@ bool Engine::progress() {
   std::vector<drv::DriverEndpoint*> eps;
   for (PeerState* ps : peers)
     if (pump_shard(*ps, events, eps)) did_work = true;
-  // With no progress threads attached, the manual caller also owns the
-  // deferred timer queues (nothing else would ever drain them).
-  if (!prog_running_.load(std::memory_order_acquire))
-    for (auto& slot : prog_slots_)
-      if (drain_deferred(*slot) > 0) did_work = true;
   if (timers_.run_due() > 0) did_work = true;
   return did_work;
-}
-
-std::size_t Engine::drain_deferred(ProgSlot& s) {
-  std::vector<std::function<void()>> fns;
-  {
-    std::lock_guard<std::mutex> lk(s.defer_mu);
-    fns.swap(s.deferred);
-  }
-  for (auto& fn : fns) fn();  // outside defer_mu: fn may defer again
-  return fns.size();
 }
 
 Nanos Engine::park_bound() const {
@@ -1390,50 +1363,13 @@ Nanos Engine::park_bound() const {
   return std::max(bound, Nanos{1});
 }
 
-void Engine::schedule_peer_timer(Nanos when, std::uint32_t owner,
-                                 std::function<void()> fn) {
-  timers_.schedule_at(when, [this, alive = alive_, owner,
-                             fn = std::move(fn)]() mutable {
-    if (!alive->load()) return;
-    // Owner affinity: run_due() may execute this on any progress thread
-    // (or an application thread self-pumping). If that is not the shard's
-    // owner while progress threads run, hand the callback to the owner —
-    // the shard's hot state stays on one core and the timer contends with
-    // exactly the thread that owns the peer lock anyway.
-    if (prog_running_.load(std::memory_order_acquire) && prog_nthreads_ > 1 &&
-        !(t_prog_id.engine == this && t_prog_id.idx == owner)) {
-      ProgSlot& s = *prog_slots_[owner];
-      {
-        std::lock_guard<std::mutex> lk(s.defer_mu);
-        s.deferred.push_back(std::move(fn));
-      }
-      wake_slot(s);
-      return;
-    }
-    fn();
-  });
-}
-
 TimerHandle::Callback Engine::peer_timer_cb(
-    std::uint32_t owner, std::function<void(std::uint64_t)> fn) {
-  // Same affinity policy as schedule_peer_timer, but built once per handle:
-  // steady-state re-arms reuse this closure, so the per-packet RTO path
-  // never allocates. (The foreign-thread defer below copies fn — that path
-  // only runs under multi-threaded progress, never in the arm itself.)
-  return [this, alive = alive_, owner,
-          fn = std::move(fn)](std::uint64_t gen) {
-    if (!alive->load()) return;
-    if (prog_running_.load(std::memory_order_acquire) && prog_nthreads_ > 1 &&
-        !(t_prog_id.engine == this && t_prog_id.idx == owner)) {
-      ProgSlot& s = *prog_slots_[owner];
-      {
-        std::lock_guard<std::mutex> lk(s.defer_mu);
-        s.deferred.push_back([fn, gen] { fn(gen); });
-      }
-      wake_slot(s);
-      return;
-    }
-    fn(gen);
+    std::function<void(std::uint64_t)> fn) {
+  // Built once per handle: steady-state re-arms reuse this closure, so the
+  // per-packet RTO path never allocates. The callback runs on whichever
+  // thread runs the wheel; fn takes the peer lock itself.
+  return [alive = alive_, fn = std::move(fn)](std::uint64_t gen) {
+    if (alive->load()) fn(gen);
   };
 }
 
@@ -1484,7 +1420,6 @@ void Engine::on_send_failed(NodeId peer, RailId rail_id, drv::TrackId track,
 }
 
 void Engine::progress_thread_main(std::size_t idx) {
-  t_prog_id = ProgThreadId{this, idx};
   ProgSlot& slot = *prog_slots_[idx];
 
   // Ownership partition, re-snapshotted only when add_rail grows the map
@@ -1494,9 +1429,8 @@ void Engine::progress_thread_main(std::size_t idx) {
   std::vector<RxEvent> events;
   std::vector<drv::DriverEndpoint*> eps;
 
-  // One full poll pass: deferred timers first (they were routed here for
-  // affinity), then every owned shard, then — only when idle and past the
-  // yield phase — at most one stolen shard, then due timers.
+  // One full poll pass: every owned shard, then — only when idle and past
+  // the yield phase — at most one stolen shard, then due timers.
   auto lap = [&](bool steal_ok) {
     {
       std::shared_lock<std::shared_mutex> lk(peers_mu_);
@@ -1508,7 +1442,7 @@ void Engine::progress_thread_main(std::size_t idx) {
           (ps->owner == idx ? mine : others).push_back(ps.get());
       }
     }
-    bool work = drain_deferred(slot) > 0;
+    bool work = false;
     for (PeerState* ps : mine)
       if (pump_shard(*ps, events, eps)) work = true;
     if (steal_ok && !work) {
@@ -1586,7 +1520,6 @@ void Engine::progress_thread_main(std::size_t idx) {
   // Teardown: one last pass over the owned shards so RxEvents and ring ops
   // staged while the stop flag was being raised drain before the join.
   lap(false);
-  t_prog_id = ProgThreadId{};
 }
 
 void Engine::start_progress_thread() {
@@ -1610,8 +1543,8 @@ void Engine::stop_progress_thread() {
   prog_running_.store(false, std::memory_order_release);
   // Teardown ordering: a submit, arrival or timer can land between a
   // thread's final lap and the join. Now that no thread owns anything, one
-  // manual pass delivers every staged event, parked ring op and deferred
-  // timer callback — callers observe a fully drained engine after stop.
+  // manual pass delivers every staged event, parked ring op and due timer
+  // — callers observe a fully drained engine after stop.
   progress();
 }
 

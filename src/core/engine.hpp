@@ -33,11 +33,11 @@
 // steals un-pumped shards from busy owners. A per-shard pump claim
 // (PeerState::pumping) keeps driver progress() single-entrant per endpoint
 // whichever thread — owner, stealer, or a manual progress() caller — runs
-// the lap. Peer-scoped timers (nagle, RTO) fire on the shard's owner: a
-// foreign thread defers the callback into the owner's queue and wakes it.
+// the lap. Peer-scoped timers (nagle, RTO) run on whichever thread runs the
+// timer wheel and take the peer lock like any other locked path.
 //
 // Lock order: peers_mu_ (shared) → PeerState::mu → {windows_mu_, wait/park
-// mutexes, ProgSlot::mu/defer_mu}; at most one peer lock is held at a
+// mutexes, ProgSlot::mu}; at most one peer lock is held at a
 // time. Counters are sharded per peer and aggregated on read, so
 // counters_snapshot() never stalls the hot path.
 #pragma once
@@ -785,12 +785,6 @@ class Engine final {
     std::atomic<bool> parked{false};  ///< thread is inside cv.wait_for
     std::atomic<std::uint64_t> ticket{0};  ///< activity epoch while armed
 
-    /// Timer callbacks deferred to this thread (peer-timer affinity: RTO
-    /// and nagle deadlines fire on the shard's owner; see
-    /// schedule_peer_timer). Drained at the top of every lap.
-    std::mutex defer_mu;
-    std::vector<std::function<void()>> deferred;
-
     // Cached per-thread counter cells (prog.t<i>.*).
     std::atomic<std::uint64_t>* laps = nullptr;
     std::atomic<std::uint64_t>* steals = nullptr;
@@ -828,26 +822,14 @@ class Engine final {
   /// Body of progress thread `idx` (shard ownership, steal, park backoff).
   void progress_thread_main(std::size_t idx);
 
-  /// Run deferred timer callbacks parked on `s`; returns how many ran.
-  std::size_t drain_deferred(ProgSlot& s);
-
   /// Park bound: cfg_.prog_idle_wait clipped by the earliest scheduled
   /// timer deadline, so an RTO never waits out a full park.
   Nanos park_bound() const;
 
-  /// Schedule a peer-scoped timer with owner affinity: when it fires on a
-  /// foreign thread while progress threads run, the callback is deferred
-  /// to the owning thread's queue (and the owner woken) instead of running
-  /// in place.
-  void schedule_peer_timer(Nanos when, std::uint32_t owner,
-                           std::function<void()> fn);
-
-  /// Wrap `fn` as a TimerHandle callback with the same owner affinity as
-  /// schedule_peer_timer: fired on a foreign thread while progress threads
-  /// run, it defers to the owner's queue and wakes it. Installed ONCE per
-  /// handle; every subsequent re-arm reuses it (allocation-free).
-  TimerHandle::Callback peer_timer_cb(std::uint32_t owner,
-                                      std::function<void(std::uint64_t)> fn);
+  /// Wrap `fn` as a TimerHandle callback that does nothing once the engine
+  /// is gone. Installed ONCE per handle; every subsequent re-arm reuses it
+  /// (allocation-free).
+  TimerHandle::Callback peer_timer_cb(std::function<void(std::uint64_t)> fn);
 
   /// Arm `h` via timers_ and wake the shard owner's park slot: a thread
   /// parked against the previous earliest deadline must re-derive its
@@ -957,8 +939,8 @@ class Engine final {
   std::vector<std::thread> progress_threads_;
   std::atomic<bool> stop_progress_{false};
   /// True between start_progress_thread() and the end of
-  /// stop_progress_thread(): wait loops park instead of self-pumping, and
-  /// peer timers defer to their owners, only while this holds.
+  /// stop_progress_thread(): wait loops park instead of self-pumping only
+  /// while this holds.
   std::atomic<bool> prog_running_{false};
   std::shared_ptr<std::atomic<bool>> alive_;
 };
