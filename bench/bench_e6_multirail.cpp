@@ -5,10 +5,10 @@
 // (MX/Myrinet ≈ 250 MB/s + Elan/Quadrics ≈ 900 MB/s), under the three bulk
 // distribution policies.
 //
-// Expected shape: single-rail caps at the chosen rail's bandwidth;
-// static-split approaches the 1150 MB/s aggregate for large transfers;
-// dynamic-split matches or beats static (it adapts chunk by chunk without
-// knowing the rails' speeds) — dynamic ≥ static > single.
+// Expected shape: single-rail caps at the chosen rail's bandwidth; stripe
+// (cost-model placement) approaches the 1150 MB/s aggregate at every size;
+// dynamic-split reaches it for large transfers without knowing the rails'
+// speeds (it adapts chunk by chunk) — stripe ≥ dynamic > single.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -45,10 +45,10 @@ double run_bulk_mbps(core::MultirailPolicy policy, std::size_t bytes) {
       {drv::mx_myrinet_profile(), drv::elan_quadrics_profile()});
 }
 
-const char* kPolicyNames[] = {"single-rail", "static-split", "dynamic-split"};
+const char* kPolicyNames[] = {"single-rail", "dynamic-split", "stripe"};
 const core::MultirailPolicy kPolicies[] = {
-    core::MultirailPolicy::SingleRail, core::MultirailPolicy::StaticSplit,
-    core::MultirailPolicy::DynamicSplit};
+    core::MultirailPolicy::SingleRail, core::MultirailPolicy::DynamicSplit,
+    core::MultirailPolicy::Stripe};
 
 void BM_E6_Multirail(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));

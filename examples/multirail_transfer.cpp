@@ -43,7 +43,6 @@ double run_mbps(MultirailPolicy policy, std::size_t bytes) {
 const char* name_of(MultirailPolicy p) {
   switch (p) {
     case MultirailPolicy::SingleRail: return "single-rail";
-    case MultirailPolicy::StaticSplit: return "static-split";
     case MultirailPolicy::DynamicSplit: return "dynamic-split";
     case MultirailPolicy::Stripe: return "stripe";
   }
@@ -55,20 +54,21 @@ const char* name_of(MultirailPolicy p) {
 int main() {
   std::printf("bulk transfer over MX (250 MB/s) + Elan (900 MB/s) rails\n\n");
   std::printf("%-14s", "size");
-  for (auto p : {MultirailPolicy::SingleRail, MultirailPolicy::StaticSplit,
-                 MultirailPolicy::DynamicSplit})
+  for (auto p : {MultirailPolicy::SingleRail, MultirailPolicy::DynamicSplit,
+                 MultirailPolicy::Stripe})
     std::printf(" %14s", name_of(p));
   std::printf("   (MB/s)\n");
   for (std::size_t bytes : {256u << 10, 1u << 20, 4u << 20, 8u << 20}) {
     std::printf("%10zu KiB", bytes >> 10);
-    for (auto p : {MultirailPolicy::SingleRail, MultirailPolicy::StaticSplit,
-                   MultirailPolicy::DynamicSplit})
+    for (auto p : {MultirailPolicy::SingleRail, MultirailPolicy::DynamicSplit,
+                   MultirailPolicy::Stripe})
       std::printf(" %14.1f", run_mbps(p, bytes));
     std::printf("\n");
   }
   std::printf(
       "\nsingle-rail is capped by the Bulk class's rail; the split policies "
       "approach the 1150 MB/s aggregate,\nwith dynamic-split pulling chunks "
-      "onto whichever NIC goes idle first (no per-technology tuning).\n");
+      "onto whichever NIC goes idle first (no per-technology tuning)\nand "
+      "stripe sizing per-rail ranges from the cost model.\n");
   return 0;
 }

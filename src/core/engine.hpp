@@ -303,7 +303,7 @@ class Engine final {
     RailPort port;
     std::vector<std::size_t> outstanding;  // per track
     TxBacklog backlog;
-    std::deque<BulkChunk> bulk_q;  // SingleRail / StaticSplit chunks
+    std::deque<BulkChunk> bulk_q;  // SingleRail / Stripe chunks
     bool bulk_turn = false;        // shared-track alternation
     RailState state = RailState::Up;
     RelTrack rel[2];       // [0] eager stream, [1] bulk stream
@@ -315,7 +315,6 @@ class Engine final {
     std::uint64_t flow_index_ops_flushed = 0;  // backlog ops already counted
     std::uint32_t pkt_seq = 0;
     std::size_t inflight_bytes = 0;
-    std::uint64_t static_split_assigned = 0;  // bytes, for StaticSplit
 
     drv::TrackId bulk_track() const {
       return ep->caps().track_count > 1 ? drv::kTrackBulk : drv::kTrackEager;

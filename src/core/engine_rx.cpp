@@ -380,25 +380,6 @@ void Engine::distribute_chunks_locked(PeerState& ps, std::uint64_t token,
         ps.rails[r]->bulk_q.push_back(chunk);
         break;
       }
-      case MultirailPolicy::StaticSplit: {
-        // Proportional-to-bandwidth assignment, decided up front.
-        std::size_t best = 0;
-        double best_cost = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-          const double bw = ps.rails[i]->ep->caps().effective_bandwidth();
-          const double cost =
-              (static_cast<double>(ps.rails[i]->static_split_assigned) +
-               chunk.len) /
-              bw;
-          if (cost < best_cost) {
-            best_cost = cost;
-            best = i;
-          }
-        }
-        ps.rails[best]->static_split_assigned += chunk.len;
-        ps.rails[best]->bulk_q.push_back(chunk);
-        break;
-      }
       case MultirailPolicy::DynamicSplit:
         // Shared pool: each idle bulk track pulls the next chunk, so faster
         // rails automatically take more (paper §2, dynamic load balancing).

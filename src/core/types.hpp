@@ -92,8 +92,6 @@ enum class EagerRailPolicy : std::uint8_t {
 enum class MultirailPolicy : std::uint8_t {
   /// All bulk chunks use the Bulk class's rail.
   SingleRail,
-  /// Chunks pre-assigned round-robin weighted by link bandwidth.
-  StaticSplit,
   /// Chunks sit in one shared queue; each idle bulk track pulls the next
   /// (self-balancing across heterogeneous rails).
   DynamicSplit,

@@ -64,16 +64,6 @@ TEST_F(MultirailTest, SingleRailPolicyKeepsBulkOnOneRail) {
   EXPECT_EQ(recv_bytes(b_, data.size()), data);
 }
 
-TEST_F(MultirailTest, StaticSplitDelivers) {
-  EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::StaticSplit;
-  cfg.rdv_chunk = 4096;
-  build(cfg, 2);
-  const Bytes data = pattern(96 * 1024);
-  send_bytes(a_, data);
-  EXPECT_EQ(recv_bytes(b_, data.size()), data);
-}
-
 TEST_F(MultirailTest, HeterogeneousRailsMxPlusElan) {
   EngineConfig cfg;
   cfg.multirail = MultirailPolicy::DynamicSplit;
@@ -270,6 +260,43 @@ TEST_F(MultirailTest, EagerTrafficNotBlockedBehindBulk) {
   EXPECT_LT(small_done, big_done / 4);
   EXPECT_EQ(rbig, big);
 }
+
+// A rendezvous posted after one of two rails died must complete under every
+// multirail policy: no chunk may be queued on the Down rail, where nothing
+// would ever send it and flush() would never return true.
+class RailDeathTest : public ::testing::TestWithParam<MultirailPolicy> {};
+
+TEST_P(RailDeathTest, RendezvousPostedAfterRailDeathCompletes) {
+  EngineConfig cfg;
+  cfg.multirail = GetParam();
+  cfg.reliability = true;
+  cfg.rdv_chunk = 4096;
+  SimWorld world(2, cfg);
+  world.connect(0, 1, drv::test_profile());
+  world.connect(0, 1, drv::test_profile());
+  Channel a = world.node(0).open_channel(1, 7, TrafficClass::Bulk);
+  Channel b = world.node(1).open_channel(0, 7, TrafficClass::Bulk);
+  world.fail_link(0, 1, 1);
+  const Bytes data = pattern(96 * 1024);
+  SendHandle h = send_bytes(a, data);
+  EXPECT_EQ(recv_bytes(b, data.size()), data);
+  EXPECT_TRUE(world.node(0).wait_send(h));
+  EXPECT_TRUE(world.node(0).flush());
+  EXPECT_EQ(world.node(0).pending_bulk_chunks(1), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, RailDeathTest,
+    ::testing::Values(MultirailPolicy::SingleRail,
+                      MultirailPolicy::DynamicSplit, MultirailPolicy::Stripe),
+    [](const ::testing::TestParamInfo<MultirailPolicy>& pi) {
+      switch (pi.param) {
+        case MultirailPolicy::SingleRail: return std::string("single");
+        case MultirailPolicy::DynamicSplit: return std::string("dynamic");
+        case MultirailPolicy::Stripe: return std::string("stripe");
+      }
+      return std::string("unknown");
+    });
 
 }  // namespace
 }  // namespace mado::core
