@@ -63,9 +63,6 @@ struct EngineConfig {
   /// Tuning for MultirailPolicy::Stripe (ignored by the other policies).
   StripePolicy stripe;
 
-  /// Rail selection for eager messages at submit time.
-  EagerRailPolicy eager_rail = EagerRailPolicy::ClassPinned;
-
   /// SendMode::Cheaper copies fragments up to this size (larger ones are
   /// referenced in place, as SendMode::Later).
   std::size_t cheaper_copy_bound = 4096;

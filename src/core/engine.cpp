@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -156,33 +155,6 @@ RailId Engine::rail_for_class_locked(const PeerState& ps,
   return wanted;  // every rail is dead — callers fail the operation
 }
 
-RailId Engine::rail_for_submit_locked(const PeerState& ps,
-                                      TrafficClass cls) const {
-  if (cfg_.eager_rail == EagerRailPolicy::ClassPinned ||
-      ps.rails.size() < 2)
-    return rail_for_class_locked(ps, cls);
-  // LeastLoaded: queued + in-flight bytes, normalized by the rail's
-  // effective bandwidth (per-rail hint wins over the profile's nominal
-  // rate) so a loaded fast rail can still beat an idle slow one.
-  bool found = false;
-  std::size_t best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-    const Rail& r = *ps.rails[i];
-    if (r.state == RailState::Down) continue;
-    const double load =
-        static_cast<double>(r.backlog.byte_count() + r.inflight_bytes);
-    const double cost = load / r.ep->caps().effective_bandwidth();
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-      found = true;
-    }
-  }
-  if (!found) return rail_for_class_locked(ps, cls);  // all rails dead
-  return static_cast<RailId>(best);
-}
-
 // ---- submit path -----------------------------------------------------------
 
 SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
@@ -278,7 +250,7 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
   ChannelState& cs = cit->second;
 
   const auto nfrags = static_cast<std::uint16_t>(msg.fragment_count());
-  const RailId rail_id = rail_for_submit_locked(ps, cs.cls);
+  const RailId rail_id = rail_for_class_locked(ps, cs.cls);
   Rail& rail = *ps.rails[rail_id];
   if (rail.state == RailState::Down) {
     // Every rail died between the submit-side fast check and this drain:

@@ -648,8 +648,6 @@ class Engine final {
   // ---- locked internals (callers hold ps.mu) ----------------------------
 
   RailId rail_for_class_locked(const PeerState& ps, TrafficClass cls) const;
-  /// Rail choice for an eager submission (honors EagerRailPolicy).
-  RailId rail_for_submit_locked(const PeerState& ps, TrafficClass cls) const;
 
   /// Drain the submit ring into the backlog (ring order), then return how
   /// many ops were applied. Called by every peer-lock holder before

@@ -78,16 +78,6 @@ inline const char* to_string(RailState s) {
   return "?";
 }
 
-/// How eager (small-message) traffic picks a rail at submit time.
-enum class EagerRailPolicy : std::uint8_t {
-  /// Use the rail assigned to the message's traffic class (default; the
-  /// class map itself may be re-assigned dynamically).
-  ClassPinned,
-  /// Pick the rail with the least queued+in-flight bytes at submit time —
-  /// per-message dynamic load balancing across rails.
-  LeastLoaded,
-};
-
 /// How rendezvous bulk data is spread over multiple rails.
 enum class MultirailPolicy : std::uint8_t {
   /// All bulk chunks use the Bulk class's rail.

@@ -66,8 +66,8 @@ struct Capabilities {
   /// optimizer and the network agree on what "cheaper" means.
   sim::NicModelParams cost;
 
-  /// Per-rail bandwidth hint in bytes/µs, for schedulers (stripe placement,
-  /// least-loaded rail selection) when the cost model's link rate is not
+  /// Per-rail bandwidth hint in bytes/µs, for schedulers (stripe placement)
+  /// when the cost model's link rate is not
   /// representative of this particular rail — e.g. a TCP driver whose
   /// profile says GigE but whose path is actually 10G, or an administrator
   /// capping a rail's share. 0 means "no hint": consumers fall back to

@@ -172,47 +172,6 @@ TEST_F(MultirailTest, AutoRebalanceTicks) {
   EXPECT_GE(world_->node(0).stats().counter("sched.rebalances"), 3u);
 }
 
-TEST_F(MultirailTest, LeastLoadedEagerPolicySpreadsAcrossRails) {
-  EngineConfig cfg;
-  cfg.eager_rail = EagerRailPolicy::LeastLoaded;
-  world_ = std::make_unique<SimWorld>(2, cfg);
-  world_->connect(0, 1, drv::test_profile());
-  world_->connect(0, 1, drv::test_profile());
-  Channel a = world_->node(0).open_channel(1, 1);
-  Channel b = world_->node(1).open_channel(0, 1);
-  // Back-to-back posts with no fabric steps: the first loads rail 0, so
-  // subsequent ones must flow to rail 1, and so on.
-  for (int i = 0; i < 6; ++i)
-    send_bytes(a, pattern(200, static_cast<std::uint32_t>(i)));
-  EXPECT_GT(world_->node(0).backlog_frags(1, 0) +
-                world_->node(0).inflight_packets(),
-            0u);
-  EXPECT_GT(world_->node(0).backlog_frags(1, 1), 0u);
-  // Messages may now arrive out of rail order but each flow's channel
-  // sequence is still respected by the addressed reassembly.
-  for (int i = 0; i < 6; ++i)
-    EXPECT_EQ(recv_bytes(b, 200), pattern(200, static_cast<std::uint32_t>(i)));
-}
-
-TEST_F(MultirailTest, LeastLoadedAvoidsBulkLoadedRail) {
-  EngineConfig cfg;
-  cfg.eager_rail = EagerRailPolicy::LeastLoaded;
-  cfg.multirail = MultirailPolicy::SingleRail;
-  world_ = std::make_unique<SimWorld>(2, cfg);
-  world_->connect(0, 1, drv::mx_myrinet_profile());
-  world_->connect(0, 1, drv::mx_myrinet_profile());
-  Channel bulk = world_->node(0).open_channel(1, 1, TrafficClass::Bulk);
-  world_->node(1).open_channel(0, 1, TrafficClass::Bulk);
-  Channel small_tx = world_->node(0).open_channel(1, 2);
-  Channel small_rx = world_->node(1).open_channel(0, 2);
-  // Load rail 0 with large eager fragments (below rdv threshold).
-  for (int i = 0; i < 3; ++i) send_bytes(bulk, pattern(16 * 1024));
-  // A small message submitted now must take rail 1.
-  send_bytes(small_tx, pattern(64, 7));
-  EXPECT_GT(world_->node(0).backlog_frags(1, 1), 0u);
-  EXPECT_EQ(recv_bytes(small_rx, 64), pattern(64, 7));
-}
-
 TEST_F(MultirailTest, SharedTrackCapsStillDeliverRdv) {
   // track_count == 1: eager packets and bulk chunks share one multiplexing
   // unit; the alternating pump must still drain both.
