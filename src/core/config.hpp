@@ -12,6 +12,23 @@
 
 namespace mado::core {
 
+// Fixed engine values that no workload or study varies. The per-peer
+// payload slab and token tables use their own types' defaults
+// (PayloadSlab::kDefaultLimits, TokenTableOpts).
+
+/// SendMode::Cheaper copies fragments up to this size (larger ones are
+/// referenced in place, as SendMode::Later).
+inline constexpr std::size_t kCheaperCopyBound = 4096;
+
+/// Reliability: consecutive timeout rounds (backoffs without forward
+/// progress) before a rail is declared Down and its traffic fails over.
+inline constexpr std::size_t kRelMaxRetries = 10;
+
+/// Reliability: how many recently-completed rendezvous tokens each peer
+/// remembers for cross-rail replay dedup. Older tokens are evicted FIFO
+/// (counted as cap.rdv_done_evictions).
+inline constexpr std::size_t kRdvDoneWindow = 1024;
+
 /// Tuning for MultirailPolicy::Stripe (heterogeneous multi-rail bulk
 /// striping with cost-model placement and rail work-stealing).
 struct StripePolicy {
@@ -23,12 +40,8 @@ struct StripePolicy {
 
   /// Idle rails steal queued chunks from the most-loaded rail toward the
   /// same peer (from the tail of its queue, so the victim keeps streaming
-  /// its head undisturbed).
+  /// its head undisturbed). Any non-empty queue may be robbed.
   bool steal = true;
-
-  /// A rail only becomes a steal victim while it still has at least this
-  /// many queued bulk bytes (0 = any non-empty queue may be robbed).
-  std::size_t steal_min_bytes = 0;
 };
 
 struct EngineConfig {
@@ -63,16 +76,9 @@ struct EngineConfig {
   /// Tuning for MultirailPolicy::Stripe (ignored by the other policies).
   StripePolicy stripe;
 
-  /// SendMode::Cheaper copies fragments up to this size (larger ones are
-  /// referenced in place, as SendMode::Later).
-  std::size_t cheaper_copy_bound = 4096;
-
   /// Initial traffic-class → rail assignment (index = TrafficClass value).
   /// Rails beyond the actual rail count wrap modulo rail count.
   std::array<RailId, kTrafficClassCount> class_rail = {0, 0, 0, 0};
-
-  /// Verify header CRCs on packet decode.
-  bool crc_check = true;
 
   // --- Reliability layer (off by default: lossless fabrics pay nothing) ---
 
@@ -100,33 +106,6 @@ struct EngineConfig {
 
   /// Ceiling for the exponential RTO backoff.
   Nanos rel_rto_max = 10 * kNanosPerMilli;
-
-  /// Consecutive timeout rounds (backoffs without forward progress) before
-  /// a rail is declared Down and its traffic fails over.
-  std::size_t rel_max_retries = 10;
-
-  // --- Per-peer memory budgets (million-flow capacity; cap.* counters) -----
-
-  /// Payload-slab free-list depth per peer. Completed buffers beyond this
-  /// are released immediately (counted as cap.slab_sheds).
-  std::size_t slab_buffers = 64;
-
-  /// Largest buffer the payload slab retains; bigger ones are never pooled.
-  std::size_t slab_max_capacity = 64 * 1024;
-
-  /// Smallest slot-array capacity (rounded up to a power of two) for the
-  /// per-peer token tables (inflight, rendezvous, pending gets, ...).
-  std::size_t table_min_capacity = 16;
-
-  /// Shrink token tables back toward table_min_capacity when a flow burst
-  /// drains (<= 1/8 load). Rehashes are counted as cap.table_shrinks /
-  /// cap.table_growths.
-  bool table_shrink = true;
-
-  /// Reliability: how many recently-completed rendezvous tokens each peer
-  /// remembers for cross-rail replay dedup. Older tokens are evicted FIFO
-  /// (counted as cap.rdv_done_evictions).
-  std::size_t rdv_done_window = 1024;
 
   // --- Threading: submit ring + progress threads ---------------------------
 

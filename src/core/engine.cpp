@@ -323,7 +323,7 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
       tf.kind = FragKind::Data;
       const bool copy =
           mf.mode == SendMode::Safe ||
-          (mf.mode == SendMode::Cheaper && mf.len <= cfg_.cheaper_copy_bound);
+          (mf.mode == SendMode::Cheaper && mf.len <= kCheaperCopyBound);
       if (copy) {
         if (!mf.owned.empty()) {
           tf.owned = std::move(mf.owned);  // Safe: already copied at pack()
@@ -473,7 +473,6 @@ bool Engine::pop_bulk_chunk_locked(PeerState& ps, Rail& rail,
       if (other->bulk_q.empty()) continue;
       std::size_t bytes = 0;
       for (const BulkChunk& c : other->bulk_q) bytes += c.len;
-      if (bytes < cfg_.stripe.steal_min_bytes) continue;
       if (victim == nullptr || bytes > victim_bytes) {
         victim = other.get();
         victim_bytes = bytes;
@@ -916,7 +915,7 @@ void Engine::rto_expired_locked(PeerState& ps, Rail& rail, int stream) {
   RelTrack& rt = rail.rel[stream];
   ++rt.retries;
   ps.stats.inc(Ctr::RelRtoBackoffs);
-  if (rt.retries > cfg_.rel_max_retries) {
+  if (rt.retries > kRelMaxRetries) {
     // The link is not coming back: give up and fail over.
     fail_rail_locked(ps, rail);
     return;
@@ -1033,10 +1032,10 @@ void Engine::note_rdv_done_locked(PeerState& ps, std::uint64_t token) {
   if (!cfg_.reliability) return;
   if (!ps.rdv_rx_done.insert(token)) return;
   ps.rdv_rx_done_fifo.push_back(token);
-  // Bounded by cfg_.rdv_done_window: old entries age out. A replay can
+  // Bounded by kRdvDoneWindow: old entries age out. A replay can
   // only arrive while its sender still holds the un-acked record, which is
   // far fresher than the retention horizon here.
-  while (ps.rdv_rx_done_fifo.size() > cfg_.rdv_done_window) {
+  while (ps.rdv_rx_done_fifo.size() > kRdvDoneWindow) {
     ps.rdv_rx_done.erase(ps.rdv_rx_done_fifo.front());
     ps.rdv_rx_done_fifo.pop_front();
     ps.stats.inc(Ctr::CapRdvDoneEvictions);

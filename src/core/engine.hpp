@@ -488,8 +488,7 @@ class Engine final {
     PeerState(NodeId peer, const EngineConfig& cfg, std::uint32_t owner_idx)
         : id(peer),
           owner(owner_idx),
-          slab(&stats, PayloadSlab::Limits{cfg.slab_buffers,
-                                           cfg.slab_max_capacity}),
+          slab(&stats),
           strategy(StrategyRegistry::instance().create(cfg.strategy)) {
       if (cfg.submit_ring > 0) {
         std::size_t cap = 2;
@@ -500,8 +499,6 @@ class Engine final {
       // of two, shrink back when a burst drains. Rehashes land in the
       // cap.* counters so a misbehaving workload is visible.
       TokenTableOpts topts;
-      topts.min_capacity = cfg.table_min_capacity;
-      topts.shrink = cfg.table_shrink;
       topts.stats = &stats;
       inflight.set_opts(topts);
       rdv_tx.set_opts(topts);

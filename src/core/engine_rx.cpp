@@ -93,7 +93,7 @@ void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,
 
 void Engine::handle_eager_packet_locked(PeerState& ps, RailId rail_id,
                                         const Bytes& payload) {
-  DecodedPacket pkt = parse_packet(ByteSpan(payload), cfg_.crc_check);
+  DecodedPacket pkt = parse_packet(ByteSpan(payload), /*crc_check=*/true);
   Rail& rail = *ps.rails[rail_id];
   const PacketHeader& ph = pkt.header;
   if (cfg_.reliability && (ph.flags & kPhFlagAck)) {
@@ -465,7 +465,8 @@ void Engine::stripe_chunks_locked(PeerState& ps, std::uint64_t token,
 void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
                                        const Bytes& payload) {
   ByteSpan data;
-  const BulkHeader bh = decode_bulk(ByteSpan(payload), data, cfg_.crc_check);
+  const BulkHeader bh =
+      decode_bulk(ByteSpan(payload), data, /*crc_check=*/true);
   Rail& rail = *ps.rails[rail_id];
   if (cfg_.reliability && (bh.flags & kPhFlagAck))
     process_acks_locked(ps, rail, bh.ack_eager, bh.ack_bulk);

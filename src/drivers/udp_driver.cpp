@@ -20,7 +20,8 @@ namespace mado::drv {
 namespace {
 
 constexpr std::size_t kHdrLen = 16;
-constexpr std::size_t kMaxBatch = 32;
+/// Datagrams per sendmmsg/recvmmsg call.
+constexpr std::size_t kBatch = 32;
 constexpr std::size_t kMaxFrame = 256 * 1024 * 1024;
 /// IPv4 UDP payload ceiling (65535 - 20 IP - 8 UDP).
 constexpr std::size_t kMaxDatagram = 65507;
@@ -31,6 +32,15 @@ constexpr std::size_t kRxSlot = 65536;
 /// wire bytes overruns rcvbuf for small datagrams. Both sides use the same
 /// formula, so sender charges and receiver acks always agree.
 constexpr std::uint64_t kChargeOverhead = 256;
+/// Flow-control window in charged bytes (wire bytes + kChargeOverhead per
+/// datagram). Clamped at connect() time to half the socket's actual
+/// receive buffer, so the window can never overrun a default-sized rcvbuf.
+constexpr std::size_t kWindowBytes = 256 * 1024;
+/// Requested SO_RCVBUF/SO_SNDBUF (the kernel caps by rmem_max/wmem_max).
+constexpr int kSockbufBytes = 1 * 1024 * 1024;
+/// Reassembly bound per (endpoint, track): beyond this many pending frames
+/// the oldest incomplete one is dropped (udp.reasm_drops).
+constexpr std::size_t kMaxPendingFrames = 64;
 
 constexpr std::uint8_t kTypeData = 1;
 constexpr std::uint8_t kTypeAck = 2;
@@ -46,6 +56,19 @@ constexpr Nanos kAckSolicitAfter = 2 * kNanosPerMilli;
 /// while later frames wait behind it is presumed lost and dropped (the
 /// reliability layer retransmits it as a fresh frame).
 constexpr Nanos kReasmStall = 10 * kNanosPerMilli;
+/// A completed frame stuck behind a lost lower-seq frame is released after
+/// this long (udp.gap_skips); driver FIFO covers delivered frames, the
+/// reliability layer recovers the gap.
+constexpr Nanos kGapSkipAfter = 2 * kNanosPerMilli;
+/// Window-blocked with no ack progress for this long → assume the acks (or
+/// the data) died on the wire and reset the window so the engine's
+/// retransmission can flow (udp.window_resets).
+constexpr Nanos kWindowResetAfter = 20 * kNanosPerMilli;
+/// Send a keepalive ping after this much rx silence.
+constexpr Nanos kPingInterval = 200 * kNanosPerMilli;
+/// Declare the peer dead after this much rx silence (backstop for the
+/// ECONNREFUSED fast path, which needs the peer's port to be closed).
+constexpr Nanos kPeerTimeout = 2 * kNanosPerSec;
 
 std::uint64_t charge(std::size_t wire_len) {
   return static_cast<std::uint64_t>(wire_len) + kChargeOverhead;
@@ -142,11 +165,11 @@ Capabilities udp_loopback_profile() {
 // UdpLoop
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<UdpLoop> UdpLoop::create(const UdpConfig& cfg) {
-  return std::shared_ptr<UdpLoop>(new UdpLoop(cfg));
+std::shared_ptr<UdpLoop> UdpLoop::create() {
+  return std::shared_ptr<UdpLoop>(new UdpLoop());
 }
 
-UdpLoop::UdpLoop(const UdpConfig& cfg) : cfg_(cfg) {
+UdpLoop::UdpLoop() {
   epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epfd_ < 0) throw_errno("epoll_create1");
   wakefd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -162,7 +185,7 @@ UdpLoop::UdpLoop(const UdpConfig& cfg) : cfg_(cfg) {
     ::close(epfd_);
     throw_errno("epoll_ctl wakefd");
   }
-  rx_buf_.resize(kMaxBatch * kRxSlot);
+  rx_buf_.resize(kBatch * kRxSlot);
   thread_ = std::thread([this] { run(); });
 }
 
@@ -337,19 +360,18 @@ void UdpLoop::run() {
 
 void UdpLoop::handle_readable(UdpEndpoint* ep) {
   auto& io = ep->io_;
-  mmsghdr msgs[kMaxBatch];
-  iovec iovs[kMaxBatch];
-  const std::size_t batch = std::min(ep->cfg_.batch, kMaxBatch);
+  mmsghdr msgs[kBatch];
+  iovec iovs[kBatch];
   for (;;) {
     std::memset(msgs, 0, sizeof msgs);
-    for (std::size_t i = 0; i < batch; ++i) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
       iovs[i].iov_base = rx_buf_.data() + i * kRxSlot;
       iovs[i].iov_len = kRxSlot;
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
     const int n =
-        ::recvmmsg(ep->fd_, msgs, static_cast<unsigned>(batch), 0, nullptr);
+        ::recvmmsg(ep->fd_, msgs, static_cast<unsigned>(kBatch), 0, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -368,7 +390,7 @@ void UdpLoop::handle_readable(UdpEndpoint* ep) {
     if (io.broken) return;
     deliver_ready_frames(ep, now);
     flush_ack(ep, false);
-    if (static_cast<std::size_t>(n) < batch) break;
+    if (static_cast<std::size_t>(n) < kBatch) break;
   }
 }
 
@@ -463,7 +485,7 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
   if (++r.have == r.nfrags) r.complete = true;
   // Reassembly bound: drop the oldest incomplete frame when the pending
   // set overflows (completed frames drain via ordered release below).
-  if (tr.pend.size() > ep->cfg_.max_pending_frames) {
+  if (tr.pend.size() > kMaxPendingFrames) {
     for (auto it = tr.pend.begin(); it != tr.pend.end(); ++it) {
       if (it->second.complete) continue;
       ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
@@ -505,7 +527,7 @@ void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
       // Gap: the smallest pending seq is ahead of next_seq, so at least one
       // whole frame vanished. Release a completed frame past the gap after
       // a short hold (loopback reordering is rare; loss is the usual cause).
-      if (r.complete && now - r.complete_at >= ep->cfg_.gap_skip_after) {
+      if (r.complete && now - r.complete_at >= kGapSkipAfter) {
         ep->counters_.gap_skips.fetch_add(1, std::memory_order_relaxed);
         tr.next_seq = it->first;
         continue;
@@ -534,22 +556,21 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
     return;
   }
   if (io.want_writable) return;  // waiting for EPOLLOUT
-  const std::size_t batch = std::min(ep->cfg_.batch, kMaxBatch);
   while (!io.q.empty()) {
-    mmsghdr msgs[kMaxBatch];
-    iovec iovs[kMaxBatch][2];
-    std::uint8_t hdrs[kMaxBatch][kHdrLen];
+    mmsghdr msgs[kBatch];
+    iovec iovs[kBatch][2];
+    std::uint8_t hdrs[kBatch][kHdrLen];
     struct Adv {
       std::size_t bytes = 0;
       std::uint64_t charge = 0;
       bool frame_done = false;
-    } adv[kMaxBatch];
+    } adv[kBatch];
     std::memset(msgs, 0, sizeof msgs);
     unsigned built = 0;
     std::uint64_t pending_charge = 0;
     std::size_t qi = 0;
     std::size_t off = io.cur_off;
-    while (built < batch && qi < io.q.size()) {
+    while (built < kBatch && qi < io.q.size()) {
       auto& item = io.q[qi];
       if (!item.seq_assigned) {
         item.seq = io.next_seq[item.track]++;
@@ -602,7 +623,7 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
       if (io.blocked_since == 0) {
         io.blocked_since = now;
         ep->counters_.window_stalls.fetch_add(1, std::memory_order_relaxed);
-      } else if (now - io.blocked_since >= ep->cfg_.window_reset_after) {
+      } else if (now - io.blocked_since >= kWindowResetAfter) {
         io.peer_acked = io.tx_charged;
         io.blocked_since = 0;
         ep->counters_.window_resets.fetch_add(1, std::memory_order_relaxed);
@@ -763,12 +784,11 @@ void UdpLoop::slow_tick(Nanos now) {
     }
     if (io.ack_pending) flush_ack(ep, true);
     const Nanos silence = now - io.last_rx;
-    if (silence >= ep->cfg_.peer_timeout) {
+    if (silence >= kPeerTimeout) {
       break_link(ep, "peer timeout");
       continue;
     }
-    if (silence >= ep->cfg_.ping_interval &&
-        now - io.last_ping >= ep->cfg_.ping_interval) {
+    if (silence >= kPingInterval && now - io.last_ping >= kPingInterval) {
       io.last_ping = now;
       send_ctrl_datagram(ep, kTypePing);
     }
@@ -784,7 +804,6 @@ UdpEndpoint::UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
     : loop_(std::move(loop)), caps_(std::move(caps)), cfg_(cfg) {
   MADO_CHECK_MSG(cfg_.mtu > kHdrLen, "udp mtu must exceed the header");
   cfg_.mtu = std::min(cfg_.mtu, kMaxDatagram);
-  cfg_.batch = std::max<std::size_t>(1, std::min(cfg_.batch, kMaxBatch));
   chunk_ = cfg_.mtu - kHdrLen;
   // Honest advertisement: the wire drops, and the driver flattens.
   caps_.lossless = false;
@@ -809,7 +828,7 @@ std::unique_ptr<UdpEndpoint> UdpEndpoint::bind(std::shared_ptr<UdpLoop> loop,
 void UdpEndpoint::open_and_bind(std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_errno("socket");
-  const int buf = static_cast<int>(cfg_.sockbuf_bytes);
+  const int buf = kSockbufBytes;
   // Best effort: the kernel clamps at rmem_max/wmem_max; the flow-control
   // window adapts to whatever was actually granted below.
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
@@ -845,7 +864,7 @@ void UdpEndpoint::connect(const std::string& ip, std::uint16_t port) {
   int rcv = 0;
   socklen_t rlen = sizeof rcv;
   ::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcv, &rlen);
-  window_ = cfg_.window_bytes;
+  window_ = kWindowBytes;
   if (rcv > 0)
     window_ = std::min(window_, static_cast<std::size_t>(rcv) / 2);
   window_ = std::max(window_,
@@ -858,7 +877,7 @@ void UdpEndpoint::connect(const std::string& ip, std::uint16_t port) {
 UdpEndpoint::PairResult UdpEndpoint::make_pair(const Capabilities& caps_a,
                                                const Capabilities& caps_b,
                                                const UdpConfig& cfg) {
-  auto loop = UdpLoop::create(cfg);
+  auto loop = UdpLoop::create();
   PairResult r;
   r.a = bind(loop, caps_a, cfg);
   r.b = bind(loop, caps_b, cfg);

@@ -58,31 +58,6 @@ struct UdpConfig {
   /// maximum (65507); the default balances syscalls-per-byte against
   /// pipelining inside the flow-control window.
   std::size_t mtu = 32 * 1024;
-  /// Flow-control window in charged bytes (wire bytes + a per-datagram
-  /// allowance for kernel skb overhead). Clamped at connect() time to half
-  /// the socket's actual receive buffer, so the window can never overrun
-  /// a default-sized rcvbuf.
-  std::size_t window_bytes = 256 * 1024;
-  /// Requested SO_RCVBUF/SO_SNDBUF (the kernel caps by rmem_max/wmem_max).
-  std::size_t sockbuf_bytes = 1 * 1024 * 1024;
-  /// Datagrams per sendmmsg/recvmmsg call (capped at kMaxBatch).
-  std::size_t batch = 32;
-  /// Send a keepalive ping after this much rx silence.
-  Nanos ping_interval = 200 * 1000 * 1000;      // 200 ms
-  /// Declare the peer dead after this much rx silence (backstop for the
-  /// ECONNREFUSED fast path, which needs the peer's port to be closed).
-  Nanos peer_timeout = 2ull * 1000 * 1000 * 1000;  // 2 s
-  /// Window-blocked with no ack progress for this long → assume the acks
-  /// (or the data) died on the wire and reset the window so the engine's
-  /// retransmission can flow. Counted in udp.window_resets.
-  Nanos window_reset_after = 20 * 1000 * 1000;  // 20 ms
-  /// A completed frame stuck behind a lost lower-seq frame is released
-  /// after this long (counts udp.gap_skips); driver FIFO covers delivered
-  /// frames, the reliability layer recovers the gap.
-  Nanos gap_skip_after = 2 * 1000 * 1000;  // 2 ms
-  /// Reassembly bound per (endpoint, track): beyond this many pending
-  /// frames the oldest incomplete one is dropped (udp.reasm_drops).
-  std::size_t max_pending_frames = 64;
 };
 
 /// Monotonic driver counters, written by the loop thread, readable from any
@@ -117,7 +92,7 @@ Capabilities udp_loopback_profile();
 /// thread exits when the last endpoint releases it.
 class UdpLoop {
  public:
-  static std::shared_ptr<UdpLoop> create(const UdpConfig& cfg = {});
+  static std::shared_ptr<UdpLoop> create();
   ~UdpLoop();
 
   UdpLoop(const UdpLoop&) = delete;
@@ -125,7 +100,7 @@ class UdpLoop {
 
  private:
   friend class UdpEndpoint;
-  explicit UdpLoop(const UdpConfig& cfg);
+  UdpLoop();
 
   /// Both are synchronous handshakes with the loop thread: after
   /// deregister() returns, the loop holds no reference to the endpoint.
@@ -152,7 +127,6 @@ class UdpLoop {
   void fast_tick(Nanos now);
   void slow_tick(Nanos now);
 
-  UdpConfig cfg_;
   int epfd_ = -1;
   int wakefd_ = -1;
   std::thread thread_;

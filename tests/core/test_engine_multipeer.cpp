@@ -117,18 +117,5 @@ TEST_F(MultiPeerTest, FlushCoversAllPeers) {
   EXPECT_TRUE(world_->node(0).snapshot().quiescent());
 }
 
-TEST(MultiPeerConfig, CrcCheckCanBeDisabledEndToEnd) {
-  EngineConfig cfg;
-  cfg.crc_check = false;
-  SimWorld w(2, cfg);
-  w.connect(0, 1, drv::test_profile());
-  Channel a = w.node(0).open_channel(1, 7);
-  Channel b = w.node(1).open_channel(0, 7);
-  send_bytes(a, pattern(4096, 3));
-  EXPECT_EQ(recv_bytes(b, 4096), pattern(4096, 3));
-  send_bytes(a, pattern(16 * 1024, 4));  // rendezvous path too
-  EXPECT_EQ(recv_bytes(b, 16 * 1024), pattern(16 * 1024, 4));
-}
-
 }  // namespace
 }  // namespace mado::core

@@ -265,8 +265,7 @@ TEST_F(ReliabilityTest, RetryBudgetExhaustionFailsRail) {
   EXPECT_FALSE(world_->node(0).wait_send(h));
   EXPECT_TRUE(world_->node(0).send_failed(h));
   auto& st = world_->node(0).stats();
-  EXPECT_GE(st.counter("rel.rto_backoffs"),
-            world_->node(0).config().rel_max_retries);
+  EXPECT_GE(st.counter("rel.rto_backoffs"), kRelMaxRetries);
   EXPECT_GT(st.counter("rel.retransmits"), 0u);
   Engine::Snapshot snap = world_->node(0).snapshot();
   EXPECT_EQ(snap.peers[0].rails[0].state, RailState::Down);
