@@ -67,11 +67,11 @@ struct Capabilities {
   sim::NicModelParams cost;
 
   /// Per-rail bandwidth hint in bytes/µs, for schedulers (stripe placement)
-  /// when the cost model's link rate is not
-  /// representative of this particular rail — e.g. a TCP driver whose
-  /// profile says GigE but whose path is actually 10G, or an administrator
-  /// capping a rail's share. 0 means "no hint": consumers fall back to
-  /// cost.link_bytes_per_us via effective_bandwidth().
+  /// when the cost model's link rate is not representative of this
+  /// particular rail — e.g. a TCP driver whose profile says GigE but whose
+  /// path is actually 10G, or an administrator capping a rail's share. 0
+  /// means "no hint": consumers fall back to cost.link_bytes_per_us via
+  /// effective_bandwidth().
   double bandwidth_hint_bytes_per_us = 0.0;
 
   /// The bandwidth schedulers should plan with: the explicit hint when one

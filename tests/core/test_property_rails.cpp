@@ -99,8 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::uint64_t{3}, std::uint64_t{17}, std::uint64_t{51},
                       std::uint64_t{204}),
     [](const ::testing::TestParamInfo<std::uint64_t>& pi) {
-      // Eager traffic is class-pinned; the prefix keeps the names stable.
-      return "pinned_s" + std::to_string(pi.param);
+      return "pinned_s" + std::to_string(pi.param);  // eager is class-pinned
     });
 
 // Randomized: rebalance_classes() must never assign Control/SmallEager to a
