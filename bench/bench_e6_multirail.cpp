@@ -45,10 +45,10 @@ double run_bulk_mbps(core::MultirailPolicy policy, std::size_t bytes) {
       {drv::mx_myrinet_profile(), drv::elan_quadrics_profile()});
 }
 
-const char* kPolicyNames[] = {"single-rail", "dynamic-split", "stripe"};
+const char* kPolicyNames[] = {"single-rail", "stripe", "dynamic-split"};
 const core::MultirailPolicy kPolicies[] = {
-    core::MultirailPolicy::SingleRail, core::MultirailPolicy::DynamicSplit,
-    core::MultirailPolicy::Stripe};
+    core::MultirailPolicy::SingleRail, core::MultirailPolicy::Stripe,
+    core::MultirailPolicy::DynamicSplit};
 
 void BM_E6_Multirail(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
