@@ -19,6 +19,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -556,8 +557,11 @@ class StallEndpoint final : public drv::DriverEndpoint {
 
 // Work stealing: owners are assigned in peer-insertion order modulo
 // progress_threads, so with two threads peers 1 and 3 land on thread 0 and
-// peer 2 on thread 1. Wedge thread 0 inside peer 1's driver pump; traffic
-// to peer 3 can then only complete if thread 1 steals the orphaned shard.
+// peer 2 on thread 1. Peer 1's driver pump wedges whichever thread enters it
+// first: its owner, thread 0, or thread 1 when it steals the idle shard
+// before thread 0's first lap. Traffic to the wedged thread's live shard
+// (peer 3 for thread 0, peer 2 for thread 1) can then only complete if the
+// other thread steals that orphaned shard.
 TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   EngineConfig cfg;
   cfg.progress_threads = 2;
@@ -567,6 +571,12 @@ TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   Engine hub(0, cfg, t0);
   auto stall = std::make_unique<StallEndpoint>();
   StallEndpoint* wedge = stall.get();
+  // A failed ASSERT must not leave the hub's destructor joining a thread
+  // that is still wedged.
+  struct Unwedge {
+    StallEndpoint* ep;
+    ~Unwedge() { ep->release(); }
+  } unwedge{wedge};
   hub.add_rail(1, std::move(stall));
   Engine peer2(2, EngineConfig{}, t2);
   auto p2 = drv::ShmEndpoint::make_pair();
@@ -581,7 +591,25 @@ TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   hub.start_progress_thread();
   while (!wedge->stalled()) std::this_thread::yield();
 
-  Channel ch = hub.open_channel(3, 1);
+  // The wedged thread never finishes its lap, so its lap counter is frozen;
+  // the healthy one laps at least once per park bound.
+  std::size_t wedged = 2;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (wedged == 2 && std::chrono::steady_clock::now() < deadline) {
+    auto before = hub.counters_snapshot();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto after = hub.counters_snapshot();
+    const bool t0_moved =
+        after["prog.t0.shard_laps"] != before["prog.t0.shard_laps"];
+    const bool t1_moved =
+        after["prog.t1.shard_laps"] != before["prog.t1.shard_laps"];
+    if (t0_moved != t1_moved) wedged = t0_moved ? 1 : 0;
+  }
+  ASSERT_NE(wedged, 2u) << "could not tell which progress thread is wedged";
+  const std::size_t healthy = 1 - wedged;
+
+  Channel ch = hub.open_channel(wedged == 0 ? 3 : 2, 1);
   for (int i = 0; i < 50; ++i) {
     SendHandle h = send_bytes(ch, pattern(64));
     ASSERT_TRUE(hub.wait_send(h, 5 * kNanosPerSec))
@@ -589,7 +617,7 @@ TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   }
   auto counters = hub.counters_snapshot();
   EXPECT_GE(counters["prog.steals"], 1u);
-  EXPECT_GE(counters["prog.t1.steals"], 1u)
+  EXPECT_GE(counters["prog.t" + std::to_string(healthy) + ".steals"], 1u)
       << "the healthy thread must be the one stealing";
   wedge->release();
   hub.stop_progress_thread();
