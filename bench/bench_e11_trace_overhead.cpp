@@ -11,6 +11,9 @@
 // allocates after construction).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "core/trace.hpp"
 #include "core/world.hpp"
 #include "drivers/profiles.hpp"
@@ -73,7 +76,8 @@ void pump_workload(benchmark::State& state, TracerMode mode) {
       mode == TracerMode::Attached ? tracer.size() + tracer.dropped() : 0);
   if (mode == TracerMode::AttachedThenDetached &&
       (tracer.size() != 0 || tracer.dropped() != 0)) {
-    state.SkipWithError("detached tracer recorded events");
+    std::fprintf(stderr, "FAIL: detached tracer recorded events\n");
+    std::exit(1);
   }
 }
 

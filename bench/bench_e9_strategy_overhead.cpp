@@ -5,16 +5,18 @@
 // simulated time.
 //
 // This binary also instruments the GLOBAL allocator: every decision loop
-// reports `allocs_per_decision`, which must stay at 0 in steady state (the
-// zero-allocation contract of the optimizer hot path — fragments ride
-// inline SmallVector scratch, the flow index is maintained incrementally,
-// and counter bumps use transparent string_view lookup).
+// reports `allocs_per_decision`, and the binary exits 1 if a decision
+// allocates at all in steady state (the zero-allocation contract of the
+// optimizer hot path — fragments ride inline SmallVector scratch, the flow
+// index is maintained incrementally, and counter bumps use transparent
+// string_view lookup).
 //
 // Expected shape: fifo < aggreg ~ priority < nagle << aggreg_exhaustive,
 // and the exhaustive strategy's cost scales with its evaluation budget.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -120,8 +122,14 @@ void decide_all(benchmark::State& state, const std::string& name,
       decisions ? static_cast<double>(decision_allocs) /
                       static_cast<double>(decisions)
                 : 0.0;
-  state.SetLabel(name + (eval_budget ? "/K=" + std::to_string(eval_budget)
-                                     : ""));
+  const std::string label =
+      name + (eval_budget ? "/K=" + std::to_string(eval_budget) : "");
+  state.SetLabel(label);
+  if (decision_allocs != 0) {
+    std::fprintf(stderr, "FAIL: %s allocated %lu times in %lu decisions\n",
+                 label.c_str(), decision_allocs, decisions);
+    std::exit(1);
+  }
 }
 
 void BM_E9_Fifo(benchmark::State& state) { decide_all(state, "fifo", 0); }
