@@ -1,6 +1,6 @@
 // Replays a workload Schedule into a two-node SimWorld and reports the
 // outcome metrics benchmarks care about (completion time, transactions,
-// per-message latency). Shared by bench_a4 and tests.
+// per-message latency). Shared by bench_paper (A4) and tests.
 #pragma once
 
 #include "core/world.hpp"
