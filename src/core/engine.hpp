@@ -718,7 +718,10 @@ class Engine final {
                          ByteSpan payload);
   void handle_cts_locked(PeerState& ps, ByteSpan payload);
   void note_nfrags_locked(RxMessage& msg, const FragHeader& fh);
-  void send_cts_locked(PeerState& ps, const FragHeader& fh, RxSlot& slot);
+  /// Queue the RdvCts answering the RTS `fh` of rendezvous `token`. A
+  /// caller answering for an RxSlot sets its `cts_sent` first.
+  void send_cts_locked(PeerState& ps, const FragHeader& fh,
+                       std::uint64_t token);
   void distribute_chunks_locked(PeerState& ps, std::uint64_t token,
                                 RdvTx& rdv);
   /// MultirailPolicy::Stripe placement: consult the cost model
@@ -745,8 +748,6 @@ class Engine final {
   void handle_rma_get_locked(PeerState& ps, ByteSpan payload);
   void handle_rma_get_data_locked(PeerState& ps, ByteSpan payload);
   void handle_rma_ack_locked(PeerState& ps, ByteSpan payload);
-  void send_auto_cts_locked(PeerState& ps, const FragHeader& fh,
-                            std::uint64_t token);
   void push_rma_ack_locked(PeerState& ps, std::uint64_t ack_token);
   /// Bounds-checked window lookup, BY VALUE under windows_mu_ (shared):
   /// callers hold a peer lock, never the window map's.

@@ -238,7 +238,9 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
                        "unpack size " << slot.dest_len
                                       << " != rendezvous size "
                                       << slot.total);
-        send_cts_locked(ps, fh, slot);
+        MADO_ASSERT(!slot.cts_sent);
+        slot.cts_sent = true;
+        send_cts_locked(ps, fh, slot.token);
       }
       return;
     }
@@ -259,7 +261,7 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
       MADO_CHECK_MSG(ps.rdv_rx.emplace(rts.token, std::move(rx)).second,
                      "duplicate RTS token");
       ps.stats.inc(Ctr::RxRmaPutRts);
-      send_auto_cts_locked(ps, fh, rts.token);
+      send_cts_locked(ps, fh, rts.token);
       return;
     }
     case RdvTarget::GetBuffer: {
@@ -283,14 +285,14 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
       rx.get_token = rts.aux;
       MADO_CHECK_MSG(ps.rdv_rx.emplace(rts.token, std::move(rx)).second,
                      "duplicate RTS token");
-      send_auto_cts_locked(ps, fh, rts.token);
+      send_cts_locked(ps, fh, rts.token);
       return;
     }
   }
 }
 
-void Engine::send_auto_cts_locked(PeerState& ps, const FragHeader& fh,
-                                  std::uint64_t token) {
+void Engine::send_cts_locked(PeerState& ps, const FragHeader& fh,
+                             std::uint64_t token) {
   TxFrag tf;
   tf.channel = fh.channel;
   tf.msg_seq = fh.msg_seq;
@@ -308,31 +310,7 @@ void Engine::send_auto_cts_locked(PeerState& ps, const FragHeader& fh,
   const RailId rail = rail_for_class_locked(ps, TrafficClass::Control);
   ps.rails[rail]->backlog.push_control(std::move(tf));
   ps.stats.inc(Ctr::TxRdvCts);
-}
-
-void Engine::send_cts_locked(PeerState& ps, const FragHeader& fh,
-                             RxSlot& slot) {
-  MADO_ASSERT(slot.is_rdv && !slot.cts_sent);
-  slot.cts_sent = true;
-  TxFrag tf;
-  tf.channel = fh.channel;
-  tf.msg_seq = fh.msg_seq;
-  tf.idx = fh.frag_idx;
-  tf.nfrags_total = fh.nfrags_total;
-  tf.kind = FragKind::RdvCts;
-  tf.cls = TrafficClass::Control;
-  CtsBody body{slot.token};
-  tf.owned = ps.slab.take(CtsBody::kWireSize);
-  encode_cts(tf.owned, body);
-  tf.len = tf.owned.size();
-  const Nanos t = std::max(timers_.now(), ps.last_drain_time);
-  ps.last_drain_time = t;
-  tf.submit_time = t;
-  tf.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
-  const RailId rail = rail_for_class_locked(ps, TrafficClass::Control);
-  ps.rails[rail]->backlog.push_control(std::move(tf));
-  ps.stats.inc(Ctr::TxRdvCts);
-  // Caller pumps (post_unpack and handle_eager_packet both do).
+  // Callers pump (post_unpack and handle_eager_packet both do).
 }
 
 void Engine::handle_cts_locked(PeerState& ps, ByteSpan payload) {
@@ -707,7 +685,8 @@ bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
       fh.msg_seq = seq;
       fh.frag_idx = idx;
       fh.nfrags_total = msg.nfrags_total;
-      send_cts_locked(ps, fh, slot);
+      slot.cts_sent = true;
+      send_cts_locked(ps, fh, slot.token);
       pump_peer_locked(ps);
     }
   }
