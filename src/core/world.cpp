@@ -72,73 +72,58 @@ drv::SimEndpoint& SimWorld::endpoint(NodeId a, NodeId b, RailId rail) {
   return *it->second;
 }
 
+ThreadedWorld::ThreadedWorld(const EngineConfig& cfg, std::size_t rails,
+                             const std::function<RailPair()>& make_rail) {
+  const EngineConfig tcfg = threaded_config(cfg);
+  for (NodeId i = 0; i < 2; ++i) {
+    timers_.push_back(std::make_unique<RealTimerHost>());
+    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
+  }
+  for (std::size_t r = 0; r < rails; ++r) {
+    RailPair pair = make_rail();
+    rails_.push_back({pair[0].get(), pair[1].get()});
+    engines_[0]->add_rail(1, std::move(pair[0]));
+    engines_[1]->add_rail(0, std::move(pair[1]));
+  }
+  engines_[0]->start_progress_thread();
+  engines_[1]->start_progress_thread();
+}
+
+ThreadedWorld::~ThreadedWorld() {
+  engines_[0]->stop_progress_thread();
+  engines_[1]->stop_progress_thread();
+}
+
+namespace {
+template <class PairResult>
+ThreadedWorld::RailPair rail_pair(PairResult p) {
+  return {std::move(p.a), std::move(p.b)};
+}
+
+// UDP rails are lossy: the engine's reliability layer IS the loss recovery,
+// so it is not optional there (add_rail would refuse).
+EngineConfig reliable(EngineConfig cfg) {
+  cfg.reliability = true;
+  return cfg;
+}
+}  // namespace
+
 SocketWorld::SocketWorld(const EngineConfig& cfg,
-                         const drv::Capabilities& caps, std::size_t rails) {
-  const EngineConfig tcfg = threaded_config(cfg);
-  for (NodeId i = 0; i < 2; ++i) {
-    timers_.push_back(std::make_unique<RealTimerHost>());
-    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
-  }
-  for (std::size_t r = 0; r < rails; ++r) {
-    auto pair = drv::SocketEndpoint::make_pair(caps);
-    engines_[0]->add_rail(1, std::move(pair.a));
-    engines_[1]->add_rail(0, std::move(pair.b));
-  }
-  engines_[0]->start_progress_thread();
-  engines_[1]->start_progress_thread();
-}
+                         const drv::Capabilities& caps, std::size_t rails)
+    : ThreadedWorld(cfg, rails, [&caps] {
+        return rail_pair(drv::SocketEndpoint::make_pair(caps));
+      }) {}
 
-SocketWorld::~SocketWorld() {
-  engines_[0]->stop_progress_thread();
-  engines_[1]->stop_progress_thread();
-}
-
-ShmWorld::ShmWorld(const EngineConfig& cfg, std::size_t rails) {
-  const EngineConfig tcfg = threaded_config(cfg);
-  for (NodeId i = 0; i < 2; ++i) {
-    timers_.push_back(std::make_unique<RealTimerHost>());
-    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
-  }
-  for (std::size_t r = 0; r < rails; ++r) {
-    auto pair = drv::ShmEndpoint::make_pair();
-    engines_[0]->add_rail(1, std::move(pair.a));
-    engines_[1]->add_rail(0, std::move(pair.b));
-  }
-  engines_[0]->start_progress_thread();
-  engines_[1]->start_progress_thread();
-}
-
-ShmWorld::~ShmWorld() {
-  engines_[0]->stop_progress_thread();
-  engines_[1]->stop_progress_thread();
-}
+ShmWorld::ShmWorld(const EngineConfig& cfg, std::size_t rails)
+    : ThreadedWorld(cfg, rails, [] {
+        return rail_pair(drv::ShmEndpoint::make_pair());
+      }) {}
 
 UdpWorld::UdpWorld(const EngineConfig& cfg, std::size_t rails,
-                   const drv::UdpConfig& ucfg) {
-  EngineConfig tcfg = threaded_config(cfg);
-  // UDP rails are lossy: the engine's reliability layer IS the loss
-  // recovery, so it is not optional here (add_rail would refuse).
-  tcfg.reliability = true;
-  for (NodeId i = 0; i < 2; ++i) {
-    timers_.push_back(std::make_unique<RealTimerHost>());
-    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
-  }
-  endpoints_.resize(2);
-  const drv::Capabilities caps = drv::udp_loopback_profile();
-  for (std::size_t r = 0; r < rails; ++r) {
-    auto pair = drv::UdpEndpoint::make_pair(caps, ucfg);
-    endpoints_[0].push_back(pair.a.get());
-    endpoints_[1].push_back(pair.b.get());
-    engines_[0]->add_rail(1, std::move(pair.a));
-    engines_[1]->add_rail(0, std::move(pair.b));
-  }
-  engines_[0]->start_progress_thread();
-  engines_[1]->start_progress_thread();
-}
-
-UdpWorld::~UdpWorld() {
-  engines_[0]->stop_progress_thread();
-  engines_[1]->stop_progress_thread();
-}
+                   const drv::UdpConfig& ucfg)
+    : ThreadedWorld(reliable(cfg), rails, [&ucfg] {
+        return rail_pair(
+            drv::UdpEndpoint::make_pair(drv::udp_loopback_profile(), ucfg));
+      }) {}
 
 }  // namespace mado::core

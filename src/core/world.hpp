@@ -4,10 +4,12 @@
 // deterministic, driven cooperatively (every blocking engine call pumps the
 // fabric through the external-progress hook).
 //
-// SocketWorld: two engines over real socketpair rails with progress
-// threads; used to validate the engine against genuine asynchrony.
+// SocketWorld / ShmWorld / UdpWorld: two engines with progress threads
+// over real socketpair, shared-memory or UDP rails; used to validate the
+// engine against genuine asynchrony.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -71,58 +73,65 @@ class SimWorld {
   std::map<std::tuple<NodeId, NodeId, RailId>, drv::SimEndpoint*> endpoints_;
 };
 
-class SocketWorld {
+/// Two engines (ids 0 and 1) on wall-clock timers, joined by `rails` rails
+/// that `make_rail` creates (endpoint [0] for node 0, [1] for node 1).
+/// Progress threads run from construction to destruction. The shared body
+/// of the socket, shm and UDP worlds below.
+class ThreadedWorld {
  public:
-  /// Two nodes (ids 0 and 1) joined by `rails` socketpair rails carrying
-  /// `caps`. Progress threads start immediately.
-  explicit SocketWorld(const EngineConfig& cfg,
-                       const drv::Capabilities& caps, std::size_t rails = 1);
-  ~SocketWorld();
+  using RailPair = std::array<std::unique_ptr<drv::DriverEndpoint>, 2>;
+  ThreadedWorld(const ThreadedWorld&) = delete;
+  ThreadedWorld& operator=(const ThreadedWorld&) = delete;
 
   Engine& node(NodeId i) { return *engines_.at(i); }
 
- private:
-  std::vector<std::unique_ptr<RealTimerHost>> timers_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-};
+ protected:
+  ThreadedWorld(const EngineConfig& cfg, std::size_t rails,
+                const std::function<RailPair()>& make_rail);
+  ~ThreadedWorld();
 
-/// Two engines on one node talking through the shared-memory driver (the
-/// intra-node transport); progress threads start immediately. Use for
-/// thread-to-thread communication within one process.
-class ShmWorld {
- public:
-  explicit ShmWorld(const EngineConfig& cfg, std::size_t rails = 1);
-  ~ShmWorld();
-
-  Engine& node(NodeId i) { return *engines_.at(i); }
-
- private:
-  std::vector<std::unique_ptr<RealTimerHost>> timers_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-};
-
-/// Two engines joined by real UDP loopback rails (lossy datagrams, ordered
-/// release in the driver, loss recovered by the engine's go-back-N layer —
-/// reliability is forced on because Engine::add_rail rejects a lossy rail
-/// without it). Progress threads start immediately. Exposes the raw
-/// endpoints so tests can inject receive-side loss or link failures.
-class UdpWorld {
- public:
-  explicit UdpWorld(const EngineConfig& cfg, std::size_t rails = 1,
-                    const drv::UdpConfig& ucfg = {});
-  ~UdpWorld();
-
-  Engine& node(NodeId i) { return *engines_.at(i); }
   /// The `node`-side endpoint of rail `rail` (0-based, in creation order).
-  drv::UdpEndpoint& endpoint(NodeId node, std::size_t rail = 0) {
-    return *endpoints_.at(node).at(rail);
+  drv::DriverEndpoint& rail_endpoint(NodeId node, std::size_t rail) {
+    return *rails_.at(rail).at(node);
   }
 
  private:
   std::vector<std::unique_ptr<RealTimerHost>> timers_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  /// endpoints_[node][rail], non-owning (engines own them).
-  std::vector<std::vector<drv::UdpEndpoint*>> endpoints_;
+  /// Non-owning: the engines own the endpoints.
+  std::vector<std::array<drv::DriverEndpoint*, 2>> rails_;
+};
+
+/// Two engines over real socketpair rails carrying `caps`; used to validate
+/// the engine against genuine asynchrony.
+class SocketWorld : public ThreadedWorld {
+ public:
+  explicit SocketWorld(const EngineConfig& cfg,
+                       const drv::Capabilities& caps, std::size_t rails = 1);
+};
+
+/// Two engines on one node talking through the shared-memory driver (the
+/// intra-node transport). Use for thread-to-thread communication within one
+/// process.
+class ShmWorld : public ThreadedWorld {
+ public:
+  explicit ShmWorld(const EngineConfig& cfg, std::size_t rails = 1);
+};
+
+/// Two engines joined by real UDP loopback rails (lossy datagrams, ordered
+/// release in the driver, loss recovered by the engine's go-back-N layer —
+/// reliability is forced on because Engine::add_rail rejects a lossy rail
+/// without it). Exposes the raw endpoints so tests can inject receive-side
+/// loss or link failures.
+class UdpWorld : public ThreadedWorld {
+ public:
+  explicit UdpWorld(const EngineConfig& cfg, std::size_t rails = 1,
+                    const drv::UdpConfig& ucfg = {});
+
+  /// The `node`-side endpoint of rail `rail` (0-based, in creation order).
+  drv::UdpEndpoint& endpoint(NodeId node, std::size_t rail = 0) {
+    return static_cast<drv::UdpEndpoint&>(rail_endpoint(node, rail));
+  }
 };
 
 }  // namespace mado::core
