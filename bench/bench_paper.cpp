@@ -153,6 +153,21 @@ MultiflowResult run_multiflow(const EngineConfig& cfg,
           w.node(0).stats().counter("tx.frags")};
 }
 
+// E3/E10: a one-way stream of `total` bytes in `size`-byte messages from
+// node 0 to node 1 of `w`; returns MB/s (bytes per virtual µs).
+double stream_mbps(SimWorld& w, std::size_t size, std::size_t total) {
+  Channel a = w.node(0).open_channel(1, 7);
+  Channel b = w.node(1).open_channel(0, 7);
+  const std::size_t n = total / size;
+  const Bytes data = payload(size);
+  for (std::size_t i = 0; i < n; ++i)
+    post_bytes(a, data, core::SendMode::Later);
+  Bytes out(size);
+  for (std::size_t i = 0; i < n; ++i) recv_into(b, out);
+  w.node(0).flush();
+  return static_cast<double>(n * size) / to_usec(w.now());
+}
+
 // ---- E1 ---------------------------------------------------------------------
 // The paper's headline claim (§4): "the aggregation of eager segments
 // collected from several independent communication flows brings huge
@@ -232,17 +247,7 @@ Table e3_bandwidth() {
       cfg.strategy = "aggreg";
       SimWorld w(2, cfg);
       w.connect(0, 1, drv::profile_by_name(profile));
-      Channel a = w.node(0).open_channel(1, 7);
-      Channel b = w.node(1).open_channel(0, 7);
-      const std::size_t n = (16u << 20) / size;
-      const Bytes data = payload(size);
-      for (std::size_t i = 0; i < n; ++i)
-        post_bytes(a, data, core::SendMode::Later);
-      Bytes out(size);
-      for (std::size_t i = 0; i < n; ++i) recv_into(b, out);
-      w.node(0).flush();
-      cells.push_back(fmt(
-          "%.0f", static_cast<double>(n * size) / to_usec(w.now())));
+      cells.push_back(fmt("%.0f", stream_mbps(w, size, 16u << 20)));
     }
     t.md += row(cells);
   }
@@ -599,18 +604,9 @@ Table e10_lossy() {
     plan_ba.seed = 0xe10b;  // acks are lossy too
     SimWorld w(2, cfg);
     w.connect(0, 1, drv::mx_myrinet_profile(), plan_ab, plan_ba);
-    Channel a = w.node(0).open_channel(1, 7);
-    Channel b = w.node(1).open_channel(0, 7);
-    const std::size_t n = (4u << 20) / size;
-    const Bytes data = payload(size);
-    for (std::size_t i = 0; i < n; ++i)
-      post_bytes(a, data, core::SendMode::Later);
-    Bytes out(size);
-    for (std::size_t i = 0; i < n; ++i) recv_into(b, out);
-    w.node(0).flush();
+    const double mbps = stream_mbps(w, size, 4u << 20);
     t.md += row({size_label(size), reliable ? "on" : "off",
-                 fmt("%d", drop_pm),
-                 fmt("%.1f", static_cast<double>(n * size) / to_usec(w.now())),
+                 fmt("%d", drop_pm), fmt("%.1f", mbps),
                  fmt("%lu", w.node(0).stats().counter("rel.retransmits")),
                  fmt("%lu", w.node(0).stats().counter("rel.rto_backoffs")),
                  fmt("%lu", w.endpoint(0, 1, 0).fault_stats().dropped)});
