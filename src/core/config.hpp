@@ -1,6 +1,8 @@
 // Engine configuration. Every knob the paper discusses (strategy selection,
 // lookahead window, Nagle-style delay, rearrangement evaluation budget,
-// multirail policy) is a field here so benchmarks can sweep them.
+// multirail policy) is a field here so benchmarks can sweep them. Values no
+// workload varies are the constants below; the progress threads' idle
+// backoff lives beside its loop in engine.cpp.
 #pragma once
 
 #include <array>
@@ -126,19 +128,6 @@ struct EngineConfig {
   /// submissions batch up between NIC-idle instants. 0 disables the ring:
   /// every submit blocks on the peer lock (useful for A/B tests).
   std::size_t submit_ring = 256;
-
-  /// Progress-thread adaptive backoff: after this many consecutive idle
-  /// laps the thread stops spinning and starts yielding.
-  std::size_t prog_spin_laps = 64;
-
-  /// After this many further idle yield laps it parks on the activity
-  /// condition variable (bounded by prog_idle_wait).
-  std::size_t prog_yield_laps = 64;
-
-  /// Upper bound for one parked wait. Submit/completion activity notifies
-  /// the cv, but driver IO threads cannot (they only feed queues that
-  /// progress() polls), so the park must stay bounded.
-  Nanos prog_idle_wait = 100 * kNanosPerMicro;
 };
 
 }  // namespace mado::core

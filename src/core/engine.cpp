@@ -16,6 +16,13 @@ namespace detail {
 thread_local ProgressLap* t_progress_lap = nullptr;
 }  // namespace detail
 
+namespace {
+/// Progress-thread idle backoff: consecutive idle laps spent spinning, then
+/// yielding, before the thread parks on its slot.
+constexpr std::size_t kSpinLaps = 64;
+constexpr std::size_t kYieldLaps = 64;
+}  // namespace
+
 Engine::Engine(NodeId self, EngineConfig cfg, TimerHost& timers)
     : self_(self), cfg_(std::move(cfg)),
       prog_nthreads_(cfg_.progress_threads == 0 ? 1 : cfg_.progress_threads),
@@ -36,10 +43,14 @@ Engine::Engine(NodeId self, EngineConfig cfg, TimerHost& timers)
     slot->idle_sleeps = &stats_.handle(prefix + "idle_sleeps");
     prog_slots_.push_back(std::move(slot));
   }
+  // A new earliest deadline must reach a parked thread: its park was
+  // bounded by the deadline that was earliest when it parked.
+  timers_.add_deadline_listener(this, [this] { wake_any_slot(); });
 }
 
 Engine::~Engine() {
   stop_progress_thread();
+  timers_.remove_deadline_listener(this);
   alive_->store(false);
   std::unique_lock<std::shared_mutex> lk(peers_mu_);
   for (auto& [id, ps] : peers_) {
@@ -81,9 +92,11 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
   auto rail = std::make_unique<Rail>();
   rail->ep = std::move(ep);
   rail->port.engine = this;
+  rail->port.ps = &ps;
   rail->port.peer = peer;
   rail->port.rail = id;
   rail->outstanding.assign(rail->ep->caps().track_count, 0);
+  rail->ep->relay_ready_to(&rail->port);
   rail->ep->set_handler(&rail->port);
   ps.rails.push_back(std::move(rail));
   ps.any_rail_up.store(true, std::memory_order_release);
@@ -186,9 +199,6 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
       drain_submit_ring_locked(ps);
       submit_locked(ps, ch, std::move(msg), state, state->submit_time);
       ps.mu.unlock();
-      // Even an inline submit leaves driver completions to poll (e.g. the
-      // shm driver queues them locally): wake the shard's owner if parked.
-      note_activity(ps);
       return SendHandle(state);
     }
     // Shard busy: park the message in the submit ring and return without
@@ -203,6 +213,7 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
     op.enq_time = state->submit_time;
     if (ps.ring->try_push(std::move(op))) {
       ps.ring_pending.fetch_add(1, std::memory_order_release);
+      // A parked op is no driver event, so no driver rings for it.
       note_activity(ps);
       if (ps.mu.try_lock()) {
         // The holder may have released between our failed try_lock and the
@@ -226,7 +237,6 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
     drain_submit_ring_locked(ps);
     submit_locked(ps, ch, std::move(msg), state, state->submit_time);
   }
-  note_activity(ps);
   return SendHandle(state);
 }
 
@@ -658,7 +668,7 @@ void Engine::schedule_nagle_timer_locked(PeerState& ps, Rail& rail,
         }));
   }
   eng_stats_.inc(Ctr::TimerArms);
-  arm_peer_timer(ps, rail.nagle_timer, when);
+  timers_.arm(rail.nagle_timer, when);
 }
 
 // ---- completion path --------------------------------------------------------
@@ -694,9 +704,6 @@ void Engine::on_send_complete(NodeId peer, RailId rail_id, drv::TrackId track,
     }
   }
   wake_peer(*ps);
-  // Out-of-lap delivery (a driver IO thread, not a progress lap): follow-up
-  // work — acks owed, tracks freed — belongs to the shard's owner.
-  note_activity(*ps);
 }
 
 void Engine::apply_send_complete_locked(PeerState& ps, RailId rail_id,
@@ -908,7 +915,7 @@ void Engine::arm_rto_locked(PeerState& ps, Rail& rail, int stream) {
   const Nanos wire_floor =
       model.busy_time(pending_bytes, 1) + 2 * model.propagation_latency();
   eng_stats_.inc(Ctr::TimerArms);
-  arm_peer_timer(ps, rt.rto_timer, timers_.now() + rt.rto + wire_floor);
+  timers_.arm(rt.rto_timer, timers_.now() + rt.rto + wire_floor);
 }
 
 void Engine::rto_expired_locked(PeerState& ps, Rail& rail, int stream) {
@@ -1066,7 +1073,6 @@ void Engine::on_link_down(NodeId peer, RailId rail_id) {
     pump_peer_locked(*ps);
   }
   wake_peer(*ps);
-  note_activity(*ps);  // failover queued replays for the owner to pump
 }
 
 void Engine::apply_link_down_locked(PeerState& ps, RailId rail_id) {
@@ -1324,16 +1330,6 @@ bool Engine::progress() {
   return did_work;
 }
 
-Nanos Engine::park_bound() const {
-  Nanos bound = cfg_.prog_idle_wait;
-  const Nanos next = timers_.next_deadline();
-  if (next != TimerHost::kNoDeadline) {
-    const Nanos now = timers_.now();
-    bound = std::min(bound, next > now ? next - now : Nanos{1});
-  }
-  return std::max(bound, Nanos{1});
-}
-
 TimerHandle::Callback Engine::peer_timer_cb(
     std::function<void(std::uint64_t)> fn) {
   // Built once per handle: steady-state re-arms reuse this closure, so the
@@ -1342,16 +1338,6 @@ TimerHandle::Callback Engine::peer_timer_cb(
   return [alive = alive_, fn = std::move(fn)](std::uint64_t gen) {
     if (alive->load()) fn(gen);
   };
-}
-
-void Engine::arm_peer_timer(PeerState& ps, TimerHandle& h, Nanos when) {
-  timers_.arm(h, when);
-  // A thread parked against the previous earliest deadline (park_bound
-  // snapshotted BEFORE this arm) would sleep out its full bound and fire
-  // this timer late. Wake the shard's owner so it re-derives the bound.
-  // Slot mutexes sit below the peer lock in the lock order, so notifying
-  // from under ps.mu is legal (same precedent as note_activity in rma_put).
-  wake_slot(*prog_slots_[ps.owner]);
 }
 
 void Engine::set_external_progress(std::function<bool()> fn) {
@@ -1436,11 +1422,11 @@ void Engine::progress_thread_main(std::size_t idx) {
   };
 
   // Adaptive backoff: spin (immediate re-poll) while work is fresh, yield
-  // the core when a burst ends, then park on the slot's cv. The park stays
-  // bounded (park_bound) because driver IO threads cannot notify — they
-  // only feed queues the lap polls — and due timers must not oversleep.
-  const std::size_t spin_laps = cfg_.prog_spin_laps;
-  const std::size_t yield_laps = spin_laps + cfg_.prog_yield_laps;
+  // the core when a burst ends, then park on the slot's cv until a ring
+  // (driver contract clause 5, a parked submit, stop) or the next timer
+  // deadline — nothing else can create work for a lap.
+  constexpr std::size_t spin_laps = kSpinLaps;
+  constexpr std::size_t yield_laps = spin_laps + kYieldLaps;
   std::size_t idle = 0;
   while (!stop_progress_.load(std::memory_order_acquire)) {
     if (lap(idle >= yield_laps)) {
@@ -1453,12 +1439,13 @@ void Engine::progress_thread_main(std::size_t idx) {
       std::this_thread::yield();
       continue;
     }
-    // Eventcount park (closes the lost-wakeup race the old global park
-    // had): record the ticket, arm the slot, poll ONCE more — activity
-    // published before the arm is caught by that poll; activity after it
-    // bumps the ticket, which the check under the lock sees. Either way a
-    // submit racing the park costs at most one lap, never a full
-    // prog_idle_wait.
+    // Eventcount park: record the ticket, arm the slot, poll ONCE more —
+    // activity published before the arm is caught by that poll; activity
+    // after it bumps the ticket, which the check under the lock sees.
+    // `parked` is published before that check: a waker that reads it
+    // unset has already bumped the ticket the check then sees. Either way
+    // a ring racing the park costs at most one lap; a lost one would park
+    // the thread until the next deadline.
     const std::uint64_t ticket =
         slot.ticket.load(std::memory_order_seq_cst);
     slot.armed.store(true, std::memory_order_seq_cst);
@@ -1469,17 +1456,24 @@ void Engine::progress_thread_main(std::size_t idx) {
     }
     {
       std::unique_lock<std::mutex> lk(slot.mu);
-      if (stop_progress_.load(std::memory_order_acquire)) {
-        slot.armed.store(false, std::memory_order_seq_cst);
-        break;
-      }
-      if (slot.ticket.load(std::memory_order_seq_cst) == ticket) {
+      slot.parked.store(true, std::memory_order_seq_cst);
+      const auto rung = [&] {
+        return slot.ticket.load(std::memory_order_seq_cst) != ticket ||
+               stop_progress_.load(std::memory_order_acquire);
+      };
+      if (!rung()) {
         slot.idle_sleeps->fetch_add(1, std::memory_order_relaxed);
         eng_stats_.inc(Ctr::ProgIdleSleeps);
-        slot.parked.store(true, std::memory_order_seq_cst);
-        slot.cv.wait_for(lk, std::chrono::nanoseconds(park_bound()));
-        slot.parked.store(false, std::memory_order_seq_cst);
+        const Nanos next = timers_.next_deadline();
+        if (next == TimerHost::kNoDeadline) {
+          slot.cv.wait(lk, rung);
+        } else {
+          const Nanos now = timers_.now();
+          const Nanos bound = next > now ? next - now : 0;
+          slot.cv.wait_for(lk, std::chrono::nanoseconds(bound), rung);
+        }
       }
+      slot.parked.store(false, std::memory_order_seq_cst);
     }
     slot.armed.store(false, std::memory_order_seq_cst);
     slot.wakeups->fetch_add(1, std::memory_order_relaxed);
@@ -1763,9 +1757,6 @@ SendHandle Engine::rma_put(NodeId peer, WindowId window, std::uint64_t offset,
   ps.stats.inc(Ctr::RmaPuts);
   trace_locked(TraceEvent::RmaOp, peer, rail_id, 0, window, len);
   pump_rail_locked(ps, rail);
-  // Wake the shard's owner for the completion poll (slot mutexes sit below
-  // ps.mu in the lock order, so notifying under the peer lock is fine).
-  note_activity(ps);
   return SendHandle(state);
 }
 
@@ -1802,7 +1793,6 @@ SendHandle Engine::rma_get(NodeId peer, WindowId window, std::uint64_t offset,
   ps.stats.inc(Ctr::RmaGets);
   trace_locked(TraceEvent::RmaOp, peer, rail_id, 1, window, len);
   pump_rail_locked(ps, rail);
-  note_activity(ps);  // wake the shard's owner for the completion poll
   return SendHandle(state);
 }
 

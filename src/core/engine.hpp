@@ -28,9 +28,11 @@
 //
 // Progress runs on cfg.progress_threads shard-owning threads: every peer
 // is statically assigned an owner (insertion order modulo thread count,
-// all rails of the peer included — rail affinity), submit/RX activity
-// wakes ONLY the owner's park slot, and a thread idle past its yield phase
-// steals un-pumped shards from busy owners. A per-shard pump claim
+// all rails of the peer included — rail affinity). Drivers ring the
+// engine when they queue events (driver contract clause 5); a ring wakes
+// the owner's park slot only, or, when the owner is busy, one parked
+// thread, which steals the un-pumped shard. Parked threads otherwise
+// sleep until the next timer deadline. A per-shard pump claim
 // (PeerState::pumping) keeps driver progress() single-entrant per endpoint
 // whichever thread — owner, stealer, or a manual progress() caller — runs
 // the lap. Peer-scoped timers (nagle, RTO) run on whichever thread runs the
@@ -247,10 +249,12 @@ class Engine final {
   // ---- internal types --------------------------------------------------
 
   struct Rail;
+  struct PeerState;
 
   /// Per-rail driver handler: forwards callbacks with (peer, rail) context.
   struct RailPort final : drv::EndpointHandler {
     Engine* engine = nullptr;
+    PeerState* ps = nullptr;  ///< cached: a ring takes no map lock
     NodeId peer = 0;
     RailId rail = 0;
     void on_send_complete(drv::TrackId track, std::uint64_t token) override {
@@ -263,6 +267,7 @@ class Engine final {
       engine->on_send_failed(peer, rail, track, token);
     }
     void on_link_down() override { engine->on_link_down(peer, rail); }
+    void on_ready() override { engine->note_activity(*ps); }
   };
 
   /// One pending rendezvous bulk chunk.
@@ -511,8 +516,8 @@ class Engine final {
     const NodeId id;
 
     /// Owning progress-thread index (static: insertion order modulo
-    /// cfg.progress_threads). Submit/RX activity wakes only this thread's
-    /// park slot; its laps pump every rail of this peer (rail affinity).
+    /// cfg.progress_threads). Activity rings this thread's park slot first;
+    /// its laps pump every rail of this peer (rail affinity).
     const std::uint32_t owner;
 
     /// Pump claim: the thread that CASes this false→true drives the whole
@@ -769,10 +774,11 @@ class Engine final {
 
   /// One park/wakeup slot per progress thread. The armed/parked/ticket
   /// trio is an eventcount: the thread publishes `armed` (seq_cst), runs
-  /// one last poll lap, then parks only if `ticket` did not move — so a
-  /// waker that bumps the ticket between the final poll and the cv wait is
-  /// never lost (the wait is skipped). Wakers notify under `mu` so the
-  /// notify cannot slip into the gap between the parked-check and the wait.
+  /// one last poll lap, then, under `mu`, publishes `parked` and parks only
+  /// if `ticket` did not move — so a waker that bumps the ticket between
+  /// the final poll and the cv wait is never lost (the wait is skipped).
+  /// Wakers that see `parked` lock `mu` before notifying, so the notify
+  /// cannot slip into the gap between the ticket check and the wait.
   struct ProgSlot {
     std::mutex mu;               ///< cv's mutex (park protocol only)
     std::condition_variable cv;
@@ -787,24 +793,42 @@ class Engine final {
     std::atomic<std::uint64_t>* idle_sleeps = nullptr;
   };
 
-  /// Unpark `s` if its thread is (about to go) idle. The armed gate keeps
-  /// the hot path cheap: while the thread is actively polling, this is one
-  /// relaxed-ish load and nothing else.
-  void wake_slot(ProgSlot& s) {
-    if (!s.armed.load(std::memory_order_seq_cst)) return;
+  /// Unpark `s` if its thread is (about to go) idle; false if it is
+  /// polling. The armed gate keeps the hot path cheap: while the thread
+  /// polls, this is one load and nothing else. Callers first publish their
+  /// work under a lock the thread's final poll lap also takes (a driver
+  /// queue) or followed by an atomic read-modify-write (the submit ring's
+  /// counter, the timer host's listener lock), so either this load sees
+  /// `armed` or that lap sees the work.
+  bool wake_slot(ProgSlot& s) {
+    if (!s.armed.load(std::memory_order_seq_cst)) return false;
     s.ticket.fetch_add(1, std::memory_order_seq_cst);
     if (s.parked.load(std::memory_order_seq_cst)) {
       // Lock/unlock before notifying: a notify issued while the parking
-      // thread is between its parked-store and cv.wait would otherwise be
+      // thread is between its ticket check and cv.wait would otherwise be
       // lost — exactly the race this slot protocol exists to close.
       { std::lock_guard<std::mutex> lk(s.mu); }
       s.cv.notify_one();
     }
+    return true;
   }
 
-  /// Submit/RX activity on `ps`: route the wakeup to the owning thread's
-  /// park slot only — other progress threads keep sleeping.
-  void note_activity(PeerState& ps) { wake_slot(*prog_slots_[ps.owner]); }
+  /// Unpark the first idle progress thread, if any.
+  void wake_any_slot() {
+    for (auto& s : prog_slots_)
+      if (wake_slot(*s)) return;
+  }
+
+  /// Activity on `ps` (a driver ring, a parked submit): wake the owning
+  /// thread only. An owner that is not parked will poll the shard itself —
+  /// unless it is busy elsewhere or wedged, so then one idle thread is
+  /// woken to steal the shard (with one progress thread, none exists). A
+  /// shard someone is pumping needs no stealer: its pumper laps back to it.
+  void note_activity(PeerState& ps) {
+    if (!wake_slot(*prog_slots_[ps.owner]) &&
+        !ps.pumping.load(std::memory_order_acquire))
+      wake_any_slot();
+  }
 
   /// Pump one shard end-to-end (endpoint poll under a lap, then one locked
   /// batch apply + ring drain + pump + acks), guarded by the pump claim.
@@ -817,19 +841,10 @@ class Engine final {
   /// Body of progress thread `idx` (shard ownership, steal, park backoff).
   void progress_thread_main(std::size_t idx);
 
-  /// Park bound: cfg_.prog_idle_wait clipped by the earliest scheduled
-  /// timer deadline, so an RTO never waits out a full park.
-  Nanos park_bound() const;
-
   /// Wrap `fn` as a TimerHandle callback that does nothing once the engine
   /// is gone. Installed ONCE per handle; every subsequent re-arm reuses it
   /// (allocation-free).
   TimerHandle::Callback peer_timer_cb(std::function<void(std::uint64_t)> fn);
-
-  /// Arm `h` via timers_ and wake the shard owner's park slot: a thread
-  /// parked against the previous earliest deadline must re-derive its
-  /// bound, or a new earlier timer would sleep out the full park interval.
-  void arm_peer_timer(PeerState& ps, TimerHandle& h, Nanos when);
 
   /// Wake this peer's waiters and any global (flush / wait_until) waiters.
   /// Cheap when nobody waits: two atomic loads. Otherwise bump the epoch
@@ -918,7 +933,9 @@ class Engine final {
 
   /// Park/wakeup slots, one per progress thread, created in the
   /// constructor so note_activity() never races start/stop of the threads.
-  /// unique_ptr: slots hold mutexes/cvs and must never move.
+  /// unique_ptr: slots hold mutexes/cvs and must never move. Rings may
+  /// arrive until ~Engine has closed every endpoint and left the timer
+  /// host's listeners.
   std::vector<std::unique_ptr<ProgSlot>> prog_slots_;
 
   /// Guards the odds and ends below (external progress hook, rebalance

@@ -5,9 +5,7 @@
 // on_packet() is the driver entry; during a progress lap (pump_shard, on
 // whichever progress thread owns or stole the shard) it stages the packet
 // into the lap's event batch instead of locking (see progress_lap.hpp), so
-// a pump of N endpoints costs one lock acquisition, not N. Out-of-lap
-// deliveries (a driver IO thread) additionally wake the shard's owning
-// progress thread, never the others (per-shard wakeup routing).
+// a pump of N endpoints costs one lock acquisition, not N.
 #include <algorithm>
 #include <cstring>
 #include <mutex>
@@ -50,9 +48,6 @@ void Engine::on_packet(NodeId peer, RailId rail_id, drv::TrackId track,
       maybe_send_ack_locked(*ps, *ps->rails[rail_id]);
   }
   wake_peer(*ps);
-  // The arrival may have queued work only a progress lap can finish (CTS
-  // responses to send, completions to poll): wake the shard's owner.
-  note_activity(*ps);
 }
 
 void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,

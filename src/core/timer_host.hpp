@@ -18,6 +18,10 @@
 //                          physically removes the entry (no dead deadlines
 //                          lingering in next_deadline(), no stale closures
 //                          accumulating until their deadline passes).
+//
+// Both paths tell the host's deadline listeners when they make the earliest
+// deadline earlier, so no caller has to wake a thread parked until the old
+// one.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -144,6 +149,34 @@ class TimerHost {
   /// RealTimerHost additionally physically unlinks the entry, so
   /// has_pending()/next_deadline() forget it immediately.
   virtual bool cancel(TimerHandle& h);
+
+  /// Deadline listeners. `wake` runs, outside the wheel lock, after an
+  /// arm() or schedule_at() makes the earliest deadline earlier, so a
+  /// thread parked until the previous one (an engine's progress thread)
+  /// re-derives its park. Only hosts whose timers run from such threads
+  /// (RealTimerHost) call them. Several engines may share one host; each
+  /// removes its listener, by `owner`, before it dies.
+  void add_deadline_listener(const void* owner, std::function<void()> wake) {
+    std::unique_lock<std::shared_mutex> lk(listeners_mu_);
+    listeners_.emplace_back(owner, std::move(wake));
+  }
+  void remove_deadline_listener(const void* owner) {
+    std::unique_lock<std::shared_mutex> lk(listeners_mu_);
+    std::erase_if(listeners_,
+                  [owner](const auto& l) { return l.first == owner; });
+  }
+
+ protected:
+  /// Runs the listeners under the shared lock, so remove_deadline_listener
+  /// returns only once no call into the departing listener is in flight.
+  void notify_earlier_deadline() {
+    std::shared_lock<std::shared_mutex> lk(listeners_mu_);
+    for (const auto& l : listeners_) l.second();
+  }
+
+ private:
+  std::shared_mutex listeners_mu_;
+  std::vector<std::pair<const void*, std::function<void()>>> listeners_;
 };
 
 inline void TimerHost::arm(TimerHandle& h, Nanos t) {
@@ -257,14 +290,22 @@ class RealTimerHost final : public TimerHost {
     if (!core) core = std::make_shared<Core>();
     core->pooled = true;
     core->fn = [f = std::move(fn)](std::uint64_t) { f(); };
-    std::lock_guard<std::mutex> lk(mu_);
-    arm_core_locked(core, t);
+    bool earlier;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      earlier = arm_core_locked(core, t);
+    }
+    if (earlier) notify_earlier_deadline();
   }
 
   void arm(TimerHandle& h, Nanos t) override {
     h.host_ = this;
-    std::lock_guard<std::mutex> lk(mu_);
-    arm_core_locked(h.core_, t);
+    bool earlier;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      earlier = arm_core_locked(h.core_, t);
+    }
+    if (earlier) notify_earlier_deadline();
   }
 
   bool cancel(TimerHandle& h) override {
@@ -389,7 +430,9 @@ class RealTimerHost final : public TimerHost {
     return k;  // == kLevels means beyond the horizon (overflow list)
   }
 
-  void arm_core_locked(const std::shared_ptr<Core>& corep, Nanos t) {
+  /// Returns true if the arm moved the next event tick earlier.
+  bool arm_core_locked(const std::shared_ptr<Core>& corep, Nanos t) {
+    const std::uint64_t before = next_tick_.load(std::memory_order_relaxed);
     Core& core = *corep;
     if (core.armed.load(std::memory_order_relaxed)) {
       unlink_locked(&core);  // re-arm in place: O(1) splice, no alloc
@@ -403,6 +446,7 @@ class RealTimerHost final : public TimerHost {
     core.armed.store(true, std::memory_order_release);
     link_locked(&core);
     refresh_hint_locked();
+    return next_tick_.load(std::memory_order_relaxed) < before;
   }
 
   void link_locked(Core* c) {

@@ -5,16 +5,28 @@
 //
 //  1. send() never invokes handler callbacks synchronously. Completions and
 //     arrivals are delivered later — from Fabric::step() for the simulated
-//     driver, from progress() for thread-backed drivers.
+//     driver, from progress() for thread-backed drivers. on_ready() (clause
+//     5) is the one exception: it may run inside send().
 //  2. Handler callbacks are invoked WITHOUT any engine lock held; the
-//     engine re-acquires its own lock inside the callback.
+//     engine re-acquires its own lock inside the callback. on_ready() is
+//     again the exception: it may run under the engine's peer lock (from
+//     send()) and from driver IO threads, because it only rings — it takes
+//     no engine lock beyond the progress threads' leaf park mutexes.
 //  3. Per track, completions are reported in send order, and packets are
 //     delivered to the peer in send order (tracks are FIFO channels).
 //     No ordering holds ACROSS tracks.
 //  4. The GatherList segments passed to send() remain valid until the
 //     matching on_send_complete fires.
+//  5. A driver that queues anything for progress() to deliver — a packet,
+//     a completion, a send failure, a link-down — calls its handler's
+//     on_ready() after queuing it (once per burst is enough). The engine's
+//     progress threads park until rung or until the next timer deadline,
+//     so a missing ring stalls the endpoint. Drivers whose events run from
+//     the pumping thread itself (the simulated driver's Fabric::step(), a
+//     hand-pumped test double) need not ring.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -24,7 +36,22 @@
 
 namespace mado::drv {
 
-class EndpointHandler {
+class EndpointHandler;
+
+/// Where clause-5 rings go when the handler that receives them does not
+/// take them itself. EndpointHandler and DriverEndpoint both inherit it
+/// virtually, so a decorator — an endpoint that wraps another and
+/// registers itself as the inner one's handler — holds ONE relay for both
+/// roles: the engine names its own handler here (relay_ready_to) and the
+/// decorator's inherited on_ready() passes the inner driver's rings on,
+/// without code of its own. bench/ledger's TimedEndpoint is such a
+/// decorator; it forwards only the four data callbacks by hand.
+class ReadyRelay {
+ protected:
+  std::atomic<EndpointHandler*> ready_to_{nullptr};
+};
+
+class EndpointHandler : public virtual ReadyRelay {
  public:
   virtual ~EndpointHandler() = default;
 
@@ -52,9 +79,17 @@ class EndpointHandler {
   /// been failed via on_send_failed. Default: ignore (lossless drivers
   /// never call it).
   virtual void on_link_down() {}
+
+  /// Clause 5: the driver queued something that progress() will deliver.
+  /// Any thread, any lock; must only ring. Default: pass the ring on to the
+  /// handler named by relay_ready_to (a decorator's), else drop it.
+  virtual void on_ready() {
+    if (EndpointHandler* h = ready_to_.load(std::memory_order_acquire))
+      h->on_ready();
+  }
 };
 
-class DriverEndpoint {
+class DriverEndpoint : public virtual ReadyRelay {
  public:
   virtual ~DriverEndpoint() = default;
 
@@ -66,6 +101,12 @@ class DriverEndpoint {
   /// Register the engine-side handler. Must be called before first send.
   virtual void set_handler(EndpointHandler* handler) = 0;
 
+  /// Name the handler that rings reaching this endpoint's own handler side
+  /// are passed on to (see ReadyRelay). Call before set_handler.
+  void relay_ready_to(EndpointHandler* handler) {
+    ready_to_.store(handler, std::memory_order_release);
+  }
+
   /// Enqueue one packet on `track`. See the contract above.
   virtual void send(TrackId track, const GatherList& gl,
                     std::uint64_t token) = 0;
@@ -74,7 +115,8 @@ class DriverEndpoint {
   /// whose events run from the shared Fabric loop).
   virtual void progress() = 0;
 
-  /// Stop background threads, if any. Idempotent.
+  /// Stop background threads, if any. Idempotent. After it returns the
+  /// endpoint rings its handler no more.
   virtual void close() {}
 
   /// False once the link has failed (on_link_down fired or is pending).

@@ -36,7 +36,18 @@ ShmEndpoint::ShmEndpoint(Capabilities caps, std::shared_ptr<Shared> shared,
                          int side)
     : caps_(std::move(caps)), shared_(std::move(shared)), side_(side) {}
 
-ShmEndpoint::~ShmEndpoint() = default;
+ShmEndpoint::~ShmEndpoint() { close(); }
+
+void ShmEndpoint::set_handler(EndpointHandler* handler) {
+  handler_ = handler;
+  std::lock_guard<std::mutex> lk(shared_->ready_mu[side_]);
+  shared_->ready[side_] = handler;
+}
+
+void ShmEndpoint::close() {
+  std::lock_guard<std::mutex> lk(shared_->ready_mu[side_]);
+  shared_->ready[side_] = nullptr;
+}
 
 void ShmEndpoint::send(TrackId track, const GatherList& gl,
                        std::uint64_t token) {
@@ -46,8 +57,15 @@ void ShmEndpoint::send(TrackId track, const GatherList& gl,
   f.payload = gl.flatten();
   ++packets_sent_;
   bytes_sent_ += f.payload.size();
-  shared_->inbox[1 - side_].push(std::move(f));
+  const int peer = 1 - side_;
+  shared_->inbox[peer].push(std::move(f));
+  {
+    std::lock_guard<std::mutex> lk(shared_->ready_mu[peer]);
+    if (EndpointHandler* h = shared_->ready[peer]) h->on_ready();
+  }
   completions_.push(Completion{track, token});
+  // No lock: our own handler's engine is the one calling send().
+  if (handler_) handler_->on_ready();
 }
 
 void ShmEndpoint::progress() {

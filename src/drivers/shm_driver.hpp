@@ -5,13 +5,15 @@
 //
 // Unlike the socket driver there are no IO threads: send() enqueues the
 // frame directly into the peer's inbox and the completion into the local
-// outbox; both are delivered by the respective progress() calls, which
-// keeps the driver contract (no synchronous callbacks) and makes the
-// driver usable from both cooperative and threaded worlds.
+// outbox, and rings both handlers (clause 5); both are delivered by the
+// respective progress() calls, which keeps the driver contract (no
+// synchronous callbacks) and makes the driver usable from both cooperative
+// and threaded worlds.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "drivers/driver.hpp"
 #include "util/queues.hpp"
@@ -35,9 +37,11 @@ class ShmEndpoint final : public DriverEndpoint {
   ~ShmEndpoint() override;
 
   const Capabilities& caps() const override { return caps_; }
-  void set_handler(EndpointHandler* handler) override { handler_ = handler; }
+  void set_handler(EndpointHandler* handler) override;
   void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override;
+  /// Stops the peer's sends from ringing this side's handler.
+  void close() override;
 
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -53,6 +57,11 @@ class ShmEndpoint final : public DriverEndpoint {
   };
   struct Shared {
     MpscQueue<Frame> inbox[2];  // indexed by receiver side
+    /// Ring targets, indexed by side: the peer's send rings ready[side]
+    /// under ready_mu[side], and close() clears it under the same lock, so
+    /// a surviving sender never rings a handler whose engine is gone.
+    std::mutex ready_mu[2];
+    EndpointHandler* ready[2] = {nullptr, nullptr};
   };
 
   ShmEndpoint(Capabilities caps, std::shared_ptr<Shared> shared, int side);

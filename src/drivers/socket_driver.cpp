@@ -67,20 +67,33 @@ void SocketEndpoint::send(TrackId track, const GatherList& gl,
   tx_.push(std::move(item));
 }
 
+void SocketEndpoint::deliver(Event ev) {
+  events_.push(std::move(ev));
+  if (EndpointHandler* h = handler_.load(std::memory_order_acquire))
+    h->on_ready();
+}
+
+void SocketEndpoint::mark_broken() {
+  gate_.mark_broken();
+  if (EndpointHandler* h = handler_.load(std::memory_order_acquire))
+    h->on_ready();
+}
+
 void SocketEndpoint::progress() {
-  if (!handler_) return;
+  EndpointHandler* handler = handler_.load(std::memory_order_acquire);
+  if (!handler) return;
   std::vector<Event> drained;
   events_.drain(drained);
   for (auto& ev : drained) {
     if (auto* done = std::get_if<EvSendComplete>(&ev)) {
       gate_.resolve();
-      handler_->on_send_complete(done->track, done->token);
+      handler->on_send_complete(done->track, done->token);
     } else if (auto* failed = std::get_if<EvSendFailed>(&ev)) {
       gate_.resolve();
-      handler_->on_send_failed(failed->track, failed->token);
+      handler->on_send_failed(failed->track, failed->token);
     } else {
       auto& pkt = std::get<EvPacket>(ev);
-      handler_->on_packet(pkt.track, std::move(pkt.payload));
+      handler->on_packet(pkt.track, std::move(pkt.payload));
     }
   }
   // Teardown ordering: a peer death is reported only AFTER every packet
@@ -93,7 +106,7 @@ void SocketEndpoint::progress() {
   // on_send_failed. A deliberate local close() is not a failure and is
   // never reported. The full protocol lives in LinkDownGate (shared with
   // the UDP driver).
-  if (gate_.should_report_link_down()) handler_->on_link_down();
+  if (gate_.should_report_link_down()) handler->on_link_down();
 }
 
 bool SocketEndpoint::write_all(const void* data, std::size_t len) {
@@ -158,17 +171,17 @@ void SocketEndpoint::tx_loop() {
       // and every future send() gets exactly one failure event, delivered
       // by progress() before on_link_down.
       gate_.mark_broken();
-      events_.push(EvSendFailed{item.track, item.token});
+      deliver(EvSendFailed{item.track, item.token});
       for (;;) {
         TxItem doomed = tx_.pop_blocking();
         tx_wakeups_.fetch_add(1, std::memory_order_relaxed);
         if (doomed.stop) return;
-        events_.push(EvSendFailed{doomed.track, doomed.token});
+        deliver(EvSendFailed{doomed.track, doomed.token});
       }
     }
     packets_sent_.fetch_add(1, std::memory_order_relaxed);
     bytes_sent_.fetch_add(item.payload.size(), std::memory_order_relaxed);
-    events_.push(EvSendComplete{item.track, item.token});
+    deliver(EvSendComplete{item.track, item.token});
   }
 }
 
@@ -176,7 +189,7 @@ void SocketEndpoint::rx_loop() {
   for (;;) {
     std::uint8_t hdr[kFrameHeaderLen];
     if (!read_all(hdr, sizeof hdr)) {
-      if (!stop_.load(std::memory_order_acquire)) gate_.mark_broken();
+      if (!stop_.load(std::memory_order_acquire)) mark_broken();
       return;
     }
     const TrackId track = hdr[0];
@@ -186,15 +199,15 @@ void SocketEndpoint::rx_loop() {
                               (static_cast<std::uint32_t>(hdr[4]) << 24);
     if (len > kMaxFrame) {
       MADO_ERROR("socket rx: oversized frame " << len << " bytes, closing");
-      gate_.mark_broken();
+      mark_broken();
       return;
     }
     Bytes payload(len);
     if (len > 0 && !read_all(payload.data(), len)) {
-      if (!stop_.load(std::memory_order_acquire)) gate_.mark_broken();
+      if (!stop_.load(std::memory_order_acquire)) mark_broken();
       return;
     }
-    events_.push(EvPacket{track, std::move(payload)});
+    deliver(EvPacket{track, std::move(payload)});
   }
 }
 

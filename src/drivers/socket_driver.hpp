@@ -8,8 +8,9 @@
 // All tracks multiplex over the single stream, which preserves the per-track
 // FIFO guarantee of the driver contract (a stream is FIFO for everything).
 //
-// Completions/arrivals are pushed onto an MPSC queue by the IO threads and
-// handed to the handler from progress(), per the driver contract.
+// Completions/arrivals are pushed onto an MPSC queue by the IO threads,
+// which ring the handler (clause 5), and handed to the handler from
+// progress(), per the driver contract.
 #pragma once
 
 #include <atomic>
@@ -41,7 +42,9 @@ class SocketEndpoint final : public DriverEndpoint {
   ~SocketEndpoint() override;
 
   const Capabilities& caps() const override { return caps_; }
-  void set_handler(EndpointHandler* handler) override { handler_ = handler; }
+  void set_handler(EndpointHandler* handler) override {
+    handler_.store(handler, std::memory_order_release);
+  }
   void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override;
   void close() override;
@@ -70,6 +73,8 @@ class SocketEndpoint final : public DriverEndpoint {
 
   void tx_loop();
   void rx_loop();
+  /// IO threads: the wire died; progress() will report it. Rings.
+  void mark_broken();
   bool write_all(const void* data, std::size_t len);
   bool read_all(void* data, std::size_t len);
 
@@ -92,10 +97,14 @@ class SocketEndpoint final : public DriverEndpoint {
     Bytes payload;
   };
   using Event = std::variant<EvSendComplete, EvSendFailed, EvPacket>;
+  /// IO threads: queue `ev` for progress(), then ring the handler.
+  void deliver(Event ev);
 
   Capabilities caps_;
   int fd_ = -1;
-  EndpointHandler* handler_ = nullptr;
+  /// Atomic: the IO threads start in the constructor, before set_handler,
+  /// and ring through it.
+  std::atomic<EndpointHandler*> handler_{nullptr};
   MpscQueue<TxItem> tx_;
   MpscQueue<Event> events_;
   std::thread tx_thread_;

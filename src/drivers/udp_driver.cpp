@@ -352,6 +352,9 @@ void UdpLoop::run() {
       last_slow_tick_ = now;
       slow_tick(now);
     }
+    // Before process_ctrl: once a deregister handshake completes, the
+    // endpoint (and its handler) may be gone.
+    ring_owed();
     process_ctrl();
   }
   // Drain any ctrl handshakes issued around shutdown so no caller blocks.
@@ -507,6 +510,7 @@ void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
         if (r.complete) {
           ep->events_.push(UdpEndpoint::EvPacket{
               static_cast<TrackId>(t), std::move(r.buf)});
+          owe_ring(ep);
           ep->counters_.frames_rx.fetch_add(1, std::memory_order_relaxed);
           tr.pend.erase(it);
           ++tr.next_seq;
@@ -551,6 +555,7 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
   if (io.broken) {
     for (auto& item : io.q)
       ep->events_.push(UdpEndpoint::EvSendFailed{item.track, item.token});
+    if (!io.q.empty()) owe_ring(ep);
     io.q.clear();
     io.cur_off = 0;
     return;
@@ -664,6 +669,7 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
         auto& item = io.q.front();
         ep->events_.push(
             UdpEndpoint::EvSendComplete{item.track, item.token});
+        owe_ring(ep);
         ep->counters_.frames_tx.fetch_add(1, std::memory_order_relaxed);
         io.q.pop_front();
         io.cur_off = 0;
@@ -744,6 +750,7 @@ void UdpLoop::break_link(UdpEndpoint* ep, const char* why) {
   if (io.broken) return;
   io.broken = true;
   ep->gate_.mark_broken();
+  owe_ring(ep);  // progress() reports the link down, failures or not
   MADO_DEBUG("udp: link down (" << why << ") on port " << ep->local_port_);
   // Fail the partially-sent frame, everything queued behind it, and
   // everything still sitting in the submit queue — exactly one failure per
@@ -760,6 +767,21 @@ void UdpLoop::break_link(UdpEndpoint* ep, const char* why) {
   // Deliver whatever completed frames are releasable; incomplete ones died
   // with the link.
   deliver_ready_frames(ep, now_ns());
+}
+
+void UdpLoop::owe_ring(UdpEndpoint* ep) {
+  if (ep->io_.ring_owed) return;
+  ep->io_.ring_owed = true;
+  owed_.push_back(ep);
+}
+
+void UdpLoop::ring_owed() {
+  for (UdpEndpoint* ep : owed_) {
+    ep->io_.ring_owed = false;
+    if (EndpointHandler* h = ep->handler_.load(std::memory_order_acquire))
+      h->on_ready();
+  }
+  owed_.clear();
 }
 
 void UdpLoop::fast_tick(Nanos now) {
@@ -908,22 +930,23 @@ void UdpEndpoint::send(TrackId track, const GatherList& gl,
 }
 
 void UdpEndpoint::progress() {
-  if (!handler_) return;
+  EndpointHandler* handler = handler_.load(std::memory_order_acquire);
+  if (!handler) return;
   std::vector<Event> drained;
   events_.drain(drained);
   for (auto& ev : drained) {
     if (auto* done = std::get_if<EvSendComplete>(&ev)) {
       gate_.resolve();
-      handler_->on_send_complete(done->track, done->token);
+      handler->on_send_complete(done->track, done->token);
     } else if (auto* failed = std::get_if<EvSendFailed>(&ev)) {
       gate_.resolve();
-      handler_->on_send_failed(failed->track, failed->token);
+      handler->on_send_failed(failed->track, failed->token);
     } else {
       auto& pkt = std::get<EvPacket>(ev);
-      handler_->on_packet(pkt.track, std::move(pkt.payload));
+      handler->on_packet(pkt.track, std::move(pkt.payload));
     }
   }
-  if (gate_.should_report_link_down()) handler_->on_link_down();
+  if (gate_.should_report_link_down()) handler->on_link_down();
 }
 
 void UdpEndpoint::close() {

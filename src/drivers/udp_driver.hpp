@@ -29,7 +29,9 @@
 // Threading: one UdpLoop thread owns epoll, all sockets, and all per-
 // endpoint IO state. send() only enqueues + wakes the loop; progress()
 // only drains the completion queue — the same MPSC handoff as the
-// socketpair driver, so the engine-facing contract is identical.
+// socketpair driver, so the engine-facing contract is identical. The loop
+// rings each endpoint's handler at most once per iteration in which it
+// queued events for it (clause 5).
 #pragma once
 
 #include <atomic>
@@ -122,6 +124,10 @@ class UdpLoop {
   void send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type);
   void flush_ack(UdpEndpoint* ep, bool force);
   void break_link(UdpEndpoint* ep, const char* why);
+  /// `ep` got events (or a broken link) this iteration: owe its handler
+  /// one ring, paid by ring_owed() before the iteration's ctrl handshakes.
+  void owe_ring(UdpEndpoint* ep);
+  void ring_owed();
   void set_active(UdpEndpoint* ep, bool active);
   void set_want_writable(UdpEndpoint* ep, bool want);
   void fast_tick(Nanos now);
@@ -148,6 +154,7 @@ class UdpLoop {
   // Loop-thread-only state below.
   std::vector<UdpEndpoint*> eps_;
   std::vector<UdpEndpoint*> active_tx_;
+  std::vector<UdpEndpoint*> owed_;  ///< endpoints owed a ring (owe_ring)
   std::vector<std::uint8_t> rx_buf_;  ///< batch × mtu receive scratch
   Nanos last_fast_tick_ = 0;
   Nanos last_slow_tick_ = 0;
@@ -182,7 +189,9 @@ class UdpEndpoint final : public DriverEndpoint {
   ~UdpEndpoint() override;
 
   const Capabilities& caps() const override { return caps_; }
-  void set_handler(EndpointHandler* handler) override { handler_ = handler; }
+  void set_handler(EndpointHandler* handler) override {
+    handler_.store(handler, std::memory_order_release);
+  }
   void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override;
   void close() override;
@@ -263,6 +272,7 @@ class UdpEndpoint final : public DriverEndpoint {
     Nanos last_rx = 0;
     Nanos last_ping = 0;
     bool broken = false;  ///< loop-side latch: fail everything from now on
+    bool ring_owed = false;  ///< listed in UdpLoop::owed_
   };
 
   std::shared_ptr<UdpLoop> loop_;
@@ -274,7 +284,8 @@ class UdpEndpoint final : public DriverEndpoint {
   std::size_t window_ = 0;        ///< effective window (rcvbuf-clamped)
   std::atomic<bool> connected_{false};
   std::atomic<bool> registered_{false};
-  EndpointHandler* handler_ = nullptr;
+  /// Atomic: the loop thread rings through it while set_handler may run.
+  std::atomic<EndpointHandler*> handler_{nullptr};
 
   MpscQueue<TxItem> tx_;
   MpscQueue<Event> events_;

@@ -369,16 +369,12 @@ TEST(ConcurrencyStress, SingleThreadSimDeterminismRingOnVsOff) {
 
 // Regression for the lost-wakeup park race: a submit landing in the gap
 // between the progress thread's idle check and its cv wait used to sleep out
-// the whole prog_idle_wait before being noticed. Make the park long (200ms)
-// and the spin/yield window tiny so an un-woken park is unmissable, then
-// assert post-idle submit-to-complete latency stays far below the park bound.
+// the whole park before being noticed. A park with no timer armed has no
+// bound at all, so an un-woken one hangs the wait; assert post-idle
+// submit-to-complete latency stays far below anything a park would cost.
 TEST(ProgressWakeup, PostIdleSubmitLatencyBounded) {
-  EngineConfig hub_cfg;
-  hub_cfg.prog_spin_laps = 4;
-  hub_cfg.prog_yield_laps = 4;
-  hub_cfg.prog_idle_wait = 200 * kNanosPerMilli;
   RealTimerHost hub_timer, peer_timer;
-  Engine hub(0, hub_cfg, hub_timer);
+  Engine hub(0, EngineConfig{}, hub_timer);
   Engine peer(1, EngineConfig{}, peer_timer);
   auto pair = drv::ShmEndpoint::make_pair();
   hub.add_rail(1, std::move(pair.a));
@@ -397,6 +393,123 @@ TEST(ProgressWakeup, PostIdleSubmitLatencyBounded) {
                         .count();
     EXPECT_LT(ms, 100)
         << "post-idle submit slept out the park (lost wakeup), iter " << i;
+  }
+  hub.stop_progress_thread();
+  peer.stop_progress_thread();
+}
+
+// Driver contract clause 5 end to end: an arrival must wake the receiver's
+// parked progress thread. Nothing else would: the receiver has no timer
+// armed, and its waiting application thread naps on its own cv.
+TEST(ProgressWakeup, ArrivalWakesParkedReceiver) {
+  RealTimerHost hub_timer, peer_timer;
+  Engine hub(0, EngineConfig{}, hub_timer);
+  Engine peer(1, EngineConfig{}, peer_timer);
+  auto pair = drv::ShmEndpoint::make_pair();
+  hub.add_rail(1, std::move(pair.a));
+  peer.add_rail(0, std::move(pair.b));
+  hub.start_progress_thread();
+  peer.start_progress_thread();
+  Channel tx = hub.open_channel(1, 1);
+  Channel rx = peer.open_channel(0, 1);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    // Let the receiver's progress thread run dry and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    const auto t0 = std::chrono::steady_clock::now();
+    send_bytes(tx, pattern(64, i));
+    EXPECT_EQ(recv_bytes(rx, 64), pattern(64, i));
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    EXPECT_LT(ms, 100)
+        << "the arrival did not wake the parked receiver, iter " << i;
+  }
+  hub.stop_progress_thread();
+  peer.stop_progress_thread();
+}
+
+// With every driver ringing and no timer armed, nothing can wake an idle
+// engine's progress threads: they park until rung. (The old 100 µs park
+// bound woke an idle engine about 6,000 times a second on a 4-vCPU VM.)
+TEST(ProgressWakeup, IdleEngineStaysParked) {
+  const auto idle_wakeups = [](Engine& a, Engine& b) {
+    Channel tx = a.open_channel(1, 1), rx = b.open_channel(0, 1);
+    Channel back_tx = b.open_channel(0, 2), back_rx = a.open_channel(1, 2);
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      send_bytes(tx, pattern(64, i));
+      EXPECT_EQ(recv_bytes(rx, 64), pattern(64, i));
+      send_bytes(back_tx, pattern(64, i));
+      EXPECT_EQ(recv_bytes(back_rx, 64), pattern(64, i));
+    }
+    EXPECT_TRUE(a.flush());
+    EXPECT_TRUE(b.flush());
+    // Settle: the last completions and acks land, the threads park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::uint64_t before = a.counters_snapshot()["prog.wakeups"];
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    return a.counters_snapshot()["prog.wakeups"] - before;
+  };
+  {
+    ShmWorld w(EngineConfig{});
+    EXPECT_EQ(idle_wakeups(w.node(0), w.node(1)), 0u) << "shm";
+  }
+  {
+    UdpWorld w(EngineConfig{});
+    EXPECT_EQ(idle_wakeups(w.node(0), w.node(1)), 0u) << "udp";
+  }
+}
+
+/// Decorator that registers itself as the wrapped endpoint's handler and
+/// forwards the four data callbacks by hand, but not on_ready(): the shape
+/// of an instrumentation wrapper written before clause 5 existed.
+class InterposedEndpoint final : public drv::DriverEndpoint,
+                                 private drv::EndpointHandler {
+ public:
+  explicit InterposedEndpoint(std::unique_ptr<drv::DriverEndpoint> inner)
+      : inner_(std::move(inner)) {}
+  const drv::Capabilities& caps() const override { return inner_->caps(); }
+  void set_handler(drv::EndpointHandler* h) override {
+    outer_ = h;
+    inner_->set_handler(this);
+  }
+  void send(drv::TrackId track, const GatherList& gl,
+            std::uint64_t token) override {
+    inner_->send(track, gl, token);
+  }
+  void progress() override { inner_->progress(); }
+  void close() override { inner_->close(); }
+
+ private:
+  void on_send_complete(drv::TrackId track, std::uint64_t token) override {
+    outer_->on_send_complete(track, token);
+  }
+  void on_packet(drv::TrackId track, Bytes payload) override {
+    outer_->on_packet(track, std::move(payload));
+  }
+
+  std::unique_ptr<drv::DriverEndpoint> inner_;
+  drv::EndpointHandler* outer_ = nullptr;
+};
+
+// The inner driver rings the decorator; its inherited on_ready() must pass
+// the ring on to the engine (drv::ReadyRelay), or the parked receiver never
+// sees the arrival.
+TEST(ProgressWakeup, DecoratorRelaysRings) {
+  RealTimerHost hub_timer, peer_timer;
+  Engine hub(0, EngineConfig{}, hub_timer);
+  Engine peer(1, EngineConfig{}, peer_timer);
+  auto pair = drv::ShmEndpoint::make_pair();
+  hub.add_rail(1, std::make_unique<InterposedEndpoint>(std::move(pair.a)));
+  peer.add_rail(0, std::make_unique<InterposedEndpoint>(std::move(pair.b)));
+  hub.start_progress_thread();
+  peer.start_progress_thread();
+  Channel tx = hub.open_channel(1, 1);
+  Channel rx = peer.open_channel(0, 1);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    SendHandle h = send_bytes(tx, pattern(64, i));
+    EXPECT_EQ(recv_bytes(rx, 64), pattern(64, i));
+    EXPECT_TRUE(hub.wait_send(h, 5 * kNanosPerSec)) << "iter " << i;
   }
   hub.stop_progress_thread();
   peer.stop_progress_thread();
@@ -565,8 +678,6 @@ class StallEndpoint final : public drv::DriverEndpoint {
 TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   EngineConfig cfg;
   cfg.progress_threads = 2;
-  cfg.prog_spin_laps = 4;
-  cfg.prog_yield_laps = 4;
   RealTimerHost t0, t2, t3;
   Engine hub(0, cfg, t0);
   auto stall = std::make_unique<StallEndpoint>();
@@ -591,13 +702,18 @@ TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   hub.start_progress_thread();
   while (!wedge->stalled()) std::this_thread::yield();
 
-  // The wedged thread never finishes its lap, so its lap counter is frozen;
-  // the healthy one laps at least once per park bound.
+  // The wedged thread never finishes its lap, so its lap counter is frozen.
+  // An idle healthy one parks until rung, so keep traffic flowing to peer
+  // 2: it rings peer 2's owner, or, if that owner is the wedged thread, the
+  // healthy one (an owner that is not parked hands its rings to an idle
+  // thread). Either way the healthy thread laps.
+  Channel probe = hub.open_channel(2, 2);
   std::size_t wedged = 2;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (wedged == 2 && std::chrono::steady_clock::now() < deadline) {
     auto before = hub.counters_snapshot();
+    send_bytes(probe, pattern(64));
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     auto after = hub.counters_snapshot();
     const bool t0_moved =
@@ -743,16 +859,13 @@ TEST(TimerIntegration, IdleEngineHasNoPendingTimers) {
 }
 
 // Regression alongside PostIdleSubmitLatencyBounded: a progress thread
-// parked against a 200ms bound must re-derive that bound when a nagle hold
-// arms a much earlier deadline after the park began. If the arm path fails
-// to wake the shard owner, the lone fragment sleeps out the full park.
+// parked with no timer armed (an unbounded park) must re-derive its bound
+// when a nagle hold arms a deadline after the park began. If the arm path
+// fails to wake a parked thread, the lone fragment is never flushed.
 TEST(TimerIntegration, ParkedOwnerHonorsTimerArmedAfterPark) {
   EngineConfig hub_cfg;
   hub_cfg.strategy = "nagle";
   hub_cfg.nagle_delay = 2 * kNanosPerMilli;
-  hub_cfg.prog_spin_laps = 4;
-  hub_cfg.prog_yield_laps = 4;
-  hub_cfg.prog_idle_wait = 200 * kNanosPerMilli;
   RealTimerHost hub_timer, peer_timer;
   Engine hub(0, hub_cfg, hub_timer);
   Engine peer(1, EngineConfig{}, peer_timer);
@@ -774,7 +887,7 @@ TEST(TimerIntegration, ParkedOwnerHonorsTimerArmedAfterPark) {
                         std::chrono::steady_clock::now() - t0)
                         .count();
     EXPECT_LT(ms, 100)
-        << "nagle deadline slept out the park bound, iter " << i;
+        << "the parked thread missed the nagle deadline, iter " << i;
   }
   hub.stop_progress_thread();
   peer.stop_progress_thread();

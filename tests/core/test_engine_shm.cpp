@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/timer_host.hpp"
 #include "core/world.hpp"
 #include "drivers/profiles.hpp"
+#include "drivers/shm_driver.hpp"
 #include "tests/core/engine_test_util.hpp"
 
 namespace mado::core {
@@ -76,6 +78,29 @@ TEST_F(ShmEngineTest, AggregationHappensOverShm) {
                 pattern(64, f * 1000u + static_cast<std::uint32_t>(i)));
   EXPECT_LT(world_->node(0).stats().counter("tx.packets"),
             world_->node(0).stats().counter("tx.frags"));
+}
+
+// Every shm send rings the peer's handler. ~Engine closes its endpoints,
+// which clears that ring target, so a sender that outlives its peer never
+// rings the destroyed engine (under ASan such a ring is a use-after-free).
+TEST(ShmEngineTeardown, SurvivingSenderNeverRingsDestroyedPeer) {
+  RealTimerHost ta, tb;
+  Engine a(0, EngineConfig{}, ta);
+  auto b = std::make_unique<Engine>(1, EngineConfig{}, tb);
+  auto pair = drv::ShmEndpoint::make_pair();
+  a.add_rail(1, std::move(pair.a));
+  b->add_rail(0, std::move(pair.b));
+  a.start_progress_thread();
+  b->start_progress_thread();
+  Channel tx = a.open_channel(1, 1);
+  Channel rx = b->open_channel(0, 1);
+  send_bytes(tx, pattern(64));
+  EXPECT_EQ(recv_bytes(rx, 64), pattern(64));
+  b.reset();
+  std::vector<SendHandle> sent;
+  for (int i = 0; i < 16; ++i) sent.push_back(send_bytes(tx, pattern(64)));
+  for (SendHandle& h : sent) EXPECT_TRUE(a.wait_send(h));
+  a.stop_progress_thread();
 }
 
 }  // namespace

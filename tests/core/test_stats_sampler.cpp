@@ -119,6 +119,25 @@ TEST(StatsSampler, JsonSeriesShape) {
   EXPECT_NE(json.find("\"t\":5000"), std::string::npos);
 }
 
+// A sampler started from an application thread schedules its first tick
+// while the progress threads are parked with no deadline: the timer host's
+// deadline listener must wake one, or no tick ever runs.
+// SamplesOverWallClockTimers cannot catch that: its traffic wakes them.
+TEST(StatsSampler, TicksOnIdleThreadedEngine) {
+  ShmWorld w(EngineConfig{});
+  // Let the progress threads run dry and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  StatsSampler sampler(w.node(0), kNanosPerMilli);
+  sampler.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (sampler.samples().size() < 3 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  sampler.stop();
+  EXPECT_GE(sampler.samples().size(), 3u);
+}
+
 TEST(StatsSampler, SamplesOverWallClockTimers) {
   // Socket world: RealTimerHost ticks fire from the engines' progress
   // machinery on real threads. Just prove the plumbing works — counts and

@@ -132,6 +132,46 @@ TEST_P(DriverConformanceTest, SendNeverInvokesHandlersSynchronously) {
   EXPECT_TRUE(h_->hb.packets.empty());
 }
 
+// Clause 5: a driver rings its handler after queuing an event, so the ring
+// count moves before progress() is called, and one progress() then
+// delivers the event. The simulated driver is exempt: its events run from
+// Fabric::step() on the pumping thread, which needs no ring.
+TEST_P(DriverConformanceTest, ReadyRungBeforeEventsAreDelivered) {
+  if (GetParam() == Kind::Sim) return;
+  const auto rung_after = [](RecordingHandler& h, int before) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (h.rings.load() == before) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    return true;
+  };
+  const int b0 = h_->hb.rings.load(), a0 = h_->ha.rings.load();
+  h_->send(*h_->a, kTrackEager, make_payload(64), 7);
+  ASSERT_TRUE(rung_after(h_->hb, b0)) << "arrival never rung";
+  h_->b->progress();
+  ASSERT_EQ(h_->hb.packets.size(), 1u);
+  ASSERT_TRUE(rung_after(h_->ha, a0)) << "completion never rung";
+  h_->a->progress();
+  ASSERT_EQ(h_->ha.completions.size(), 1u);
+  if (GetParam() == Kind::Shm) return;  // lossless: no link-down to ring
+
+  // Link-down rings too: injected (UDP's test hook) and a closed peer.
+  if (GetParam() == Kind::Udp) {
+    const int b1 = h_->hb.rings.load();
+    static_cast<UdpEndpoint&>(*h_->b).inject_failure();
+    ASSERT_TRUE(rung_after(h_->hb, b1)) << "injected failure never rung";
+    h_->b->progress();
+    EXPECT_EQ(h_->hb.link_downs, 1);
+  }
+  const int a1 = h_->ha.rings.load();
+  h_->b->close();
+  ASSERT_TRUE(rung_after(h_->ha, a1)) << "peer close never rung";
+  h_->a->progress();
+  EXPECT_EQ(h_->ha.link_downs, 1);
+}
+
 TEST_P(DriverConformanceTest, CompletionCarriesTrackAndToken) {
   h_->send(*h_->a, kTrackBulk, make_payload(64), 0xfeed);
   ASSERT_TRUE(h_->pump_until([&] { return !h_->ha.completions.empty(); }));

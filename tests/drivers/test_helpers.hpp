@@ -1,6 +1,7 @@
 // Shared test handler that records driver callbacks.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,8 @@ struct RecordingHandler final : EndpointHandler {
   /// failures.size() at the moment on_link_down fired (contract: every
   /// doomed send is failed BEFORE link-down is reported).
   std::size_t failures_at_link_down = 0;
+  /// on_ready() calls (clause 5); rung from driver IO threads.
+  std::atomic<int> rings{0};
 
   void on_send_complete(TrackId track, std::uint64_t token) override {
     completions.push_back({track, token});
@@ -38,6 +41,7 @@ struct RecordingHandler final : EndpointHandler {
     ++link_downs;
     failures_at_link_down = failures.size();
   }
+  void on_ready() override { rings.fetch_add(1, std::memory_order_relaxed); }
 };
 
 inline Bytes make_payload(std::size_t n, std::uint8_t seed = 1) {
