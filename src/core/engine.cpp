@@ -96,6 +96,9 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
   rail->port.peer = peer;
   rail->port.rail = id;
   rail->outstanding.assign(rail->ep->caps().track_count, 0);
+  for (GoBackN& rel : rail->rel)
+    rel = GoBackN({cfg_.rel_window, cfg_.rel_rto_initial, cfg_.rel_rto_max,
+                   kRelMaxRetries});
   rail->ep->relay_ready_to(&rail->port);
   rail->ep->set_handler(&rail->port);
   ps.rails.push_back(std::move(rail));
@@ -413,8 +416,7 @@ bool Engine::try_send_eager_locked(PeerState& ps, Rail& rail) {
   if (rail.backlog.empty()) return false;
   // Reliability window: hold new packets while a full go-back-N window is
   // awaiting acks (acks re-pump on arrival).
-  if (cfg_.reliability && rail.rel[0].unacked.size() >= cfg_.rel_window)
-    return false;
+  if (cfg_.reliability && rail.rel[0].window_full()) return false;
   StrategyEnv env{rail.ep->caps(), timers_.now(), cfg_.lookahead_window,
                   cfg_.eval_budget, cfg_.nagle_delay, &ps.stats};
   PacketDecision d = ps.strategy->next_packet(rail.backlog, env);
@@ -449,8 +451,7 @@ bool Engine::try_send_eager_locked(PeerState& ps, Rail& rail) {
 
 bool Engine::try_send_bulk_locked(PeerState& ps, Rail& rail) {
   if (!rail.track_free(rail.bulk_track())) return false;
-  if (cfg_.reliability && rail.rel[1].unacked.size() >= cfg_.rel_window)
-    return false;
+  if (cfg_.reliability && rail.rel[1].window_full()) return false;
   BulkChunk chunk;
   if (!pop_bulk_chunk_locked(ps, rail, chunk)) return false;
   send_bulk_chunk_locked(ps, rail, chunk);
@@ -511,74 +512,50 @@ void Engine::send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags) {
   rec.rail = rail.port.rail;
   rec.track = drv::kTrackEager;
   rec.frags = std::move(frags);
+  // A zero-fragment packet is a standalone ack: never itself acked.
+  rec.reliable = cfg_.reliability && !rec.frags.empty();
+  const std::size_t header_bytes =
+      PacketHeader::kWireSize + FragHeader::kWireSize * rec.frags.size();
+  rec.wire_bytes = header_bytes;
+  for (const TxFrag& f : rec.frags) rec.wire_bytes += f.len;
 
   PacketHeader ph;
   ph.nfrags = static_cast<std::uint16_t>(rec.frags.size());
   ph.src_node = self_;
-  if (cfg_.reliability) {
-    RelTrack& rt = rail.rel[0];
-    ph.flags |= kPhFlagRelSeq | kPhFlagAck;
-    ph.pkt_seq = rt.next_seq++;
-    ph.ack_eager = rail.rel[0].rx_next;
-    ph.ack_bulk = rail.rel[1].rx_next;
-    rail.ack_owed = false;
-    if (cfg_.payload_crc) {
-      Crc32 crc;
-      for (const TxFrag& f : rec.frags) crc.update(f.data(), f.len);
-      ph.flags |= kPhFlagPayloadCrc;
-      ph.payload_crc = crc.value();
-    }
-    rec.reliable = true;
-    rec.rel_stream = 0;
-    rec.rel_seq = ph.pkt_seq;
-    rec.tx_outstanding = 1;
-    rt.unacked.push_back(token);
-  } else {
+  if (cfg_.reliability)
+    stamp_locked(ps, rail, ph, token, rec);
+  else
     ph.pkt_seq = rail.pkt_seq++;
-  }
   mado::SmallVector<FragHeader, 16> fhs;
   fhs.reserve(rec.frags.size());
   for (const TxFrag& f : rec.frags) fhs.push_back(f.header());
-  rec.header_block = ps.slab.take(PacketHeader::kWireSize +
-                                  FragHeader::kWireSize * fhs.size());
+  rec.header_block = ps.slab.take(header_bytes);
   encode_header_block(rec.header_block, ph,
                       std::span<const FragHeader>(fhs.data(), fhs.size()));
 
-  GatherList gl;
-  gl.add(rec.header_block.data(), rec.header_block.size());
-  for (const TxFrag& f : rec.frags) gl.add(f.data(), f.len);
-  rec.wire_bytes = gl.total_bytes();
-  if (rec.reliable) rail.rel[0].unacked_bytes += rec.wire_bytes;
-
-  ++rail.outstanding[drv::kTrackEager];
-  rail.inflight_bytes += rec.wire_bytes;
-  ps.stats.inc(Ctr::TxPackets);
-  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
-  ps.stats.inc(Ctr::TxFrags, rec.frags.size());
-  ps.stats.observe(Hist::TxPktFrags, rec.frags.size());
-  ps.stats.observe(Hist::TxPktBytes, rec.wire_bytes);
-  // Optimizer hold: how long each fragment waited in the collect layer
-  // before leaving in a packet — submit → first favorable decision, split
-  // by traffic class (nanoseconds).
-  {
+  if (rec.frags.empty()) {
+    ps.stats.inc(Ctr::RelAcksTx);
+  } else {
+    ps.stats.inc(Ctr::TxPackets);
+    ps.stats.inc(Ctr::TxFrags, rec.frags.size());
+    ps.stats.observe(Hist::TxPktFrags, rec.frags.size());
+    ps.stats.observe(Hist::TxPktBytes, rec.wire_bytes);
+    // Optimizer hold: how long each fragment waited in the collect layer
+    // before leaving in a packet — submit → first favorable decision,
+    // split by traffic class (nanoseconds).
     const Nanos now = timers_.now();
     for (const TxFrag& f : rec.frags)
       ps.stats.observe(lat_hold(f.cls), now - std::min(now, f.submit_time));
+    MADO_TRACE("node " << self_ << " tx packet " << token << " nfrags="
+                       << rec.frags.size() << " bytes=" << rec.wire_bytes);
+    trace_locked(TraceEvent::PacketTx, ps.id, rail.port.rail, token,
+                 rec.wire_bytes, rec.frags.size(), ph.pkt_seq);
   }
-  MADO_TRACE("node " << self_ << " tx packet " << token << " nfrags="
-                     << rec.frags.size() << " bytes=" << rec.wire_bytes);
-  trace_locked(TraceEvent::PacketTx, ps.id, rail.port.rail, token,
-               rec.wire_bytes, rec.frags.size(), ph.pkt_seq);
-  rail.ep->send(drv::kTrackEager, gl, token);
-  if (cfg_.reliability) arm_rto_locked(ps, rail, 0);
+  transmit_locked(ps, rail, token, rec);
 }
 
 void Engine::send_bulk_chunk_locked(PeerState& ps, Rail& rail,
                                     BulkChunk chunk) {
-  RdvTx* rdvp = ps.rdv_tx.find(chunk.token);
-  MADO_CHECK(rdvp != nullptr);
-  RdvTx& rdv = *rdvp;
-
   const std::uint64_t token =
       next_pkt_token_.fetch_add(1, std::memory_order_relaxed);
   auto [recp, inserted] = ps.inflight.emplace(token);
@@ -592,6 +569,8 @@ void Engine::send_bulk_chunk_locked(PeerState& ps, Rail& rail,
   rec.chunk_off = chunk.offset;
   rec.chunk_len = chunk.len;
   rec.chunk_stripe = chunk.stripe;
+  rec.reliable = cfg_.reliability;
+  rec.wire_bytes = BulkHeader::kWireSize + chunk.len;
 
   BulkHeader bh;
   bh.src_node = self_;
@@ -599,40 +578,42 @@ void Engine::send_bulk_chunk_locked(PeerState& ps, Rail& rail,
   bh.offset = chunk.offset;
   bh.len = chunk.len;
   bh.stripe = chunk.stripe;
-  if (cfg_.reliability) {
-    RelTrack& rt = rail.rel[1];
-    bh.flags |= kPhFlagRelSeq | kPhFlagAck;
-    bh.pkt_seq = rt.next_seq++;
-    bh.ack_eager = rail.rel[0].rx_next;
-    bh.ack_bulk = rail.rel[1].rx_next;
-    rail.ack_owed = false;
-    if (cfg_.payload_crc) {
-      bh.flags |= kPhFlagPayloadCrc;
-      bh.payload_crc = Crc32::of(rdv.data + chunk.offset, chunk.len);
-    }
-    rec.reliable = true;
-    rec.rel_stream = 1;
-    rec.rel_seq = bh.pkt_seq;
-    rec.tx_outstanding = 1;
-    rt.unacked.push_back(token);
-  }
+  if (cfg_.reliability) stamp_locked(ps, rail, bh, token, rec);
   rec.header_block = ps.slab.take(BulkHeader::kWireSize);
   encode_bulk_header(rec.header_block, bh);
 
-  GatherList gl;
-  gl.add(rec.header_block.data(), rec.header_block.size());
-  gl.add(rdv.data + chunk.offset, chunk.len);
-  rec.wire_bytes = gl.total_bytes();
-  if (rec.reliable) rail.rel[1].unacked_bytes += rec.wire_bytes;
-
-  ++rail.outstanding[rec.track];
-  rail.inflight_bytes += rec.wire_bytes;
   ps.stats.inc(Ctr::TxBulkChunks);
-  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
   trace_locked(TraceEvent::BulkTx, ps.id, rail.port.rail, chunk.token,
                chunk.offset, chunk.len, chunk.stripe);
+  transmit_locked(ps, rail, token, rec);
+}
+
+template <class F>
+void Engine::for_each_payload_locked(PeerState& ps, const InFlight& rec,
+                                     F&& f) {
+  if (rec.is_bulk) {
+    const RdvTx* rdv = ps.rdv_tx.find(rec.rdv_token);
+    MADO_CHECK(rdv != nullptr);
+    f(rdv->data + rec.chunk_off, rec.chunk_len);
+    return;
+  }
+  for (const TxFrag& frag : rec.frags) f(frag.data(), frag.len);
+}
+
+void Engine::transmit_locked(PeerState& ps, Rail& rail, std::uint64_t token,
+                             InFlight& rec) {
+  // Retransmissions reuse the token, so every completion (first or
+  // repeated) finds the record.
+  GatherList gl;
+  gl.add(rec.header_block.data(), rec.header_block.size());
+  for_each_payload_locked(
+      ps, rec, [&gl](const Byte* data, std::size_t len) { gl.add(data, len); });
+  MADO_ASSERT(gl.total_bytes() == rec.wire_bytes);
+  ++rail.outstanding[rec.track];
+  rail.inflight_bytes += rec.wire_bytes;
+  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
   rail.ep->send(rec.track, gl, token);
-  if (cfg_.reliability) arm_rto_locked(ps, rail, 1);
+  if (rec.reliable) arm_rto_locked(ps, rail, rec.is_bulk);
 }
 
 void Engine::schedule_nagle_timer_locked(PeerState& ps, Rail& rail,
@@ -645,30 +626,38 @@ void Engine::schedule_nagle_timer_locked(PeerState& ps, Rail& rail,
   if (rail.nagle_timer.armed() && when >= rail.nagle_timer.deadline())
     return;
   trace_locked(TraceEvent::NagleWait, ps.id, rail.port.rail, when);
-  if (!rail.nagle_timer.has_callback()) {
-    const NodeId peer = ps.id;
-    const RailId rail_id = rail.port.rail;
-    rail.nagle_timer.set_callback(
-        peer_timer_cb([this, peer, rail_id](std::uint64_t gen) {
-          PeerState* p = find_peer(peer);
-          if (!p) return;
-          {
-            PeerLock lk(*p);
-            if (rail_id >= p->rails.size()) return;
-            Rail& r = *p->rails[rail_id];
-            if (r.nagle_timer.gen() != gen) {
-              // A re-arm or cancel raced this firing out of the wheel.
-              eng_stats_.inc(Ctr::TimerStaleFires);
-              return;
-            }
-            drain_submit_ring_locked(*p);
-            pump_rail_locked(*p, r);
-          }
-          wake_peer(*p);
-        }));
-  }
+  rail_timer_locked(ps, rail, rail.nagle_timer, /*pump_peer=*/false,
+                    [](PeerState&, Rail&) {});
   eng_stats_.inc(Ctr::TimerArms);
   timers_.arm(rail.nagle_timer, when);
+}
+
+template <class Body>
+void Engine::rail_timer_locked(PeerState& ps, Rail& rail, TimerHandle& timer,
+                               bool pump_peer, Body body) {
+  if (timer.has_callback()) return;
+  // Installed once per handle, so re-arms never allocate. The firing runs on
+  // whichever thread runs the wheel. Peer shards and their rails live as
+  // long as the engine, which `alive` vouches for.
+  timer.set_callback([this, alive = alive_, p = &ps, r = &rail, t = &timer,
+                      pump_peer, body](std::uint64_t gen) {
+    if (!alive->load()) return;
+    {
+      PeerLock lk(*p);
+      if (t->gen() != gen) {
+        // A re-arm or cancel raced this firing out of the wheel.
+        eng_stats_.inc(Ctr::TimerStaleFires);
+        return;
+      }
+      body(*p, *r);
+      drain_submit_ring_locked(*p);
+      if (pump_peer)
+        pump_peer_locked(*p);
+      else
+        pump_rail_locked(*p, *r);
+    }
+    wake_peer(*p);
+  });
 }
 
 // ---- completion path --------------------------------------------------------
@@ -799,17 +788,30 @@ void Engine::complete_frag_state_locked(PeerState& ps, ChannelId ch,
 
 // ---- reliability layer -------------------------------------------------------
 //
-// Per-(rail, stream) go-back-N. Stream 0 carries eager packets, stream 1
-// bulk chunks; each has an independent u32 sequence space compared on the
-// serial-number circle (seq_less). Acks are cumulative ("next expected
-// seq") and piggyback on every reliable data packet; a standalone ack
-// packet (zero fragments, kPhFlagAck without kPhFlagRelSeq — so it is
-// never acked itself) goes out only when nothing else is about to carry
-// one. The retransmit timer is a persistent cancellable TimerHandle per
-// (rail, stream): ack progress cancels or restarts it in O(1), and the
-// handle's generation guards the one remaining race (a firing that left
-// the wheel before a concurrent cancel/re-arm). Everything below is inert
-// unless cfg_.reliability.
+// Per-(rail, stream) go-back-N: Rail::rel[s] (core/reliability.hpp) makes
+// every protocol decision and the code below carries it out. Stream 0 is
+// eager packets, stream 1 bulk chunks. A standalone ack is a zero-fragment
+// packet with kPhFlagAck but no kPhFlagRelSeq, so it is never acked itself.
+// Everything below is inert unless cfg_.reliability.
+
+template <class Header>
+void Engine::stamp_locked(PeerState& ps, Rail& rail, Header& h,
+                          std::uint64_t token, InFlight& rec) {
+  h.flags |= kPhFlagAck;
+  h.ack_eager = rail.rel[0].ack_out();
+  h.ack_bulk = rail.rel[1].ack_out();
+  if (!rec.reliable) return;
+  h.flags |= kPhFlagRelSeq;
+  h.pkt_seq = rail.rel[rec.is_bulk].stamp(token, rec.wire_bytes);
+  rec.tx_outstanding = 1;
+  if (!cfg_.payload_crc) return;
+  Crc32 crc;
+  for_each_payload_locked(ps, rec, [&crc](const Byte* data, std::size_t len) {
+    crc.update(data, len);
+  });
+  h.flags |= kPhFlagPayloadCrc;
+  h.payload_crc = crc.value();
+}
 
 void Engine::process_acks_locked(PeerState& ps, Rail& rail,
                                  std::uint32_t ack_eager,
@@ -817,39 +819,24 @@ void Engine::process_acks_locked(PeerState& ps, Rail& rail,
   const std::uint32_t acks[2] = {ack_eager, ack_bulk};
   bool progressed = false;
   for (int s = 0; s < 2; ++s) {
-    RelTrack& rt = rail.rel[s];
-    const std::uint32_t a = acks[s];
-    // Cumulative + serial comparison: stale acks (retransmitted headers
-    // carry the values current at first transmit) are simply no news.
-    if (!seq_less(rt.acked, a)) continue;
-    while (!rt.unacked.empty()) {
-      const std::uint64_t token = rt.unacked.front();
-      InFlight* recp = ps.inflight.find(token);
-      MADO_ASSERT(recp != nullptr);
-      InFlight& rec = *recp;
-      if (!seq_less(rec.rel_seq, a)) break;
-      rec.acked = true;
-      rt.unacked.pop_front();
-      rt.unacked_bytes -= std::min(rt.unacked_bytes, rec.wire_bytes);
-      if (rec.tx_outstanding == 0) {
-        // All transmissions left the driver: safe to release the record
-        // (gather segments no longer referenced).
-        InFlight done = std::move(rec);
-        ps.inflight.erase(token);
-        finalize_inflight_locked(ps, done);
-      }
-    }
-    rt.acked = a;
-    rt.retries = 0;
-    rt.rto = cfg_.rel_rto_initial;
-    // Ack progress retires the pending timeout. Fully acked: cancel — the
-    // wheel entry is removed NOW, so an idle engine holds no RTO deadline
-    // (the old gen-counter idiom left it to fire into a no-op, keeping
-    // has_pending() true and waking parked threads for nothing). A tail
-    // remains: restart the clock for it (cancel + fresh arm, both O(1)).
-    if (timers_.cancel(rt.rto_timer))
+    const bool moved = rail.rel[s].ack(acks[s], [&](std::uint64_t token) {
+      InFlight* rec = ps.inflight.find(token);
+      MADO_ASSERT(rec != nullptr);
+      rec->acked = true;
+      if (rec->tx_outstanding > 0) return;
+      // Every transmission left the driver: the gather segments are no
+      // longer referenced, so the record can go.
+      InFlight done = std::move(*rec);
+      ps.inflight.erase(token);
+      finalize_inflight_locked(ps, done);
+    });
+    if (!moved) continue;
+    // Ack progress retires the pending timeout: cancel it now, so a fully
+    // acked stream holds no RTO deadline (has_pending() turns false and
+    // parked threads stay parked), and restart the clock for any tail.
+    if (timers_.cancel(rail.rto_timer[s]))
       eng_stats_.inc(Ctr::TimerCancelled);
-    if (!rt.unacked.empty()) arm_rto_locked(ps, rail, s);
+    arm_rto_locked(ps, rail, s);
     progressed = true;
   }
   // The peer is demonstrably hearing us again.
@@ -858,50 +845,14 @@ void Engine::process_acks_locked(PeerState& ps, Rail& rail,
 }
 
 void Engine::arm_rto_locked(PeerState& ps, Rail& rail, int stream) {
-  RelTrack& rt = rail.rel[stream];
-  if (rt.rto_timer.armed() || rt.unacked.empty()) return;
-  if (rt.rto == 0) rt.rto = cfg_.rel_rto_initial;
-  rt.armed_acked = rt.acked;
-  if (!rt.rto_timer.has_callback()) {
-    // Installed once per (rail, stream) for the rail's lifetime; every
-    // subsequent re-arm is an O(1), allocation-free wheel splice. The
-    // armed_acked check below stays even though cancel() is now physical:
-    // a firing that already left the wheel when the ack-path cancel ran
-    // (cancel returned false, generation unchanged) still reaches this
-    // callback — progress since arming means "not a timeout".
-    const NodeId peer = ps.id;
-    const RailId rail_id = rail.port.rail;
-    rt.rto_timer.set_callback(
-        peer_timer_cb([this, peer, rail_id, stream](std::uint64_t gen) {
-          PeerState* p = find_peer(peer);
-          if (!p) return;
-          {
-            PeerLock lk(*p);
-            if (rail_id >= p->rails.size()) return;
-            Rail& r = *p->rails[rail_id];
-            RelTrack& t = r.rel[stream];
-            if (t.rto_timer.gen() != gen) {
-              // A re-arm or cancel raced this firing out of the wheel.
-              eng_stats_.inc(Ctr::TimerStaleFires);
-              return;
-            }
-            if (r.state == RailState::Down || t.unacked.empty()) return;
-            if (t.armed_acked != t.acked) {
-              // Acks advanced since arming: not a timeout — restart the
-              // clock for the remaining tail.
-              arm_rto_locked(*p, r, stream);
-            } else {
-              rto_expired_locked(*p, r, stream);
-            }
-            drain_submit_ring_locked(*p);
-            // rto_expired may have failed the rail over: pump the whole
-            // peer so replayed traffic starts flowing on the survivor at
-            // once.
-            pump_peer_locked(*p);
-          }
-          wake_peer(*p);
-        }));
-  }
+  TimerHandle& timer = rail.rto_timer[stream];
+  if (timer.armed() || rail.rel[stream].held().empty()) return;
+  // rto_fired_locked may fail the rail over: pump the whole peer so
+  // replayed traffic starts flowing on the survivor at once.
+  rail_timer_locked(ps, rail, timer, /*pump_peer=*/true,
+                    [this, stream](PeerState& p, Rail& r) {
+                      rto_fired_locked(p, r, stream);
+                    });
   // Floor the deadline with the cost model's estimate of draining every
   // un-acked byte on the rail (both streams share the physical link) plus
   // an ack round trip. A bare fixed RTO fires spuriously the moment one
@@ -911,117 +862,47 @@ void Engine::arm_rto_locked(PeerState& ps, Rail& rail, int stream) {
   // of the underlying network drivers").
   const sim::NicModel model = rail.ep->caps().model();
   const std::size_t pending_bytes =
-      rail.rel[0].unacked_bytes + rail.rel[1].unacked_bytes;
+      rail.rel[0].held_bytes() + rail.rel[1].held_bytes();
   const Nanos wire_floor =
       model.busy_time(pending_bytes, 1) + 2 * model.propagation_latency();
   eng_stats_.inc(Ctr::TimerArms);
-  timers_.arm(rt.rto_timer, timers_.now() + rt.rto + wire_floor);
+  timers_.arm(timer, timers_.now() + rail.rel[stream].arm() + wire_floor);
 }
 
-void Engine::rto_expired_locked(PeerState& ps, Rail& rail, int stream) {
-  RelTrack& rt = rail.rel[stream];
-  ++rt.retries;
+void Engine::rto_fired_locked(PeerState& ps, Rail& rail, int stream) {
+  GoBackN& rel = rail.rel[stream];
+  if (rail.state == RailState::Down || rel.held().empty()) return;
+  const GoBackN::Timeout verdict = rel.timeout();
+  if (verdict == GoBackN::Timeout::Restart) {
+    arm_rto_locked(ps, rail, stream);
+    return;
+  }
   ps.stats.inc(Ctr::RelRtoBackoffs);
-  if (rt.retries > kRelMaxRetries) {
-    // The link is not coming back: give up and fail over.
-    fail_rail_locked(ps, rail);
+  if (verdict == GoBackN::Timeout::GiveUp) {
+    fail_rail_locked(ps, rail);  // the link is not coming back
     return;
   }
   if (rail.state == RailState::Up) rail.state = RailState::Degraded;
-  // Go-back-N: resend every unacked packet on this stream, oldest first
-  // (the receiver discards anything past the first gap, so the whole tail
-  // needs to fly again).
-  for (const std::uint64_t token : rt.unacked) {
-    InFlight* rec = ps.inflight.find(token);
+  for (const GoBackN::Held& h : rel.held()) {
+    InFlight* rec = ps.inflight.find(h.token);
     MADO_ASSERT(rec != nullptr);
-    retransmit_locked(ps, rail, token, *rec);
+    ++rec->tx_outstanding;
+    ps.stats.inc(Ctr::RelRetransmits);
+    trace_locked(TraceEvent::RelRetx, rec->peer, rec->rail, h.token,
+                 rec->is_bulk, rel.retries());
+    MADO_TRACE("node " << self_ << " retransmit token=" << h.token
+                       << " stream=" << stream << " seq=" << h.seq);
+    transmit_locked(ps, rail, h.token, *rec);  // re-arms the timer
   }
-  rt.rto = std::min<Nanos>(rt.rto * 2, cfg_.rel_rto_max);
-  arm_rto_locked(ps, rail, stream);
-}
-
-void Engine::retransmit_locked(PeerState& ps, Rail& rail, std::uint64_t token,
-                               InFlight& rec) {
-  // Rebuild the gather list from the retained record; the driver token is
-  // reused so every completion (original or retransmit) finds the record.
-  GatherList gl;
-  gl.add(rec.header_block.data(), rec.header_block.size());
-  if (rec.is_bulk) {
-    RdvTx* rdv = ps.rdv_tx.find(rec.rdv_token);
-    MADO_CHECK(rdv != nullptr);
-    gl.add(rdv->data + rec.chunk_off, rec.chunk_len);
-  } else {
-    for (const TxFrag& f : rec.frags) gl.add(f.data(), f.len);
-  }
-  ++rec.tx_outstanding;
-  ++rail.outstanding[rec.track];
-  rail.inflight_bytes += rec.wire_bytes;
-  ps.stats.inc(Ctr::RelRetransmits);
-  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
-  trace_locked(TraceEvent::RelRetx, rec.peer, rec.rail, token,
-               rec.rel_stream, rail.rel[rec.rel_stream].retries);
-  MADO_TRACE("node " << self_ << " retransmit token=" << token << " stream="
-                     << int(rec.rel_stream) << " seq=" << rec.rel_seq);
-  rail.ep->send(rec.track, gl, token);
 }
 
 void Engine::maybe_send_ack_locked(PeerState& ps, Rail& rail) {
-  if (!cfg_.reliability || !rail.ack_owed) return;
-  if (rail.state == RailState::Down) return;
-  // A queued data packet will piggyback the ack for free; only spend a
-  // standalone packet when the stream toward the peer is otherwise silent.
-  if (!rail.backlog.empty()) return;
-  if (!rail.track_free(drv::kTrackEager)) return;
-
-  const std::uint64_t token =
-      next_pkt_token_.fetch_add(1, std::memory_order_relaxed);
-  auto [recp, inserted] = ps.inflight.emplace(token);
-  MADO_ASSERT(inserted);
-  InFlight& rec = *recp;
-  rec.peer = ps.id;
-  rec.rail = rail.port.rail;
-  rec.track = drv::kTrackEager;
-
-  PacketHeader ph;
-  ph.flags = kPhFlagAck;  // no RelSeq: acks are never themselves acked
-  ph.nfrags = 0;
-  ph.src_node = self_;
-  ph.ack_eager = rail.rel[0].rx_next;
-  ph.ack_bulk = rail.rel[1].rx_next;
-  rail.ack_owed = false;
-  rec.header_block = ps.slab.take(PacketHeader::kWireSize);
-  encode_header_block(rec.header_block, ph, std::span<const FragHeader>());
-
-  GatherList gl;
-  gl.add(rec.header_block.data(), rec.header_block.size());
-  rec.wire_bytes = gl.total_bytes();
-  ++rail.outstanding[drv::kTrackEager];
-  rail.inflight_bytes += rec.wire_bytes;
-  ps.stats.inc(Ctr::RelAcksTx);
-  ps.stats.inc(Ctr::TxBytes, rec.wire_bytes);
-  rail.ep->send(drv::kTrackEager, gl, token);
-}
-
-bool Engine::rel_rx_accept_locked(PeerState& ps, Rail& rail, int stream,
-                                  std::uint8_t flags, std::uint32_t seq) {
-  if (!cfg_.reliability || !(flags & kPhFlagRelSeq)) return true;
-  RelTrack& rt = rail.rel[stream];
-  if (seq == rt.rx_next) {
-    ++rt.rx_next;
-    rail.ack_owed = true;
-    return true;
-  }
-  rail.ack_owed = true;  // re-ack either way so the sender resynchronizes
-  if (seq_less(seq, rt.rx_next)) {
-    // Retransmitted copy of something already delivered (our ack was lost
-    // or late): suppress the duplicate, refresh the ack.
-    ps.stats.inc(Ctr::RelDupDrops);
-  } else {
-    // Gap: a go-back-N receiver drops past the first hole; the sender's
-    // timeout resends the whole tail in order.
-    ps.stats.inc(Ctr::RelOooDrops);
-  }
-  return false;
+  if (!cfg_.reliability || rail.state == RailState::Down) return;
+  const bool owed = rail.rel[0].ack_owed() || rail.rel[1].ack_owed();
+  if (GoBackN::ack_alone(owed, rail.backlog.empty(),
+                         rail.rel[0].window_full()) &&
+      rail.track_free(drv::kTrackEager))
+    send_packet_locked(ps, rail, FragList());
 }
 
 void Engine::fail_state_locked(PeerState& ps, ChannelId ch,
@@ -1094,10 +975,9 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
   // into no-ops at their dead deadlines.
   if (timers_.cancel(rail.nagle_timer))
     eng_stats_.inc(Ctr::TimerCancelled);
-  for (auto& rt : rail.rel)
-    if (timers_.cancel(rt.rto_timer))
-      eng_stats_.inc(Ctr::TimerCancelled);
-  rail.ack_owed = false;
+  for (auto& timer : rail.rto_timer)
+    if (timers_.cancel(timer)) eng_stats_.inc(Ctr::TimerCancelled);
+  for (GoBackN& rel : rail.rel) rel.clear();
 
   Rail* survivor = nullptr;
   for (auto& r : ps.rails)
@@ -1126,10 +1006,6 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
   ps.inflight.for_each([&](std::uint64_t token, const InFlight& rec) {
     if (rec.rail == rail_id) tokens.push_back(token);
   });
-  for (auto& rt : rail.rel) {
-    rt.unacked.clear();
-    rt.unacked_bytes = 0;
-  }
 
   for (const std::uint64_t token : tokens) {
     InFlight* recp = ps.inflight.find(token);
@@ -1328,16 +1204,6 @@ bool Engine::progress() {
     if (pump_shard(*ps, events, eps)) did_work = true;
   if (timers_.run_due() > 0) did_work = true;
   return did_work;
-}
-
-TimerHandle::Callback Engine::peer_timer_cb(
-    std::function<void(std::uint64_t)> fn) {
-  // Built once per handle: steady-state re-arms reuse this closure, so the
-  // per-packet RTO path never allocates. The callback runs on whichever
-  // thread runs the wheel; fn takes the peer lock itself.
-  return [alive = alive_, fn = std::move(fn)](std::uint64_t gen) {
-    if (alive->load()) fn(gen);
-  };
 }
 
 void Engine::set_external_progress(std::function<bool()> fn) {
@@ -1935,7 +1801,7 @@ Engine::Snapshot Engine::snapshot() const {
       for (std::size_t n : rail->outstanding) ri.outstanding_packets += n;
       ri.inflight_bytes = rail->inflight_bytes;
       ri.unacked_packets =
-          rail->rel[0].unacked.size() + rail->rel[1].unacked.size();
+          rail->rel[0].held().size() + rail->rel[1].held().size();
       pi.rails.push_back(std::move(ri));
     }
     s.inflight_packets += ps->inflight.size();

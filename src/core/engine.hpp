@@ -68,6 +68,7 @@
 #include "core/message.hpp"
 #include "core/packet.hpp"
 #include "core/payload_pool.hpp"
+#include "core/reliability.hpp"
 #include "core/strategy.hpp"
 #include "core/timer_host.hpp"
 #include "core/token_table.hpp"
@@ -280,29 +281,6 @@ class Engine final {
     std::uint32_t stripe = 0;
   };
 
-  /// Per-(rail, reliable stream) go-back-N state. Stream 0 carries eager
-  /// packets, stream 1 bulk chunks — independent of the physical track
-  /// (shared-track rails multiplex both streams on track 0; per-stream
-  /// sequence spaces keep them untangled). All guarded by the peer lock.
-  struct RelTrack {
-    // Sender.
-    std::uint32_t next_seq = 0;  ///< next reliable seq to assign
-    std::uint32_t acked = 0;     ///< cumulative: all seqs < acked are acked
-    std::deque<std::uint64_t> unacked;  ///< inflight tokens, seq order
-    std::size_t unacked_bytes = 0;      ///< wire bytes awaiting ack
-    // Retransmit timer: a persistent cancellable handle (re-arms are O(1)
-    // and allocation-free on the wheel; superseding arms physically remove
-    // the old entry instead of leaving a dead deadline behind). The
-    // callback is installed lazily on first arm (it needs the peer/rail
-    // context) and stays for the rail's lifetime.
-    TimerHandle rto_timer;
-    std::uint32_t armed_acked = 0;  ///< `acked` when the timer was armed
-    Nanos rto = 0;                  ///< current backoff (0 = cfg initial)
-    std::size_t retries = 0;        ///< consecutive no-progress timeouts
-    // Receiver.
-    std::uint32_t rx_next = 0;  ///< next expected seq from the peer
-  };
-
   struct Rail {
     std::unique_ptr<drv::DriverEndpoint> ep;
     RailPort port;
@@ -311,12 +289,14 @@ class Engine final {
     std::deque<BulkChunk> bulk_q;  // SingleRail / Stripe chunks
     bool bulk_turn = false;        // shared-track alternation
     RailState state = RailState::Up;
-    RelTrack rel[2];       // [0] eager stream, [1] bulk stream
-    bool ack_owed = false; // reliable data accepted since our last ack out
-    // Nagle hold timer: persistent cancellable handle, armed while a lone
-    // small fragment waits for company and cancelled the moment the
-    // backlog drains — an idle rail holds no timer state at all.
+    // Reliable streams [0] eager packets, [1] bulk chunks, whatever the
+    // physical track (a shared-track rail multiplexes both on track 0).
+    GoBackN rel[2];
+    // Persistent cancellable timers: the nagle hold, armed while a lone
+    // small fragment waits for company, and each stream's retransmit
+    // timeout. An idle rail holds no timer state at all.
     TimerHandle nagle_timer;
+    TimerHandle rto_timer[2];
     std::uint64_t flow_index_ops_flushed = 0;  // backlog ops already counted
     std::uint32_t pkt_seq = 0;
     std::size_t inflight_bytes = 0;
@@ -450,9 +430,7 @@ class Engine final {
     std::uint32_t chunk_stripe = 0;
     std::size_t wire_bytes = 0;
     // Reliability:
-    bool reliable = false;       ///< occupies a slot in a rel seq stream
-    std::uint8_t rel_stream = 0; ///< 0 eager, 1 bulk
-    std::uint32_t rel_seq = 0;
+    bool reliable = false;  ///< held by rel[is_bulk] until acked
     bool acked = false;
     std::uint32_t tx_outstanding = 0;  ///< driver sends not yet completed
   };
@@ -664,8 +642,16 @@ class Engine final {
   void pump_rail_locked(PeerState& ps, Rail& rail);
   bool try_send_eager_locked(PeerState& ps, Rail& rail);
   bool try_send_bulk_locked(PeerState& ps, Rail& rail);
+  /// Send `frags` as one eager packet; no fragments make a standalone ack.
   void send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags);
   void send_bulk_chunk_locked(PeerState& ps, Rail& rail, BulkChunk chunk);
+  /// Hand `rec`'s header block and payload to the driver (again, to resend)
+  /// and keep its stream's retransmit timer armed.
+  void transmit_locked(PeerState& ps, Rail& rail, std::uint64_t token,
+                       InFlight& rec);
+  /// f(data, len) for each payload segment: fragments or the chunk's bytes.
+  template <class F>
+  void for_each_payload_locked(PeerState& ps, const InFlight& rec, F&& f);
   bool pop_bulk_chunk_locked(PeerState& ps, Rail& rail, BulkChunk& out);
   void schedule_nagle_timer_locked(PeerState& ps, Rail& rail, Nanos when);
 
@@ -686,22 +672,23 @@ class Engine final {
 
   // ---- reliability layer (all no-ops unless cfg_.reliability) -----------
 
-  /// Serial-number comparison on the u32 sequence circle.
-  static bool seq_less(std::uint32_t a, std::uint32_t b) {
-    return static_cast<std::int32_t>(a - b) < 0;
-  }
+  /// Stamp a new packet's reliable header fields (PacketHeader and
+  /// BulkHeader name them alike): both streams' acks and, for a reliable
+  /// `rec`, its stream's next seq and the payload CRC.
+  template <class Header>
+  void stamp_locked(PeerState& ps, Rail& rail, Header& h, std::uint64_t token,
+                    InFlight& rec);
   void process_acks_locked(PeerState& ps, Rail& rail, std::uint32_t ack_eager,
                            std::uint32_t ack_bulk);
   void arm_rto_locked(PeerState& ps, Rail& rail, int stream);
-  void rto_expired_locked(PeerState& ps, Rail& rail, int stream);
-  void retransmit_locked(PeerState& ps, Rail& rail, std::uint64_t token,
-                         InFlight& rec);
+  void rto_fired_locked(PeerState& ps, Rail& rail, int stream);
   /// Send a standalone (zero-fragment) cumulative-ack packet if one is owed
-  /// and no data packet is about to piggyback it.
+  /// and no data packet is about to carry it.
   void maybe_send_ack_locked(PeerState& ps, Rail& rail);
-  /// Accept/dup/ooo decision for an arriving reliable packet; true = accept.
-  bool rel_rx_accept_locked(PeerState& ps, Rail& rail, int stream,
-                            std::uint8_t flags, std::uint32_t seq);
+  /// Apply an arriving header's acks and judge its seq on `stream`; true if
+  /// the packet is to be delivered.
+  template <class Header>
+  bool rel_rx_locked(PeerState& ps, Rail& rail, int stream, const Header& h);
   /// Declare a rail dead: drain its un-acked in-flight records, backlog and
   /// bulk queue onto a surviving Up rail (or fail the sends if none).
   void fail_rail_locked(PeerState& ps, Rail& rail);
@@ -841,10 +828,13 @@ class Engine final {
   /// Body of progress thread `idx` (shard ownership, steal, park backoff).
   void progress_thread_main(std::size_t idx);
 
-  /// Wrap `fn` as a TimerHandle callback that does nothing once the engine
-  /// is gone. Installed ONCE per handle; every subsequent re-arm reuses it
-  /// (allocation-free).
-  TimerHandle::Callback peer_timer_cb(std::function<void(std::uint64_t)> fn);
+  /// Install the callback of `timer`, one of `rail`'s, unless it has one:
+  /// a firing that no re-arm or cancel superseded runs body(ps, rail) under
+  /// the peer lock, drains the submit ring, pumps the rail (or the whole
+  /// peer, when `body` can move traffic to another rail), and wakes waiters.
+  template <class Body>
+  void rail_timer_locked(PeerState& ps, Rail& rail, TimerHandle& timer,
+                         bool pump_peer, Body body);
 
   /// Wake this peer's waiters and any global (flush / wait_until) waiters.
   /// Cheap when nobody waits: two atomic loads. Otherwise bump the epoch

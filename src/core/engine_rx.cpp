@@ -84,23 +84,35 @@ void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,
   }
 }
 
+// ---- reliability ---------------------------------------------------------------
+
+template <class Header>
+bool Engine::rel_rx_locked(PeerState& ps, Rail& rail, int stream,
+                           const Header& h) {
+  if (!cfg_.reliability) return true;
+  // Acks count first: even a duplicate or a packet past a gap carries
+  // fresh ones.
+  if (h.flags & kPhFlagAck)
+    process_acks_locked(ps, rail, h.ack_eager, h.ack_bulk);
+  if (!(h.flags & kPhFlagRelSeq)) return true;
+  const GoBackN::Arrival verdict = rail.rel[stream].arrive(h.pkt_seq);
+  // A duplicate means our ack was lost or late; the owed ack refreshes it.
+  if (verdict == GoBackN::Arrival::Duplicate) ps.stats.inc(Ctr::RelDupDrops);
+  if (verdict == GoBackN::Arrival::Gap) ps.stats.inc(Ctr::RelOooDrops);
+  return verdict == GoBackN::Arrival::Accept;
+}
+
 // ---- eager path ---------------------------------------------------------------
 
 void Engine::handle_eager_packet_locked(PeerState& ps, RailId rail_id,
                                         const Bytes& payload) {
   DecodedPacket pkt = parse_packet(ByteSpan(payload), /*crc_check=*/true);
-  Rail& rail = *ps.rails[rail_id];
   const PacketHeader& ph = pkt.header;
-  if (cfg_.reliability && (ph.flags & kPhFlagAck)) {
-    // Piggybacked acks are processed FIRST — even a duplicate or
-    // out-of-order packet carries fresh cumulative acks.
-    process_acks_locked(ps, rail, ph.ack_eager, ph.ack_bulk);
-  }
+  if (!rel_rx_locked(ps, *ps.rails[rail_id], 0, ph)) return;
   if (cfg_.reliability && ph.nfrags == 0 && !(ph.flags & kPhFlagRelSeq)) {
     ps.stats.inc(Ctr::RelAcksRx);  // standalone ack: nothing else to deliver
     return;
   }
-  if (!rel_rx_accept_locked(ps, rail, 0, ph.flags, ph.pkt_seq)) return;
   ps.stats.inc(Ctr::RxPackets);
   ps.stats.inc(Ctr::RxBytes, payload.size());
   ps.stats.inc(Ctr::RxFrags, pkt.frags.size());
@@ -368,11 +380,11 @@ void Engine::distribute_chunks_locked(PeerState& ps, std::uint64_t token,
 std::size_t Engine::rail_pending_bytes_locked(const Rail& rail) {
   std::size_t queued = 0;
   for (const BulkChunk& c : rail.bulk_q) queued += c.len;
-  // inflight_bytes (until driver completion) and unacked_bytes (until
+  // inflight_bytes (until driver completion) and held bytes (until
   // cumulative ack) cover overlapping sets of packets; take the larger so
   // a loaded rail is not charged twice for the same wire bytes.
   const std::size_t unacked =
-      rail.rel[0].unacked_bytes + rail.rel[1].unacked_bytes;
+      rail.rel[0].held_bytes() + rail.rel[1].held_bytes();
   return queued + rail.backlog.byte_count() +
          std::max(rail.inflight_bytes, unacked);
 }
@@ -440,10 +452,7 @@ void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
   ByteSpan data;
   const BulkHeader bh =
       decode_bulk(ByteSpan(payload), data, /*crc_check=*/true);
-  Rail& rail = *ps.rails[rail_id];
-  if (cfg_.reliability && (bh.flags & kPhFlagAck))
-    process_acks_locked(ps, rail, bh.ack_eager, bh.ack_bulk);
-  if (!rel_rx_accept_locked(ps, rail, 1, bh.flags, bh.pkt_seq)) return;
+  if (!rel_rx_locked(ps, *ps.rails[rail_id], 1, bh)) return;
   RdvRx* rxp = ps.rdv_rx.find(bh.token);
   if (!rxp && rdv_was_done_locked(ps, bh.token)) {
     // A chunk delivered on a rail that then died was replayed on the

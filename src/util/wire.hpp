@@ -129,4 +129,10 @@ inline ByteSpan as_bytes(const void* p, std::size_t len) {
   return {static_cast<const Byte*>(p), len};
 }
 
+/// Serial-number order (RFC 1982) of wire sequence numbers: it survives u32
+/// wraparound while the two values are less than 2^31 apart.
+inline bool seq_less(std::uint32_t a, std::uint32_t b) {
+  return static_cast<std::int32_t>(a - b) < 0;
+}
+
 }  // namespace mado

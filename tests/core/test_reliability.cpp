@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -270,6 +271,43 @@ TEST_F(ReliabilityTest, RetryBudgetExhaustionFailsRail) {
   Engine::Snapshot snap = world_->node(0).snapshot();
   EXPECT_EQ(snap.peers[0].rails[0].state, RailState::Down);
   EXPECT_TRUE(world_->node(0).flush());
+}
+
+// Two reliable senders whose eager windows are both full still ack each
+// other: no data packet can leave to carry the owed ack, so it goes out on
+// its own. Retransmissions carry only the acks of their first transmission,
+// so without that, neither window ever opens and both rails die after the
+// retry budget.
+TEST_F(ReliabilityTest, TinyWindowBidirectionalCompletes) {
+  for (const char* strategy : {"fifo", "aggreg"}) {
+    for (const std::size_t window : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(std::string(strategy) + ", window " +
+                   std::to_string(window));
+      EngineConfig cfg = reliable_cfg();
+      cfg.strategy = strategy;
+      cfg.rel_window = window;
+      build(cfg, {}, {});
+      constexpr std::uint32_t kMsgs = 300;
+      std::vector<SendHandle> ha, hb;
+      for (std::uint32_t i = 0; i < kMsgs; ++i) {
+        ha.push_back(send_bytes(a_, pattern(256, i)));
+        hb.push_back(send_bytes(b_, pattern(256, kMsgs + i)));
+      }
+      for (std::uint32_t i = 0; i < kMsgs; ++i) {
+        ASSERT_TRUE(world_->node(0).wait_send(ha[i])) << "a→b send " << i;
+        ASSERT_TRUE(world_->node(1).wait_send(hb[i])) << "b→a send " << i;
+      }
+      for (std::uint32_t i = 0; i < kMsgs; ++i) {
+        EXPECT_EQ(recv_bytes(b_, 256), pattern(256, i)) << i;
+        EXPECT_EQ(recv_bytes(a_, 256), pattern(256, kMsgs + i)) << i;
+      }
+      for (NodeId n : {NodeId{0}, NodeId{1}}) {
+        auto& st = world_->node(n).stats();
+        EXPECT_EQ(st.counter("rel.rail_failovers"), 0u) << "node " << n;
+        EXPECT_GT(st.counter("rel.acks_tx"), 0u) << "node " << n;
+      }
+    }
+  }
 }
 
 // Randomized soak (satellite): two lossy rails, three channels with mixed
