@@ -38,8 +38,10 @@ constexpr std::uint64_t kChargeOverhead = 256;
 constexpr std::size_t kWindowBytes = 256 * 1024;
 /// Requested SO_RCVBUF/SO_SNDBUF (the kernel caps by rmem_max/wmem_max).
 constexpr int kSockbufBytes = 1 * 1024 * 1024;
-/// Reassembly bound per (endpoint, track): beyond this many pending frames
-/// the oldest incomplete one is dropped (udp.reasm_drops).
+/// Reassembly bounds per (endpoint, track): a new partial frame beyond this
+/// many, or beyond kMaxFrame bytes in all, evicts the oldest
+/// (udp.reasm_drops). The byte bound keeps datagrams that claim huge frames
+/// on fresh seqs from making the receiver allocate each one whole.
 constexpr std::size_t kMaxPendingFrames = 64;
 
 constexpr std::uint8_t kTypeData = 1;
@@ -47,19 +49,12 @@ constexpr std::uint8_t kTypeAck = 2;
 constexpr std::uint8_t kTypePing = 3;
 constexpr std::uint8_t kTypePong = 4;
 
-constexpr Nanos kFastTick = 1 * kNanosPerMilli;
+/// Shortest spacing of ack-soliciting pings from a window-blocked sender.
+constexpr Nanos kPingSpacing = 1 * kNanosPerMilli;
 constexpr Nanos kSlowTick = 50 * kNanosPerMilli;
 /// Window-blocked this long → solicit an ack with a ping before escalating
 /// to a full window reset.
 constexpr Nanos kAckSolicitAfter = 2 * kNanosPerMilli;
-/// A head-of-line frame that stopped receiving fragments for this long
-/// while later frames wait behind it is presumed lost and dropped (the
-/// reliability layer retransmits it as a fresh frame).
-constexpr Nanos kReasmStall = 10 * kNanosPerMilli;
-/// A completed frame stuck behind a lost lower-seq frame is released after
-/// this long (udp.gap_skips); driver FIFO covers delivered frames, the
-/// reliability layer recovers the gap.
-constexpr Nanos kGapSkipAfter = 2 * kNanosPerMilli;
 /// Window-blocked with no ack progress for this long → assume the acks (or
 /// the data) died on the wire and reset the window so the engine's
 /// retransmission can flow (udp.window_resets).
@@ -121,12 +116,6 @@ bool decode_header(const std::uint8_t* p, std::size_t len, Header& h) {
   h.frag = get_u32(p + 8);
   h.frame_len = get_u32(p + 12);
   return true;
-}
-
-/// Serial-number comparison (RFC 1982 style) so per-track frame sequence
-/// numbers survive u32 wraparound.
-bool seq_lt(std::uint32_t a, std::uint32_t b) {
-  return static_cast<std::int32_t>(a - b) < 0;
 }
 
 Nanos now_ns() { return SteadyClock{}.now(); }
@@ -344,10 +333,6 @@ void UdpLoop::run() {
       if (keep) active_tx_[w++] = ep;
     }
     active_tx_.resize(w);
-    if (now - last_fast_tick_ >= kFastTick) {
-      last_fast_tick_ = now;
-      fast_tick(now);
-    }
     if (now - last_slow_tick_ >= kSlowTick) {
       last_slow_tick_ = now;
       slow_tick(now);
@@ -391,7 +376,6 @@ void UdpLoop::handle_readable(UdpEndpoint* ep) {
                       msgs[i].msg_len, now);
     }
     if (io.broken) return;
-    deliver_ready_frames(ep, now);
     flush_ack(ep, false);
     if (static_cast<std::size_t>(n) < kBatch) break;
   }
@@ -466,79 +450,43 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
     off = static_cast<std::size_t>(h.frag) * plen;
   }
   if (off + plen > h.frame_len) return;
-  auto& tr = io.rx[h.track];
-  if (seq_lt(h.seq, tr.next_seq)) {
-    // A fragment of a frame already delivered or skipped past.
-    ep->counters_.stale_frames.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto& r = tr.pend[h.seq];
-  if (r.nfrags == 0) {
-    r.nfrags = h.nfrags;
-    r.buf = Bytes(h.frame_len);
-    r.got.assign(h.nfrags, false);
-    r.first_at = now;
-  } else if (r.nfrags != h.nfrags || r.buf.size() != h.frame_len) {
+  auto& pend = io.rx[h.track];
+  auto it = pend.find(h.seq);
+  if (it == pend.end()) {
+    std::size_t bytes = h.frame_len;
+    for (const auto& [seq, r] : pend) bytes += r.buf.size();
+    while (!pend.empty() &&
+           (pend.size() >= kMaxPendingFrames || bytes > kMaxFrame)) {
+      const auto oldest = std::min_element(
+          pend.begin(), pend.end(), [](const auto& x, const auto& y) {
+            return seq_less(x.first, y.first);
+          });
+      bytes -= oldest->second.buf.size();
+      pend.erase(oldest);
+      ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
+    }
+    it = pend.emplace(h.seq, UdpEndpoint::Reasm{}).first;
+    it->second.buf = Bytes(h.frame_len);
+    it->second.got.assign(h.nfrags, false);
+  } else if (it->second.got.size() != h.nfrags ||
+             it->second.buf.size() != h.frame_len) {
     return;  // conflicting metadata for this seq: drop the datagram
   }
-  r.complete_at = now;  // doubles as "last fragment activity" while partial
+  auto& r = it->second;
   if (r.got[h.frag]) return;  // duplicate fragment
   if (plen > 0) std::memcpy(r.buf.data() + off, data + kHdrLen, plen);
   r.got[h.frag] = true;
-  if (++r.have == r.nfrags) r.complete = true;
-  // Reassembly bound: drop the oldest incomplete frame when the pending
-  // set overflows (completed frames drain via ordered release below).
-  if (tr.pend.size() > kMaxPendingFrames) {
-    for (auto it = tr.pend.begin(); it != tr.pend.end(); ++it) {
-      if (it->second.complete) continue;
-      ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
-      if (it->first == tr.next_seq) tr.next_seq = it->first + 1;
-      tr.pend.erase(it);
-      break;
-    }
-  }
-}
-
-void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
-  auto& io = ep->io_;
-  for (std::size_t t = 0; t < io.rx.size(); ++t) {
-    auto& tr = io.rx[t];
-    while (!tr.pend.empty()) {
-      auto it = tr.pend.begin();
-      auto& r = it->second;
-      if (it->first == tr.next_seq) {
-        if (r.complete) {
-          ep->events_.push(UdpEndpoint::EvPacket{
-              static_cast<TrackId>(t), std::move(r.buf)});
-          owe_ring(ep);
-          ep->counters_.frames_rx.fetch_add(1, std::memory_order_relaxed);
-          tr.pend.erase(it);
-          ++tr.next_seq;
-          continue;
-        }
-        // Head-of-line frame still missing fragments. If its fragments
-        // stopped arriving while later frames queue behind it, the rest of
-        // it died on the wire: drop it so the track flows again (the
-        // reliability layer retransmits the content as a fresh frame).
-        if (tr.pend.size() > 1 && now - r.complete_at >= kReasmStall) {
-          ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
-          tr.pend.erase(it);
-          ++tr.next_seq;
-          continue;
-        }
-        break;
-      }
-      // Gap: the smallest pending seq is ahead of next_seq, so at least one
-      // whole frame vanished. Release a completed frame past the gap after
-      // a short hold (loopback reordering is rare; loss is the usual cause).
-      if (r.complete && now - r.complete_at >= kGapSkipAfter) {
-        ep->counters_.gap_skips.fetch_add(1, std::memory_order_relaxed);
-        tr.next_seq = it->first;
-        continue;
-      }
-      break;
-    }
-  }
+  if (++r.have < r.got.size()) return;
+  // Complete: hand it up at once; ordering and recovery belong to the
+  // reliability layer. A partial frame with a lower seq lost a datagram
+  // for good (the wire is FIFO), so it goes.
+  ep->events_.push(UdpEndpoint::EvPacket{h.track, std::move(r.buf)});
+  owe_ring(ep);
+  ep->counters_.frames_rx.fetch_add(1, std::memory_order_relaxed);
+  pend.erase(it);
+  const std::size_t older = std::erase_if(
+      pend, [&](const auto& p) { return seq_less(p.first, h.seq); });
+  ep->counters_.reasm_drops.fetch_add(older, std::memory_order_relaxed);
 }
 
 void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
@@ -634,7 +582,7 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
         ep->counters_.window_resets.fetch_add(1, std::memory_order_relaxed);
         continue;  // retry immediately with the fresh window
       } else if (now - io.blocked_since >= kAckSolicitAfter &&
-                 now - io.last_ping >= kFastTick) {
+                 now - io.last_ping >= kPingSpacing) {
         io.last_ping = now;
         send_ctrl_datagram(ep, kTypePing);
       }
@@ -764,9 +712,6 @@ void UdpLoop::break_link(UdpEndpoint* ep, const char* why) {
     ep->events_.push(UdpEndpoint::EvSendFailed{item.track, item.token});
   io.q.clear();
   io.cur_off = 0;
-  // Deliver whatever completed frames are releasable; incomplete ones died
-  // with the link.
-  deliver_ready_frames(ep, now_ns());
 }
 
 void UdpLoop::owe_ring(UdpEndpoint* ep) {
@@ -782,18 +727,6 @@ void UdpLoop::ring_owed() {
       h->on_ready();
   }
   owed_.clear();
-}
-
-void UdpLoop::fast_tick(Nanos now) {
-  // Ordered-release upkeep: gap skips and head-of-line stall drops must
-  // advance even when no new datagram arrives to trigger the rx path.
-  for (UdpEndpoint* ep : eps_) {
-    if (ep->io_.broken) continue;
-    bool any = false;
-    for (auto& tr : ep->io_.rx)
-      if (!tr.pend.empty()) any = true;
-    if (any) deliver_ready_frames(ep, now);
-  }
 }
 
 void UdpLoop::slow_tick(Nanos now) {
@@ -831,7 +764,7 @@ UdpEndpoint::UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
   caps_.lossless = false;
   caps_.datagram_mtu = cfg_.mtu;
   io_.next_seq.assign(caps_.track_count, 0);
-  io_.rx.assign(caps_.track_count, TrackRx{});
+  io_.rx.resize(caps_.track_count);
 }
 
 UdpEndpoint::~UdpEndpoint() { close(); }

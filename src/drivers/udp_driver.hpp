@@ -13,18 +13,18 @@
 //
 // A driver frame (one send()) larger than the MTU payload is fragmented
 // into `nfrags` datagrams sharing one per-track `seq`; the receiver
-// reassembles by (track, seq, frag) and hands completed frames up in seq
-// order. Acks carry a cumulative received-byte count (lo32 in `seq`, hi32
-// in `frag`) driving the sender's flow-control window — without it, bulk
-// senders overrun the loopback receive buffer (~208 KiB default) and drop
-// silently even on a "clean" link. Ping/Pong are keepalive + ack
+// reassembles by (track, seq, frag) and hands each frame up as soon as its
+// last datagram lands. Acks carry a cumulative received-byte count (lo32 in
+// `seq`, hi32 in `frag`) driving the sender's flow-control window — without
+// it, bulk senders overrun the loopback receive buffer (~208 KiB default)
+// and drop silently even on a "clean" link. Ping/Pong are keepalive + ack
 // solicitation.
 //
 // The driver is honest about what UDP is: caps().lossless == false, so
-// Engine::add_rail refuses the rail unless cfg.reliability (the go-back-N
-// layer from PR 2) is on. Delivery is per-track FIFO for the frames that DO
-// arrive (seq-ordered release with a bounded skip for lost frames);
-// recovering the lost ones is the reliability layer's job.
+// Engine::add_rail refuses the rail unless cfg.reliability (the engine's
+// go-back-N layer) is on. Frames arrive in send order on loopback, but a
+// lost one leaves a gap the driver does not wait on: ordering, dedup and
+// recovery are the reliability layer's job (driver contract clause 3).
 //
 // Threading: one UdpLoop thread owns epoll, all sockets, and all per-
 // endpoint IO state. send() only enqueues + wakes the loop; progress()
@@ -77,9 +77,7 @@ struct UdpCounters {
   std::atomic<std::uint64_t> eagain_tx{0};
   std::atomic<std::uint64_t> window_stalls{0};
   std::atomic<std::uint64_t> window_resets{0};
-  std::atomic<std::uint64_t> gap_skips{0};
   std::atomic<std::uint64_t> reasm_drops{0};
-  std::atomic<std::uint64_t> stale_frames{0};
   std::atomic<std::uint64_t> rx_loss_injected{0};
   std::atomic<std::uint64_t> loop_wakeups{0};
 };
@@ -119,7 +117,6 @@ class UdpLoop {
   void handle_readable(UdpEndpoint* ep);
   void handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
                        std::size_t len, Nanos now);
-  void deliver_ready_frames(UdpEndpoint* ep, Nanos now);
   void pump_tx(UdpEndpoint* ep, Nanos now);
   void send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type);
   void flush_ack(UdpEndpoint* ep, bool force);
@@ -130,7 +127,6 @@ class UdpLoop {
   void ring_owed();
   void set_active(UdpEndpoint* ep, bool active);
   void set_want_writable(UdpEndpoint* ep, bool want);
-  void fast_tick(Nanos now);
   void slow_tick(Nanos now);
 
   int epfd_ = -1;
@@ -156,7 +152,6 @@ class UdpLoop {
   std::vector<UdpEndpoint*> active_tx_;
   std::vector<UdpEndpoint*> owed_;  ///< endpoints owed a ring (owe_ring)
   std::vector<std::uint8_t> rx_buf_;  ///< batch × mtu receive scratch
-  Nanos last_fast_tick_ = 0;
   Nanos last_slow_tick_ = 0;
 };
 
@@ -238,20 +233,11 @@ class UdpEndpoint final : public DriverEndpoint {
   };
   using Event = std::variant<EvSendComplete, EvSendFailed, EvPacket>;
 
-  /// One partially reassembled (or completed, awaiting ordered release)
-  /// inbound frame.
+  /// One partially reassembled inbound frame.
   struct Reasm {
     Bytes buf;
-    std::vector<bool> got;
-    std::uint32_t have = 0;
-    std::uint32_t nfrags = 0;
-    bool complete = false;
-    Nanos first_at = 0;
-    Nanos complete_at = 0;
-  };
-  struct TrackRx {
-    std::uint32_t next_seq = 0;  ///< next seq to release to the handler
-    std::map<std::uint32_t, Reasm> pend;
+    std::vector<bool> got;  ///< per fragment; its size is the frame's nfrags
+    std::size_t have = 0;
   };
 
   /// Loop-thread-only IO state. Registration/deregistration handshakes
@@ -268,7 +254,7 @@ class UdpEndpoint final : public DriverEndpoint {
     std::uint64_t rx_charged = 0;
     std::uint64_t acked_sent = 0;  ///< last cumulative value sent to peer
     bool ack_pending = false;
-    std::vector<TrackRx> rx;
+    std::vector<std::map<std::uint32_t, Reasm>> rx;  ///< per track, by seq
     Nanos last_rx = 0;
     Nanos last_ping = 0;
     bool broken = false;  ///< loop-side latch: fail everything from now on

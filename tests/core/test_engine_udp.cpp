@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <deque>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -58,8 +59,8 @@ TEST_F(UdpEngineTest, RendezvousBulkOverRealDatagrams) {
 
 TEST_F(UdpEngineTest, LossyWireRecoveredByReliability) {
   // 2% of DATA datagrams vanish in each direction. The driver delivers
-  // what survives (in order, with gap skips); the engine's go-back-N
-  // layer retransmits until every message lands byte-exact.
+  // what survives as it lands, without waiting on gaps; the engine's
+  // go-back-N layer retransmits until every message lands byte-exact.
   build();
   world_->endpoint(0).set_rx_loss(0.02, 1);
   world_->endpoint(1).set_rx_loss(0.02, 2);
@@ -97,6 +98,33 @@ TEST_F(UdpEngineTest, BidirectionalLossyTraffic) {
     EXPECT_EQ(recv_bytes(a_, 128),
               pattern(128, 1000u + static_cast<std::uint32_t>(i)));
   }
+}
+
+TEST_F(UdpEngineTest, LossyStreamKeepsRail) {
+  // A 1 MiB stream at window 4 with 1% of DATA datagrams lost each way:
+  // go-back-N's retransmissions land as soon as they arrive, so the retry
+  // budget never runs out and the rail never fails over.
+  build();
+  world_->endpoint(0).set_rx_loss(0.01, 5);
+  world_->endpoint(1).set_rx_loss(0.01, 6);
+  constexpr std::uint32_t kMsgs = 64;
+  constexpr std::uint32_t kWindow = 4;
+  constexpr std::size_t kSize = 1 << 20;
+  std::deque<SendHandle> inflight;
+  std::uint32_t posted = 0;
+  for (std::uint32_t i = 0; i < kMsgs; ++i) {
+    for (; posted < kMsgs && posted < i + kWindow; ++posted)
+      inflight.push_back(send_bytes(a_, pattern(kSize, posted)));
+    ASSERT_EQ(recv_bytes(b_, kSize), pattern(kSize, i)) << i;
+    ASSERT_TRUE(world_->node(0).wait_send(inflight.front())) << i;
+    inflight.pop_front();
+  }
+  EXPECT_TRUE(world_->node(0).flush());
+  EXPECT_TRUE(world_->node(1).flush());
+  for (NodeId n : {NodeId{0}, NodeId{1}})
+    EXPECT_EQ(world_->node(n).stats().counter("rel.rail_failovers"), 0u)
+        << "node " << n;
+  EXPECT_GT(world_->endpoint(1).counters().rx_loss_injected.load(), 0u);
 }
 
 TEST_F(UdpEngineTest, StripeAcrossTwoUdpRails) {

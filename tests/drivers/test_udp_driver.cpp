@@ -8,12 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
 #include <functional>
+#include <set>
 #include <thread>
 
 #include "drivers/profiles.hpp"
 #include "tests/drivers/test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace mado::drv {
 namespace {
@@ -112,9 +120,9 @@ TEST_F(UdpDriverTest, BulkStreamEngagesFlowControlWithoutLoss) {
 
 TEST_F(UdpDriverTest, InjectedRxLossDoesNotStallDelivery) {
   // 5% of DATA datagrams vanish after flow-control accounting. The driver
-  // must (a) keep delivering the frames that do arrive, in seq order,
-  // (b) skip lost frames after the gap hold, and (c) count what it dropped.
-  // No retransmission here — that layer sits above the driver.
+  // must (a) keep delivering the frames that do arrive, in send order on
+  // this FIFO wire, (b) never wait on a lost frame, and (c) count what it
+  // dropped. No retransmission here — that layer sits above the driver.
   build();
   b_->set_rx_loss(0.05, 42);
   constexpr std::uint64_t kN = 400;
@@ -140,6 +148,38 @@ TEST_F(UdpDriverTest, InjectedRxLossDoesNotStallDelivery) {
     first = false;
     last = seed;
   }
+}
+
+TEST_F(UdpDriverTest, FrameBehindLostFrameIsNotHeld) {
+  // A lost frame leaves a gap the driver does not wait on: the next frame
+  // goes to the handler as soon as its datagram lands. Ordering and
+  // recovery belong to the engine's reliability layer.
+  build();
+  send(*a_, kTrackEager, make_payload(64, 0), 0);
+  ASSERT_TRUE(pump_until([&] { return hb_.packets.size() == 1; }));
+  b_->set_rx_loss(1.0, 1);
+  send(*a_, kTrackEager, make_payload(64, 1), 1);
+  ASSERT_TRUE(pump_until(
+      [&] { return b_->counters().rx_loss_injected.load() == 1; }));
+  b_->set_rx_loss(0.0, 1);
+  const std::uint64_t before = b_->counters().datagrams_rx.load();
+  send(*a_, kTrackEager, make_payload(64, 2), 2);
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (b_->counters().datagrams_rx.load() == before)
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+  const auto landed = std::chrono::steady_clock::now();
+  while (hb_.packets.size() < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    b_->progress();
+  }
+  const auto held = std::chrono::steady_clock::now() - landed;
+  EXPECT_LT(held, 1ms) << "frame 2 was held "
+                       << std::chrono::duration_cast<std::chrono::microseconds>(
+                              held)
+                              .count()
+                       << " us behind the lost frame 1";
+  EXPECT_EQ(hb_.packets[1].payload, make_payload(64, 2));
+  EXPECT_EQ(b_->counters().frames_rx.load(), 2u);
 }
 
 TEST_F(UdpDriverTest, InjectFailureFailsQueuedAndFutureSendsThenLinkDown) {
@@ -223,6 +263,234 @@ TEST_F(UdpDriverTest, ManyEndpointsShareOneLoop) {
     EXPECT_TRUE(handlers[2 * i].packets.empty()) << i;  // no cross-talk
   }
   for (auto& ep : eps) ep->close();
+}
+
+// Seeded fuzz of the 16-byte datagram header and fragment reassembly: any
+// local process can send datagrams to the port, so no mutation may crash
+// the receiver or grow its memory without bound, and a valid frame sent
+// afterwards must still round-trip byte-exact.
+class UdpFuzzTest : public ::testing::Test {
+ protected:
+  struct Hdr {
+    std::uint8_t type = 1;  // Data
+    std::uint8_t track = 0;
+    std::uint16_t nfrags = 1;
+    std::uint32_t seq = 0;
+    std::uint32_t frag = 0;
+    std::uint32_t frame_len = 0;
+  };
+
+  void SetUp() override {
+    loop_ = UdpLoop::create();
+    ep_ = UdpEndpoint::bind(loop_, test_profile());
+    ep_->set_handler(&h_);
+    fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof addr), 0);
+    socklen_t alen = sizeof addr;
+    ASSERT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &alen),
+              0);
+    const timeval wait{10, 0};  // bounds the recv() at the end of a test
+    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof wait),
+              0);
+    ep_->connect("127.0.0.1", ntohs(addr.sin_port));
+    addr.sin_port = htons(ep_->local_port());
+    ASSERT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr), 0);
+  }
+
+  void TearDown() override {
+    if (ep_) ep_->close();
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  static Bytes datagram(const Hdr& h, const Bytes& payload = {}) {
+    Bytes d(16);
+    d[0] = h.type;
+    d[1] = h.track;
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (i < 2) d[2 + i] = static_cast<Byte>(h.nfrags >> (8 * i));
+      d[4 + i] = static_cast<Byte>(h.seq >> (8 * i));
+      d[8 + i] = static_cast<Byte>(h.frag >> (8 * i));
+      d[12 + i] = static_cast<Byte>(h.frame_len >> (8 * i));
+    }
+    d.insert(d.end(), payload.begin(), payload.end());
+    return d;
+  }
+
+  /// Send one datagram and wait until the endpoint has started on it.
+  void inject(const Bytes& d) {
+    const std::uint64_t before = ep_->counters().datagrams_rx.load();
+    ASSERT_EQ(::send(fd_, d.data(), d.size(), 0),
+              static_cast<ssize_t>(d.size()));
+    if (d.size() < 16) return;  // runts are not counted
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (ep_->counters().datagrams_rx.load() == before) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      ep_->progress();
+      std::this_thread::sleep_for(20us);
+    }
+  }
+
+  /// Wait until the endpoint has finished with every datagram sent so far:
+  /// it handles them in order, so a valid frame on the bulk track that
+  /// reaches the handler marks the point.
+  void barrier() {
+    const std::size_t got = h_.packets.size();
+    inject(datagram(Hdr{1, 1, 1, barrier_seq_++, 0, 1}, make_payload(1)));
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (h_.packets.size() == got) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      ep_->progress();
+      std::this_thread::sleep_for(20us);
+    }
+  }
+
+  static std::uint64_t rss_bytes() {
+    std::FILE* f = std::fopen("/proc/self/statm", "r");
+    unsigned long size = 0, resident = 0;
+    if (f) {
+      if (std::fscanf(f, "%lu %lu", &size, &resident) != 2) resident = 0;
+      std::fclose(f);
+    }
+    return static_cast<std::uint64_t>(resident) *
+           static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  }
+
+  std::shared_ptr<UdpLoop> loop_;
+  std::unique_ptr<UdpEndpoint> ep_;
+  RecordingHandler h_;
+  int fd_ = -1;
+  std::uint32_t barrier_seq_ = 1;
+};
+
+TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
+  Rng rng(20261017);
+  std::set<std::uint32_t> used;  // data seqs the fuzz touched
+  const auto fresh = [&] {
+    const auto seq = static_cast<std::uint32_t>(rng.next());
+    used.insert(seq);
+    return seq;
+  };
+  const auto note_seq = [&](const Bytes& d) {
+    if (d.size() >= 8)
+      used.insert(static_cast<std::uint32_t>(d[4] | d[5] << 8 | d[6] << 16 |
+                                             d[7] << 24));
+  };
+  // Eight datagrams each claiming a 256 MiB frame on the next fresh seqs:
+  // the receiver may hold one such frame, not all of them.
+  const std::uint64_t rss0 = rss_bytes();
+  for (std::uint32_t seq = 1; seq <= 8; ++seq) {
+    used.insert(seq);
+    inject(datagram(Hdr{1, 0, 2, seq, 0, 256u << 20}, make_payload(64)));
+  }
+  barrier();
+  const std::uint64_t rss1 = rss_bytes();
+  const std::uint64_t grew = rss1 - std::min(rss0, rss1);
+  EXPECT_LT(grew, std::uint64_t{1} << 30) << "RSS grew " << (grew >> 20)
+                                          << " MiB";
+  EXPECT_EQ(ep_->counters().reasm_drops.load(), 7u);
+
+  const Bytes frame = make_payload(3000, 9);
+  Hdr two{1, 0, 2, 0, 0, 3000};  // a valid 2-fragment frame: 2000 + 1000
+  const Bytes first = datagram(two, Bytes(frame.begin(), frame.begin() + 2000));
+  for (int round = 0; round < 400; ++round) {
+    Bytes d;
+    switch (round % 10) {
+      case 0: {  // bit flips in a valid first fragment
+        two.seq = fresh();
+        d = datagram(two, Bytes(frame.begin(), frame.begin() + 2000));
+        for (std::uint64_t n = rng.range(1, 8); n > 0; --n)
+          d[rng.below(d.size())] ^= static_cast<Byte>(1u << rng.below(8));
+        note_seq(d);
+        break;
+      }
+      case 1:  // truncation around the 16-byte header
+        d = Bytes(first.begin(),
+                  first.begin() + static_cast<std::ptrdiff_t>(rng.range(0, 20)));
+        note_seq(d);
+        break;
+      case 2:  // random bytes
+        d.resize(rng.range(16, 200));
+        for (Byte& b : d) b = static_cast<Byte>(rng.next());
+        note_seq(d);
+        break;
+      case 3:  // a track the endpoint does not have
+        d = datagram(Hdr{1, static_cast<std::uint8_t>(rng.range(2, 255)), 1,
+                         fresh(), 0, 4},
+                     make_payload(4));
+        break;
+      case 4:  // nfrags 0
+        d = datagram(Hdr{1, 0, 0, fresh(), 0, 4}, make_payload(4));
+        break;
+      case 5:  // frag >= nfrags
+        d = datagram(Hdr{1, 0, 3, fresh(),
+                         static_cast<std::uint32_t>(rng.range(3, 1000)), 64},
+                     make_payload(8));
+        break;
+      case 6: {  // conflicting nfrags / frame_len on one seq
+        const std::uint32_t seq = fresh();
+        inject(datagram(Hdr{1, 0, 3, seq, 0, 300}, make_payload(100)));
+        d = datagram(Hdr{1, 0, 4, seq, 1, 999}, make_payload(100));
+        break;
+      }
+      case 7: {  // sequence numbers across 2^32
+        const std::uint32_t seq =
+            0xffffffffu - static_cast<std::uint32_t>(rng.below(4)) +
+            static_cast<std::uint32_t>(rng.below(4));
+        used.insert(seq);
+        d = datagram(Hdr{1, 1, 2, seq, static_cast<std::uint32_t>(rng.below(2)),
+                         16},
+                     make_payload(8));
+        break;
+      }
+      case 8: {  // duplicate fragments
+        const std::uint32_t seq = fresh();
+        d = datagram(Hdr{1, 0, 3, seq, 1, 300}, make_payload(100));
+        inject(d);
+        break;
+      }
+      case 9:  // huge frame_len on a fresh seq
+        d = datagram(Hdr{1, 0, 2, fresh(), 0, 1u << 20}, make_payload(64));
+        break;
+    }
+    inject(d);
+  }
+
+  // A valid frame on a seq the fuzz never used still arrives byte-exact.
+  std::uint32_t seq = 0x12345678u;
+  while (used.count(seq)) ++seq;
+  const std::size_t got = h_.packets.size();
+  two.seq = seq;
+  inject(datagram(two, Bytes(frame.begin(), frame.begin() + 2000)));
+  two.frag = 1;
+  inject(datagram(two, Bytes(frame.begin() + 2000, frame.end())));
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (h_.packets.size() == got) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    ep_->progress();
+  }
+  EXPECT_EQ(h_.packets.back().payload, frame);
+  EXPECT_FALSE(ep_->broken());
+
+  // And the endpoint still sends: its frame reaches the test socket intact.
+  GatherList gl;
+  const Bytes out = make_payload(500, 3);
+  gl.add(out.data(), out.size());
+  ep_->send(kTrackEager, gl, 1);
+  Bytes in(600);
+  for (;;) {  // skip acks and pongs the fuzz solicited
+    const ssize_t n = ::recv(fd_, in.data(), in.size(), 0);
+    ASSERT_GE(n, 16);
+    if (in[0] != 1) continue;
+    ASSERT_EQ(static_cast<std::size_t>(n), 16 + out.size());
+    EXPECT_EQ(Bytes(in.begin() + 16, in.begin() + n), out);
+    break;
+  }
 }
 
 TEST_F(UdpDriverTest, CapabilitiesAreHonest) {
