@@ -890,8 +890,6 @@ void Engine::rto_fired_locked(PeerState& ps, Rail& rail, int stream) {
     ps.stats.inc(Ctr::RelRetransmits);
     trace_locked(TraceEvent::RelRetx, rec->peer, rec->rail, h.token,
                  rec->is_bulk, rel.retries());
-    MADO_TRACE("node " << self_ << " retransmit token=" << h.token
-                       << " stream=" << stream << " seq=" << h.seq);
     transmit_locked(ps, rail, h.token, *rec);  // re-arms the timer
   }
 }

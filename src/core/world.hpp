@@ -118,11 +118,11 @@ class ShmWorld : public ThreadedWorld {
   explicit ShmWorld(const EngineConfig& cfg, std::size_t rails = 1);
 };
 
-/// Two engines joined by real UDP loopback rails (lossy datagrams, ordered
-/// release in the driver, loss recovered by the engine's go-back-N layer —
-/// reliability is forced on because Engine::add_rail rejects a lossy rail
-/// without it). Exposes the raw endpoints so tests can inject receive-side
-/// loss or link failures.
+/// Two engines joined by real UDP loopback rails (lossy datagrams, each
+/// delivered as it arrives; the engine's go-back-N layer orders them and
+/// recovers loss — reliability is forced on because Engine::add_rail
+/// rejects a lossy rail without it). Exposes the raw endpoints so tests can
+/// inject receive-side loss or link failures.
 class UdpWorld : public ThreadedWorld {
  public:
   explicit UdpWorld(const EngineConfig& cfg, std::size_t rails = 1,

@@ -14,7 +14,9 @@
 //     no engine lock beyond the progress threads' leaf park mutexes.
 //  3. Per track, completions are reported in send order, and packets are
 //     delivered to the peer in send order (tracks are FIFO channels).
-//     No ordering holds ACROSS tracks.
+//     No ordering holds ACROSS tracks. A lossy driver (lossless=false) may
+//     lose packets and never holds later ones back for them: ordering,
+//     dedup and recovery are the engine's reliability layer's job.
 //  4. The GatherList segments passed to send() remain valid until the
 //     matching on_send_complete fires.
 //  5. A driver that queues anything for progress() to deliver — a packet,

@@ -222,8 +222,10 @@ class Checker {
     for (std::size_t e = 0; e < 2; ++e) {
       const End& me = s.end[e];
       k += static_cast<char>(me.posted | me.sent << 2 | me.delivered << 4);
-      k += static_cast<char>(me.rel.held().size() | me.armed << 3 |
-                             me.dead << 4 | me.rel.ack_owed() << 5);
+      const std::size_t flags = std::size_t{me.armed} << 3 |
+                                std::size_t{me.dead} << 4 |
+                                std::size_t{me.rel.ack_owed()} << 5;
+      k += static_cast<char>(me.rel.held().size() | flags);
       k += static_cast<char>(me.rel.retries());
       for (const GoBackN::Held& h : me.rel.held())
         k += static_cast<char>(me.stamped_ack[h.token] - m_.first_seq);
