@@ -324,6 +324,7 @@ class UdpFuzzTest : public ::testing::Test {
 
   /// Send one datagram and wait until the endpoint has started on it.
   void inject(const Bytes& d) {
+    if (HasFatalFailure()) return;  // fail fast, not one timeout per datagram
     const std::uint64_t before = ep_->counters().datagrams_rx.load();
     ASSERT_EQ(::send(fd_, d.data(), d.size(), 0),
               static_cast<ssize_t>(d.size()));
@@ -382,7 +383,11 @@ TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
                                              d[7] << 24));
   };
   // Eight datagrams each claiming a 256 MiB frame on the next fresh seqs:
-  // the receiver may hold one such frame, not all of them.
+  // the receiver may hold one such frame, not all of them. ThreadSanitizer
+  // keeps four shadow bytes per byte touched, so there one such frame alone
+  // passes the bound, and zero-filling it stalls the loop past the 2 s peer
+  // timeout: the plain and ASan builds check this part.
+#if !defined(__SANITIZE_THREAD__)
   const std::uint64_t rss0 = rss_bytes();
   for (std::uint32_t seq = 1; seq <= 8; ++seq) {
     used.insert(seq);
@@ -394,6 +399,7 @@ TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
   EXPECT_LT(grew, std::uint64_t{1} << 30) << "RSS grew " << (grew >> 20)
                                           << " MiB";
   EXPECT_EQ(ep_->counters().reasm_drops.load(), 7u);
+#endif
 
   const Bytes frame = make_payload(3000, 9);
   Hdr two{1, 0, 2, 0, 0, 3000};  // a valid 2-fragment frame: 2000 + 1000
