@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -309,7 +310,7 @@ class UdpFuzzTest : public ::testing::Test {
   }
 
   static Bytes datagram(const Hdr& h, const Bytes& payload = {}) {
-    Bytes d(16);
+    Bytes d(16 + payload.size());
     d[0] = h.type;
     d[1] = h.track;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -318,7 +319,7 @@ class UdpFuzzTest : public ::testing::Test {
       d[8 + i] = static_cast<Byte>(h.frag >> (8 * i));
       d[12 + i] = static_cast<Byte>(h.frame_len >> (8 * i));
     }
-    d.insert(d.end(), payload.begin(), payload.end());
+    std::copy(payload.begin(), payload.end(), d.begin() + 16);
     return d;
   }
 
