@@ -10,9 +10,9 @@ own ledger through its own bench/ledger/run.py, in its own CARGO_TARGET_DIR,
 so both sides run identical benchmark code from their own trees. For every
 workload of BENCHMARK.json it runs the given number of pairs at seed 1,
 then --seed2-pairs pairs at seed 2, swapping which side runs first from one
-pair to the next, and one pair against the anchor commit (PR 11's tree by
-default): absolute numbers drift between sessions, ratios to a fixed anchor
-do not.
+pair to the next, and one pair against the anchor commit (by default
+fab1f73, where the ledger first ran): absolute numbers drift from one day
+or machine to the next, ratios to a fixed anchor much less.
 
 The file written at the repository root holds every run, the per-pair
 change/parent ratios, each side's median and quartiles, pair wins,
