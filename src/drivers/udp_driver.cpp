@@ -39,9 +39,8 @@ constexpr std::size_t kWindowBytes = 256 * 1024;
 /// Requested SO_RCVBUF/SO_SNDBUF (the kernel caps by rmem_max/wmem_max).
 constexpr int kSockbufBytes = 1 * 1024 * 1024;
 /// Reassembly bounds per (endpoint, track): a new partial frame beyond this
-/// many, or beyond kMaxFrame bytes in all, evicts the oldest
-/// (udp.reasm_drops). The byte bound keeps datagrams that claim huge frames
-/// on fresh seqs from making the receiver allocate each one whole.
+/// many, or beyond kMaxFrame claimed bytes in all, evicts the oldest
+/// (udp.reasm_drops).
 constexpr std::size_t kMaxPendingFrames = 64;
 
 constexpr std::uint8_t kTypeData = 1;
@@ -282,11 +281,12 @@ void UdpLoop::run() {
   std::vector<epoll_event> evs(64);
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) break;
-    // Idle loops sleep on epoll alone (forever with no endpoints, a slow
+    // Idle loops sleep on epoll alone (forever with no endpoints, the slow
     // keepalive tick otherwise); a loop with backlogged senders polls at
-    // the fast tick so window-blocked endpoints re-check promptly.
+    // the ping spacing so window-blocked endpoints re-check promptly.
+    const Nanos timeout = active_tx_.empty() ? kSlowTick : kPingSpacing;
     const int timeout_ms =
-        eps_.empty() ? -1 : (active_tx_.empty() ? 50 : 1);
+        eps_.empty() ? -1 : static_cast<int>(timeout / kNanosPerMilli);
     const int n =
         ::epoll_wait(epfd_, evs.data(), static_cast<int>(evs.size()),
                      timeout_ms);
@@ -436,47 +436,48 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
   if (h.track >= ep->caps_.track_count || h.nfrags == 0 ||
       h.frag >= h.nfrags || h.frame_len > kMaxFrame)
     return;  // malformed: drop
-  // Fragment offset is derived from the observed payload size, so the two
-  // sides need not agree on MTU: every non-final fragment of a frame
-  // carries exactly the sender's chunk size.
-  std::size_t off = 0;
-  if (h.nfrags == 1) {
-    if (plen != h.frame_len) return;
-  } else if (h.frag + 1 == static_cast<std::uint32_t>(h.nfrags)) {
-    if (plen > h.frame_len) return;
-    off = h.frame_len - plen;
-  } else {
-    if (plen == 0) return;
-    off = static_cast<std::size_t>(h.frag) * plen;
-  }
-  if (off + plen > h.frame_len) return;
+  // Fragments append in order, so a partial frame holds only the bytes
+  // that arrived; one that skips a fragment has lost it for good (the wire
+  // is FIFO) and waits to be dropped.
   auto& pend = io.rx[h.track];
   auto it = pend.find(h.seq);
   if (it == pend.end()) {
+    // Only a first fragment opens a frame, and only if its size agrees with
+    // the claim: every non-final fragment carries the sender's chunk, so
+    // nfrags of them are just enough for frame_len.
+    const std::uint64_t n = h.nfrags;
+    if (h.frag != 0 || h.frame_len > n * plen ||
+        (n > 1 && h.frame_len <= (n - 1) * plen))
+      return;
     std::size_t bytes = h.frame_len;
-    for (const auto& [seq, r] : pend) bytes += r.buf.size();
+    for (const auto& [seq, r] : pend) bytes += r.frame_len;
     while (!pend.empty() &&
            (pend.size() >= kMaxPendingFrames || bytes > kMaxFrame)) {
       const auto oldest = std::min_element(
           pend.begin(), pend.end(), [](const auto& x, const auto& y) {
             return seq_less(x.first, y.first);
           });
-      bytes -= oldest->second.buf.size();
+      bytes -= oldest->second.frame_len;
       pend.erase(oldest);
       ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
     }
     it = pend.emplace(h.seq, UdpEndpoint::Reasm{}).first;
-    it->second.buf = Bytes(h.frame_len);
-    it->second.got.assign(h.nfrags, false);
-  } else if (it->second.got.size() != h.nfrags ||
-             it->second.buf.size() != h.frame_len) {
+    it->second.buf.reserve(h.frame_len);  // capacity only: nothing touched
+    it->second.frame_len = h.frame_len;
+    it->second.nfrags = h.nfrags;
+  } else if (it->second.nfrags != h.nfrags ||
+             it->second.frame_len != h.frame_len) {
     return;  // conflicting metadata for this seq: drop the datagram
   }
   auto& r = it->second;
-  if (r.got[h.frag]) return;  // duplicate fragment
-  if (plen > 0) std::memcpy(r.buf.data() + off, data + kHdrLen, plen);
-  r.got[h.frag] = true;
-  if (++r.have < r.got.size()) return;
+  if (h.frag != r.next) return;  // a duplicate, or one past a lost fragment
+  const bool last = h.frag + 1u == h.nfrags;
+  if (last ? r.buf.size() + plen != r.frame_len
+           : r.buf.size() != std::size_t{h.frag} * plen)
+    return;  // size disagrees with the frame's chunk: drop the datagram
+  r.buf.insert(r.buf.end(), data + kHdrLen, data + len);
+  ++r.next;
+  if (!last) return;
   // Complete: hand it up at once; ordering and recovery belong to the
   // reliability layer. A partial frame with a lower seq lost a datagram
   // for good (the wire is FIFO), so it goes.
@@ -632,26 +633,29 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
   }
 }
 
-void UdpLoop::send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type) {
+bool UdpLoop::send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type,
+                                 std::uint64_t acked) {
   std::uint8_t hdr[kHdrLen];
   Header h;
   h.type = type;
+  h.seq = static_cast<std::uint32_t>(acked & 0xffffffffu);
+  h.frag = static_cast<std::uint32_t>(acked >> 32);
   encode_header(hdr, h);
   ssize_t n;
   do {
     n = ::send(ep->fd_, hdr, sizeof hdr, 0);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
-    if (errno == ECONNREFUSED) {
-      break_link(ep, "econnrefused");
-      return;
-    }
-    return;  // EAGAIN etc: keepalive is best-effort, the next tick retries
+    if (errno == ECONNREFUSED) break_link(ep, "econnrefused");
+    return false;  // EAGAIN etc: best-effort, the next tick retries
   }
   ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
   ep->counters_.bytes_tx.fetch_add(sizeof hdr, std::memory_order_relaxed);
   if (type == kTypePing)
     ep->counters_.pings_tx.fetch_add(1, std::memory_order_relaxed);
+  if (type == kTypeAck)
+    ep->counters_.acks_tx.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void UdpLoop::flush_ack(UdpEndpoint* ep, bool force) {
@@ -668,27 +672,10 @@ void UdpLoop::flush_ack(UdpEndpoint* ep, bool force) {
     io.ack_pending = true;
     return;
   }
-  std::uint8_t hdr[kHdrLen];
-  Header h;
-  h.type = kTypeAck;
-  h.seq = static_cast<std::uint32_t>(io.rx_charged & 0xffffffffu);
-  h.frag = static_cast<std::uint32_t>(io.rx_charged >> 32);
-  encode_header(hdr, h);
-  ssize_t n;
-  do {
-    n = ::send(ep->fd_, hdr, sizeof hdr, 0);
-  } while (n < 0 && errno == EINTR);
-  if (n < 0) {
-    if (errno == ECONNREFUSED) {
-      break_link(ep, "econnrefused");
-      return;
-    }
+  if (!send_ctrl_datagram(ep, kTypeAck, io.rx_charged)) {
     io.ack_pending = true;  // retried from the slow tick
     return;
   }
-  ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
-  ep->counters_.bytes_tx.fetch_add(sizeof hdr, std::memory_order_relaxed);
-  ep->counters_.acks_tx.fetch_add(1, std::memory_order_relaxed);
   io.acked_sent = io.rx_charged;
   io.ack_pending = false;
 }

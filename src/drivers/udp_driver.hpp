@@ -13,8 +13,8 @@
 //
 // A driver frame (one send()) larger than the MTU payload is fragmented
 // into `nfrags` datagrams sharing one per-track `seq`; the receiver
-// reassembles by (track, seq, frag) and hands each frame up as soon as its
-// last datagram lands. Acks carry a cumulative received-byte count (lo32 in
+// appends each (track, seq)'s fragments in order and hands the frame up as
+// soon as its last datagram lands. Acks carry a cumulative received-byte count (lo32 in
 // `seq`, hi32 in `frag`) driving the sender's flow-control window — without
 // it, bulk senders overrun the loopback receive buffer (~208 KiB default)
 // and drop silently even on a "clean" link. Ping/Pong are keepalive + ack
@@ -118,7 +118,10 @@ class UdpLoop {
   void handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
                        std::size_t len, Nanos now);
   void pump_tx(UdpEndpoint* ep, Nanos now);
-  void send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type);
+  /// Send a header-only datagram (an Ack carries the cumulative `acked`);
+  /// false if it did not go out.
+  bool send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type,
+                          std::uint64_t acked = 0);
   void flush_ack(UdpEndpoint* ep, bool force);
   void break_link(UdpEndpoint* ep, const char* why);
   /// `ep` got events (or a broken link) this iteration: owe its handler
@@ -233,11 +236,13 @@ class UdpEndpoint final : public DriverEndpoint {
   };
   using Event = std::variant<EvSendComplete, EvSendFailed, EvPacket>;
 
-  /// One partially reassembled inbound frame.
+  /// One partially reassembled inbound frame: the fragments so far, in
+  /// order, in a buffer whose capacity is reserved at frame_len.
   struct Reasm {
     Bytes buf;
-    std::vector<bool> got;  ///< per fragment; its size is the frame's nfrags
-    std::size_t have = 0;
+    std::uint32_t frame_len = 0;
+    std::uint16_t nfrags = 0;
+    std::uint16_t next = 0;  ///< index of the next fragment expected
   };
 
   /// Loop-thread-only IO state. Registration/deregistration handshakes
