@@ -3,32 +3,35 @@
 
     python3 bench/ab.py --parent REV --change REV --pr N \\
         [--pairs 10] [--pairs W=N ...] [--seed2-pairs 1] [--seconds 20] \\
-        [--workloads W,W] [--anchor fab1f73] [--scratch DIR]
+        [--scratch DIR]
 
 Each revision is `git archive`d into the scratch directory and builds its
 own ledger through its own bench/ledger/run.py, in its own CARGO_TARGET_DIR,
 so both sides run identical benchmark code from their own trees. For every
 workload of BENCHMARK.json it runs the given number of pairs at seed 1,
 then --seed2-pairs pairs at seed 2, swapping which side runs first from one
-pair to the next, and one pair against the anchor commit (by default
-fab1f73, where the ledger first ran): absolute numbers drift from one day
-or machine to the next, ratios to a fixed anchor much less.
+pair to the next, and one pair against the anchor commit fab1f73, where
+the ledger first ran: absolute numbers drift from one day or machine to the
+next, ratios to a fixed anchor much less.
 
 The file written at the repository root holds every run, the per-pair
 change/parent ratios, each side's median and quartiles, pair wins,
 hw_threads and both `git describe`s. Each end-to-end metric gets one
-verdict under BENCHMARK.json's bounds and the simplicity-review rules:
+verdict under BENCHMARK.json's bounds and the simplicity-review rules,
+the first that applies:
   failed      a run was incorrect or had failed operations
+  regression  the change's median is worse than the parent's by more than
+              the bound, however noisy the runs
   bimodal     a side's max/min exceeds 2: unresolved, neither pass nor fail
   unresolved  a side's spread (max/min - 1) exceeds the bound and not every
               change run beats every parent run
-  regression  the change's median is worse than the parent's by more than
-              the bound
   gain        the change wins at least 9 of 10 pairs (ties count for
               neither) and the medians differ by more than the parent's
               interquartile range
   flat        none of the above
-Nothing under bench/ledger/ is edited. Progress goes to standard error.
+The exit status is 1 if any verdict is failed or regression, else 2 if any
+is bimodal or unresolved, else 0. Nothing under bench/ledger/ is edited.
+Progress goes to standard error.
 """
 import argparse
 import datetime
@@ -39,6 +42,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ANCHOR = "fab1f73"
 RUN_TIMEOUT_S = 1200
 
 
@@ -133,12 +137,12 @@ def verdict(spec, pairs):
     worse_by = (1 - cm / pm if higher else cm / pm - 1) if pm else 0.0
     all_better = all(better(c, p, higher) for c in chg for p in par)
     iqr = out["parent"]["q3"] - out["parent"]["q1"]
-    if spread > 2:
+    if worse_by > bound:
+        out["verdict"] = "regression"
+    elif spread > 2:
         out["verdict"] = "bimodal"
     elif spread - 1 > bound and not all_better:
         out["verdict"] = "unresolved"
-    elif worse_by > bound:
-        out["verdict"] = "regression"
     elif (out["wins"] * 10 >= 9 * len(runs) and len(runs) >= 10 and
           better(cm, pm, higher) and abs(cm - pm) > iqr):
         out["verdict"] = "gain"
@@ -163,9 +167,6 @@ def main():
     ap.add_argument("--seed2-pairs", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=None,
                     help="run length (default: BENCHMARK.json run_seconds)")
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated subset of BENCHMARK.json workloads")
-    ap.add_argument("--anchor", default="fab1f73")
     ap.add_argument("--scratch", default=os.path.join(ROOT, ".bench_ab"))
     args = ap.parse_args()
 
@@ -173,8 +174,6 @@ def main():
         spec = json.load(f)
     seconds = args.seconds or spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        workloads = [w for w in args.workloads.split(",") if w in workloads]
     npairs = dict.fromkeys(workloads, 10)
     for p in args.pairs:  # later flags override earlier ones
         w, _, n = p.rpartition("=")
@@ -184,20 +183,18 @@ def main():
     os.makedirs(args.scratch, exist_ok=True)
     parent = Side("parent", args.parent, args.scratch)
     change = Side("change", args.change, args.scratch)
-    anchor = Side("anchor", args.anchor, args.scratch) if args.anchor else None
+    anchor = Side("anchor", ANCHOR, args.scratch)
     for side in (parent, change, anchor):
-        if side:
-            log(f"building {side.label} ({side.describe})")
-            side.run(workloads[0], 1, 1, smoke=True)
+        log(f"building {side.label} ({side.describe})")
+        side.run(workloads[0], 1, 1, smoke=True)
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     out = {"pr": args.pr, "hw_threads": os.cpu_count(), "seconds": seconds,
            "started": started,
            "parent": {"rev": parent.rev, "describe": parent.describe},
            "change": {"rev": change.rev, "describe": change.describe},
+           "anchor": {"rev": anchor.rev, "describe": anchor.describe},
            "workloads": {}}
-    if anchor:
-        out["anchor"] = {"rev": anchor.rev, "describe": anchor.describe}
     order = 0
     for w in workloads:
         seeds = [1] * npairs[w] + [2] * args.seed2_pairs
@@ -231,16 +228,15 @@ def main():
                     for m in spec["end_to_end"]
                     if all(value(p[s], m["name"]) is not None
                            for p in sub for s in ("parent", "change"))}
-        if anchor:
-            log(f"{w} anchor pair")
-            a = pair(anchor, change, w, 1, seconds)
-            a["ratios"] = {
-                m["name"]: value(a["change"], m["name"]) /
-                value(a["anchor"], m["name"])
-                for m in spec["end_to_end"]
-                if value(a["anchor"], m["name"]) and
-                value(a["change"], m["name"]) is not None}
-            entry["anchor_pair"] = a
+        log(f"{w} anchor pair")
+        a = pair(anchor, change, w, 1, seconds)
+        a["ratios"] = {
+            m["name"]: value(a["change"], m["name"]) /
+            value(a["anchor"], m["name"])
+            for m in spec["end_to_end"]
+            if value(a["anchor"], m["name"]) and
+            value(a["change"], m["name"]) is not None}
+        entry["anchor_pair"] = a
         out["workloads"][w] = entry
         with open(os.path.join(ROOT, f"BENCH_{args.pr}.json"), "w") as f:
             json.dump(out, f, indent=1)
@@ -257,8 +253,9 @@ def main():
     for v, items in sorted(verdicts.items()):
         print(f"{v}: {', '.join(items)}")
     log(f"wrote {path}")
-    bad = {"failed", "regression"} & verdicts.keys()
-    return 1 if bad else 0
+    if {"failed", "regression"} & verdicts.keys():
+        return 1
+    return 2 if {"bimodal", "unresolved"} & verdicts.keys() else 0
 
 
 if __name__ == "__main__":
