@@ -42,6 +42,10 @@ constexpr int kSockbufBytes = 1 * 1024 * 1024;
 /// many, or beyond kMaxFrame claimed bytes in all, evicts the oldest
 /// (udp.reasm_drops).
 constexpr std::size_t kMaxPendingFrames = 64;
+/// Capacity reserved when a frame opens. The engine's frames fit; a larger
+/// claim grows only as its fragments arrive, so a datagram that claims a
+/// huge frame costs no more than this.
+constexpr std::size_t kReasmReserve = 1024 * 1024;
 
 constexpr std::uint8_t kTypeData = 1;
 constexpr std::uint8_t kTypeAck = 2;
@@ -462,7 +466,7 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
       ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
     }
     it = pend.emplace(h.seq, UdpEndpoint::Reasm{}).first;
-    it->second.buf.reserve(h.frame_len);  // capacity only: nothing touched
+    it->second.buf.reserve(std::min<std::size_t>(h.frame_len, kReasmReserve));
     it->second.frame_len = h.frame_len;
     it->second.nfrags = h.nfrags;
   } else if (it->second.nfrags != h.nfrags ||

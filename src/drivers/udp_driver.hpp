@@ -14,11 +14,11 @@
 // A driver frame (one send()) larger than the MTU payload is fragmented
 // into `nfrags` datagrams sharing one per-track `seq`; the receiver
 // appends each (track, seq)'s fragments in order and hands the frame up as
-// soon as its last datagram lands. Acks carry a cumulative received-byte count (lo32 in
-// `seq`, hi32 in `frag`) driving the sender's flow-control window — without
-// it, bulk senders overrun the loopback receive buffer (~208 KiB default)
-// and drop silently even on a "clean" link. Ping/Pong are keepalive + ack
-// solicitation.
+// soon as its last datagram lands. Acks carry a cumulative received-byte
+// count (lo32 in `seq`, hi32 in `frag`) driving the sender's flow-control
+// window — without it, bulk senders overrun the loopback receive buffer
+// (~208 KiB default) and drop silently even on a "clean" link. Ping/Pong
+// are keepalive + ack solicitation.
 //
 // The driver is honest about what UDP is: caps().lossless == false, so
 // Engine::add_rail refuses the rail unless cfg.reliability (the engine's
@@ -237,7 +237,7 @@ class UdpEndpoint final : public DriverEndpoint {
   using Event = std::variant<EvSendComplete, EvSendFailed, EvPacket>;
 
   /// One partially reassembled inbound frame: the fragments so far, in
-  /// order, in a buffer whose capacity is reserved at frame_len.
+  /// order.
   struct Reasm {
     Bytes buf;
     std::uint32_t frame_len = 0;

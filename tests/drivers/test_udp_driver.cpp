@@ -95,6 +95,17 @@ TEST_F(UdpDriverTest, FrameLargerThanMtuIsFragmentedAndReassembled) {
   EXPECT_EQ(b_->counters().frames_rx.load(), 1u);
 }
 
+TEST_F(UdpDriverTest, FrameLargerThanTheReassemblyReserveArrivesIntact) {
+  // The receiver reserves 1 MiB when a frame opens; past that the frame
+  // grows as its fragments arrive.
+  build();
+  const Bytes p = make_payload(3 * 1024 * 1024 + 7, 6);
+  send(*a_, kTrackBulk, p, 1);
+  ASSERT_TRUE(pump_until([&] { return hb_.packets.size() == 1; }));
+  EXPECT_EQ(hb_.packets[0].payload, p);
+  EXPECT_EQ(b_->counters().reasm_drops.load(), 0u);
+}
+
 TEST_F(UdpDriverTest, BulkStreamEngagesFlowControlWithoutLoss) {
   // Far more data than the loopback receive buffer: without the ack-driven
   // window this drops silently at the kernel and the test times out.
@@ -385,8 +396,8 @@ TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
   };
   // Eight first fragments each claiming a 256 MiB frame on the next fresh
   // seqs, cut as the sender would cut one at an 8 KiB chunk: the receiver
-  // may keep one such frame open, not all of them, and holds only the
-  // bytes that arrived, so the eight cost neither memory nor loop time.
+  // may keep one such frame open, not all of them, and reserves at most
+  // 1 MiB for it, so the eight cost neither memory nor loop time.
   {
     constexpr std::uint32_t kHuge = 256u << 20, kChunk = 8192;
     const Bytes chunk = make_payload(kChunk);
