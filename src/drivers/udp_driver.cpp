@@ -42,9 +42,9 @@ constexpr int kSockbufBytes = 1 * 1024 * 1024;
 /// many, or beyond kMaxFrame claimed bytes in all, evicts the oldest
 /// (udp.reasm_drops).
 constexpr std::size_t kMaxPendingFrames = 64;
-/// Capacity reserved when a frame opens. The engine's frames fit; a larger
-/// claim grows only as its fragments arrive, so a datagram that claims a
-/// huge frame costs no more than this.
+/// Capacity reserved when a frame opens, well above the engine's default
+/// frames (64 KiB bulk chunks). A larger claim grows only as its fragments
+/// arrive, so a datagram that claims a huge frame costs no more than this.
 constexpr std::size_t kReasmReserve = 1024 * 1024;
 
 constexpr std::uint8_t kTypeData = 1;
@@ -450,9 +450,10 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
     // the claim: every non-final fragment carries the sender's chunk, so
     // nfrags of them are just enough for frame_len.
     const std::uint64_t n = h.nfrags;
-    if (h.frag != 0 || h.frame_len > n * plen ||
-        (n > 1 && h.frame_len <= (n - 1) * plen))
-      return;
+    const bool fits = n == 1 ? h.frame_len == plen
+                             : (n - 1) * plen < h.frame_len &&
+                                   h.frame_len <= n * plen;
+    if (h.frag != 0 || !fits) return;
     std::size_t bytes = h.frame_len;
     for (const auto& [seq, r] : pend) bytes += r.frame_len;
     while (!pend.empty() &&
