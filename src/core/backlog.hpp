@@ -70,7 +70,6 @@ struct TxFrag {
   const Byte* ext = nullptr;   ///< payload when referenced (Later mode)
   std::size_t len = 0;
 
-  std::uint64_t rdv_token = 0;   ///< RdvRts: matching rendezvous token
   SendStateRef state;            ///< null for engine-internal fragments
 
   Nanos submit_time = 0;

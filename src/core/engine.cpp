@@ -102,6 +102,7 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
   rail->ep->relay_ready_to(&rail->port);
   rail->ep->set_handler(&rail->port);
   ps.rails.push_back(std::move(rail));
+  ps.rdv_out.add_rail();
   ps.any_rail_up.store(true, std::memory_order_release);
   return id;
 }
@@ -176,12 +177,8 @@ RailId Engine::rail_for_class_locked(const PeerState& ps,
 SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
                           Message msg) {
   MADO_CHECK_MSG(!msg.empty(), "cannot post an empty message");
-  const auto nfrags = static_cast<std::uint16_t>(msg.fragment_count());
-  auto state = std::make_shared<SendState>();
-  state->pending.store(nfrags, std::memory_order_relaxed);
-  state->submit_time = timers_.now();
-  state->cls = cls;
-  state->peer = ps.id;
+  const SendStateRef state = new_send_state(
+      ps.id, cls, static_cast<std::uint16_t>(msg.fragment_count()));
 
   if (!ps.any_rail_up.load(std::memory_order_acquire)) {
     // Every rail toward the peer is dead: fail fast instead of queueing onto
@@ -283,11 +280,6 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
   const MsgSeq seq = cs.next_tx_seq++;
   ++cs.outstanding_sends;
 
-  const drv::Capabilities& caps = rail.ep->caps();
-  const std::size_t rdv_thr = cfg_.rdv_threshold_override != 0
-                                  ? cfg_.rdv_threshold_override
-                                  : caps.rdv_threshold;
-
   auto& frags = msg.fragments();
   for (std::size_t i = 0; i < frags.size(); ++i) {
     Message::Fragment& mf = frags[i];
@@ -302,36 +294,22 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
     tf.submit_time = sub_time;
     tf.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
 
-    if (mf.len >= rdv_thr) {
+    if (mf.len >= rdv_threshold(rail)) {
       // Rendezvous: the RTS control fragment takes this fragment's place in
       // the eager stream (so intra-message ordering of headers vs payload
       // is preserved); the bytes flow on bulk tracks after the CTS.
-      const std::uint64_t token =
-          next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
-      RdvTx rdv;
-      rdv.peer = ps.id;
-      rdv.channel = ch;
-      rdv.total = mf.len;
-      rdv.state = state;
-      rdv.rts_time = sub_time;
-      rdv.rts_timed = true;
-      rdv.cls = cs.cls;
+      RdvTx rdv{
+          .channel = ch, .total = mf.len, .rts_time = sub_time, .state = state};
       if (!mf.owned.empty()) {
         rdv.storage = std::move(mf.owned);  // Safe mode: keep the copy alive
         rdv.data = rdv.storage.data();
       } else {
         rdv.data = mf.ext;
       }
-      ps.rdv_tx.emplace(token, std::move(rdv));
-
-      tf.kind = FragKind::RdvRts;
-      tf.rdv_token = token;
-      RtsBody body{token, mf.len};
-      tf.owned = ps.slab.take(RtsBody::kWireSize);
-      encode_rts(tf.owned, body);
-      tf.len = tf.owned.size();
+      open_rdv_locked(ps, rail_id,
+                      next_rdv_token_.fetch_add(1, std::memory_order_relaxed),
+                      std::move(rdv), RtsBody{}, tf);
       ps.stats.inc(Ctr::TxRdvRts);
-      trace_locked(TraceEvent::RdvRts, ps.id, rail_id, token, mf.len);
     } else {
       tf.kind = FragKind::Data;
       const bool copy =
@@ -365,6 +343,23 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
   trace_locked(TraceEvent::MsgSubmit, ps.id, rail_id, ch, nfrags,
                msg.total_bytes());
   pump_rail_locked(ps, rail);
+}
+
+std::size_t Engine::rdv_threshold(const Rail& rail) const {
+  return cfg_.rdv_threshold_override != 0 ? cfg_.rdv_threshold_override
+                                          : rail.ep->caps().rdv_threshold;
+}
+
+void Engine::open_rdv_locked(PeerState& ps, RailId rail, std::uint64_t token,
+                             RdvTx&& rdv, RtsBody body, TxFrag& tf) {
+  body.token = token;
+  body.total_len = rdv.total;
+  tf.kind = FragKind::RdvRts;
+  tf.owned = ps.slab.take(RtsBody::kWireSize);
+  encode_rts(tf.owned, body);
+  tf.len = tf.owned.size();
+  trace_locked(TraceEvent::RdvRts, ps.id, rail, token, rdv.total);
+  ps.rdv_tx.emplace(token, std::move(rdv));
 }
 
 // ---- optimizer pump ---------------------------------------------------------
@@ -452,54 +447,18 @@ bool Engine::try_send_eager_locked(PeerState& ps, Rail& rail) {
 bool Engine::try_send_bulk_locked(PeerState& ps, Rail& rail) {
   if (!rail.track_free(rail.bulk_track())) return false;
   if (cfg_.reliability && rail.rel[1].window_full()) return false;
-  BulkChunk chunk;
-  if (!pop_bulk_chunk_locked(ps, rail, chunk)) return false;
+  RdvSender::Chunk chunk;
+  std::size_t victim = 0;
+  const RdvSender::Source from = ps.rdv_out.pop(rail.port.rail, chunk, victim);
+  if (from == RdvSender::Source::None) return false;
+  if (from == RdvSender::Source::Steal) {
+    ps.stats.inc(Ctr::StripeSteals);
+    ps.stats.inc(Ctr::StripeStealBytes, chunk.len);
+    trace_locked(TraceEvent::BulkSteal, ps.id, rail.port.rail, chunk.token,
+                 chunk.offset, chunk.len, victim);
+  }
   send_bulk_chunk_locked(ps, rail, chunk);
   return true;
-}
-
-bool Engine::pop_bulk_chunk_locked(PeerState& ps, Rail& rail,
-                                   BulkChunk& out) {
-  if (!rail.bulk_q.empty()) {
-    out = rail.bulk_q.front();
-    rail.bulk_q.pop_front();
-    return true;
-  }
-  if (cfg_.multirail == MultirailPolicy::DynamicSplit &&
-      !ps.shared_bulk.empty()) {
-    out = ps.shared_bulk.front();
-    ps.shared_bulk.pop_front();
-    return true;
-  }
-  if (cfg_.multirail == MultirailPolicy::Stripe && cfg_.stripe.steal) {
-    // Work stealing: this rail went idle while a sibling still has queued
-    // stripe chunks — the paper's "NIC becomes idle" activation generalized
-    // across rails. Rob the tail of the most-loaded Up victim so its head
-    // keeps streaming undisturbed; prediction error and mid-transfer load
-    // shifts self-correct this way.
-    Rail* victim = nullptr;
-    std::size_t victim_bytes = 0;
-    for (const auto& other : ps.rails) {
-      if (other.get() == &rail || other->state == RailState::Down) continue;
-      if (other->bulk_q.empty()) continue;
-      std::size_t bytes = 0;
-      for (const BulkChunk& c : other->bulk_q) bytes += c.len;
-      if (victim == nullptr || bytes > victim_bytes) {
-        victim = other.get();
-        victim_bytes = bytes;
-      }
-    }
-    if (victim != nullptr) {
-      out = victim->bulk_q.back();
-      victim->bulk_q.pop_back();
-      ps.stats.inc(Ctr::StripeSteals);
-      ps.stats.inc(Ctr::StripeStealBytes, out.len);
-      trace_locked(TraceEvent::BulkSteal, ps.id, rail.port.rail, out.token,
-                   out.offset, out.len, victim->port.rail);
-      return true;
-    }
-  }
-  return false;
 }
 
 void Engine::send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags) {
@@ -555,7 +514,7 @@ void Engine::send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags) {
 }
 
 void Engine::send_bulk_chunk_locked(PeerState& ps, Rail& rail,
-                                    BulkChunk chunk) {
+                                    const RdvSender::Chunk& chunk) {
   const std::uint64_t token =
       next_pkt_token_.fetch_add(1, std::memory_order_relaxed);
   auto [recp, inserted] = ps.inflight.emplace(token);
@@ -565,10 +524,7 @@ void Engine::send_bulk_chunk_locked(PeerState& ps, Rail& rail,
   rec.rail = rail.port.rail;
   rec.track = rail.bulk_track();
   rec.is_bulk = true;
-  rec.rdv_token = chunk.token;
-  rec.chunk_off = chunk.offset;
-  rec.chunk_len = chunk.len;
-  rec.chunk_stripe = chunk.stripe;
+  rec.chunk = chunk;
   rec.reliable = cfg_.reliability;
   rec.wire_bytes = BulkHeader::kWireSize + chunk.len;
 
@@ -592,9 +548,9 @@ template <class F>
 void Engine::for_each_payload_locked(PeerState& ps, const InFlight& rec,
                                      F&& f) {
   if (rec.is_bulk) {
-    const RdvTx* rdv = ps.rdv_tx.find(rec.rdv_token);
+    const RdvTx* rdv = ps.rdv_tx.find(rec.chunk.token);
     MADO_CHECK(rdv != nullptr);
-    f(rdv->data + rec.chunk_off, rec.chunk_len);
+    f(rdv->data + rec.chunk.offset, rec.chunk.len);
     return;
   }
   for (const TxFrag& frag : rec.frags) f(frag.data(), frag.len);
@@ -734,10 +690,10 @@ void Engine::finalize_inflight_locked(PeerState& ps, InFlight& rec) {
   ps.slab.recycle(std::move(rec.header_block));
 
   if (rec.is_bulk) {
-    RdvTx* rdvp = ps.rdv_tx.find(rec.rdv_token);
+    RdvTx* rdvp = ps.rdv_tx.find(rec.chunk.token);
     MADO_CHECK(rdvp != nullptr);
     RdvTx& rdv = *rdvp;
-    rdv.completed += rec.chunk_len;
+    rdv.completed += rec.chunk.len;
     MADO_ASSERT(rdv.completed <= rdv.total);
     if (rdv.completed == rdv.total) {
       // Null state: a one-sided transfer whose completion is tracked by the
@@ -746,13 +702,10 @@ void Engine::finalize_inflight_locked(PeerState& ps, InFlight& rec) {
       if (rdv.state)
         complete_frag_state_locked(ps, rdv.channel, rdv.state);
       ps.stats.inc(Ctr::TxRdvCompleted);
-      if (rdv.rts_timed) {
-        const Nanos now = timers_.now();
-        ps.stats.observe(Hist::LatRdvComplete,
-                         now - std::min(now, rdv.rts_time));
-      }
-      trace_locked(TraceEvent::RdvDone, ps.id, 0, rec.rdv_token, rdv.total);
-      ps.rdv_tx.erase(rec.rdv_token);
+      const Nanos now = timers_.now();
+      ps.stats.observe(Hist::LatRdvComplete, now - std::min(now, rdv.rts_time));
+      trace_locked(TraceEvent::RdvDone, ps.id, 0, rec.chunk.token, rdv.total);
+      ps.rdv_tx.erase(rec.chunk.token);
     }
     return;
   }
@@ -914,23 +867,11 @@ void Engine::fail_state_locked(PeerState& ps, ChannelId ch,
     --it->second.outstanding_sends;  // the message is over, unsuccessfully
 }
 
-void Engine::note_rdv_done_locked(PeerState& ps, std::uint64_t token) {
-  if (!cfg_.reliability) return;
-  if (!ps.rdv_rx_done.insert(token)) return;
-  ps.rdv_rx_done_fifo.push_back(token);
-  // Bounded by kRdvDoneWindow: old entries age out. A replay can
-  // only arrive while its sender still holds the un-acked record, which is
-  // far fresher than the retention horizon here.
-  while (ps.rdv_rx_done_fifo.size() > kRdvDoneWindow) {
-    ps.rdv_rx_done.erase(ps.rdv_rx_done_fifo.front());
-    ps.rdv_rx_done_fifo.pop_front();
-    ps.stats.inc(Ctr::CapRdvDoneEvictions);
-  }
-}
-
-bool Engine::rdv_was_done_locked(const PeerState& ps,
-                                 std::uint64_t token) const {
-  return cfg_.reliability && ps.rdv_rx_done.contains(token);
+bool Engine::replay_locked(PeerState& ps, bool replay, const char* what) {
+  if (!replay) return false;
+  MADO_CHECK_MSG(cfg_.reliability, what);
+  ps.stats.inc(Ctr::RelDupDrops);
+  return true;
 }
 
 void Engine::on_link_down(NodeId peer, RailId rail_id) {
@@ -987,13 +928,28 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
   // dead handles without even taking the peer lock.
   ps.any_rail_up.store(survivor != nullptr, std::memory_order_release);
 
-  std::size_t replayed_frags = 0, replayed_chunks = 0, failed_sends = 0;
+  std::size_t replayed_frags = 0, failed_sends = 0;
   const RailId rail_id = rail.port.rail;
 
-  // Replayed fragments re-enter the collect layer "now" with fresh orders
-  // (the flow index requires monotone (order, submit_time) pairs).
+  // A fragment leaving the dead rail re-enters the collect layer on `to`
+  // "now" with a fresh order (the flow index requires monotone (order,
+  // submit_time) pairs), or its send fails when `to` is null.
   const Nanos replay_time = std::max(timers_.now(), ps.last_drain_time);
   ps.last_drain_time = replay_time;
+  const auto move_frag = [&](TxFrag&& f, Rail* to) {
+    if (!to) {
+      fail_state_locked(ps, f.channel, f.state);
+      ps.slab.recycle(std::move(f.owned));
+      return;
+    }
+    f.submit_time = replay_time;
+    f.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
+    ++replayed_frags;
+    if (f.kind == FragKind::RdvCts || f.kind == FragKind::RmaAck)
+      to->backlog.push_control(std::move(f));
+    else
+      to->backlog.push(std::move(f));
+  };
 
   // 1. In-flight records on this rail. Acked ones are finalized (the peer
   //    has the bytes; only the driver completion is lost with the link).
@@ -1004,7 +960,7 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
   ps.inflight.for_each([&](std::uint64_t token, const InFlight& rec) {
     if (rec.rail == rail_id) tokens.push_back(token);
   });
-
+  std::vector<RdvSender::Chunk> unacked;
   for (const std::uint64_t token : tokens) {
     InFlight* recp = ps.inflight.find(token);
     InFlight rec = std::move(*recp);
@@ -1013,44 +969,16 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
       finalize_inflight_locked(ps, rec);
       continue;
     }
-    if (rec.reliable && survivor && cfg_.reliability) {
-      if (rec.is_bulk) {
-        // Re-queue the chunk; it rides the survivor's bulk stream with a
-        // fresh sequence number.
-        BulkChunk chunk{rec.rdv_token, rec.chunk_off, rec.chunk_len,
-                        rec.chunk_stripe};
-        if (cfg_.multirail == MultirailPolicy::DynamicSplit)
-          ps.shared_bulk.push_back(chunk);
-        else
-          survivor->bulk_q.push_back(chunk);
-        ++replayed_chunks;
-        ps.stats.inc(Ctr::RelReplayedChunks);
-      } else {
-        for (TxFrag& f : rec.frags) {
-          f.submit_time = replay_time;
-          f.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
-          ++replayed_frags;
-          ps.stats.inc(Ctr::RelReplayedFrags);
-          if (f.kind == FragKind::RdvCts || f.kind == FragKind::RmaAck)
-            survivor->backlog.push_control(std::move(f));
-          else
-            survivor->backlog.push(std::move(f));
-        }
-        rec.frags.clear();
-      }
-      ps.slab.recycle(std::move(rec.header_block));
-      continue;
-    }
-    // No survivor (or reliability off): the bytes are gone.
-    ++failed_sends;
-    if (rec.is_bulk) {
-      if (RdvTx* rdv = ps.rdv_tx.find(rec.rdv_token))
-        fail_state_locked(ps, rdv->channel, rdv->state);
-    } else {
-      for (TxFrag& f : rec.frags) {
-        fail_state_locked(ps, f.channel, f.state);
-        ps.slab.recycle(std::move(f.owned));
-      }
+    Rail* to = rec.reliable ? survivor : nullptr;
+    if (!to) ++failed_sends;
+    if (!rec.is_bulk) {
+      if (to) ps.stats.inc(Ctr::RelReplayedFrags, rec.frags.size());
+      for (TxFrag& f : rec.frags) move_frag(std::move(f), to);
+    } else if (to) {
+      // The chunk rides the survivor's bulk stream with a fresh sequence.
+      unacked.push_back(rec.chunk);
+    } else if (RdvTx* rdv = ps.rdv_tx.find(rec.chunk.token)) {
+      fail_state_locked(ps, rdv->channel, rdv->state);
     }
     ps.slab.recycle(std::move(rec.header_block));
   }
@@ -1058,50 +986,21 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
   // 2. The dead rail's backlog: control first (CTS/acks unblock the peer),
   //    then data flows oldest-head-first — the same order the optimizer
   //    would have consumed them in.
-  while (rail.backlog.has_control()) {
-    TxFrag f = rail.backlog.pop_control();
-    if (survivor) {
-      f.submit_time = replay_time;
-      f.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
-      ++replayed_frags;
-      survivor->backlog.push_control(std::move(f));
-    } else {
-      ++failed_sends;
-      fail_state_locked(ps, f.channel, f.state);
-      ps.slab.recycle(std::move(f.owned));
-    }
-  }
   while (!rail.backlog.empty()) {
-    TxFrag f = rail.backlog.pop(rail.backlog.oldest_flow());
-    if (survivor) {
-      f.submit_time = replay_time;
-      f.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
-      ++replayed_frags;
-      survivor->backlog.push(std::move(f));
-    } else {
-      ++failed_sends;
-      fail_state_locked(ps, f.channel, f.state);
-      ps.slab.recycle(std::move(f.owned));
-    }
+    if (!survivor) ++failed_sends;
+    move_frag(rail.backlog.has_control()
+                  ? rail.backlog.pop_control()
+                  : rail.backlog.pop(rail.backlog.oldest_flow()),
+              survivor);
   }
 
-  // 3. Queued bulk chunks follow their policy onto the survivor.
-  while (!rail.bulk_q.empty()) {
-    BulkChunk chunk = rail.bulk_q.front();
-    rail.bulk_q.pop_front();
-    if (survivor) {
-      if (cfg_.multirail == MultirailPolicy::DynamicSplit)
-        ps.shared_bulk.push_back(chunk);
-      else
-        survivor->bulk_q.push_back(chunk);
-      ++replayed_chunks;
-    }
-  }
-
-  // 4. No survivor: purge everything that would wedge flush() — the sends
-  //    already failed above, keeping their queues would just hang waiters.
+  // 3. Chunks: the un-acked ones, then the queued ones, follow the policy
+  //    onto the survivor. With none left, every transfer fails — keeping
+  //    their state would only hang flush().
+  if (!unacked.empty()) ps.stats.inc(Ctr::RelReplayedChunks, unacked.size());
+  const std::size_t replayed_chunks = ps.rdv_out.fail_rail(
+      rail_id, survivor ? survivor->port.rail : RdvSender::kNoRail, unacked);
   if (!survivor) {
-    ps.shared_bulk.clear();
     // fail_state_locked touches channels/send states only, never rdv_tx
     // itself — safe inside for_each (no same-table mutation).
     ps.rdv_tx.for_each([&](std::uint64_t, RdvTx& rdv) {
@@ -1506,10 +1405,10 @@ bool Engine::flush(Nanos timeout) {
             return false;
           std::lock_guard<std::mutex> lk(ps->mu);
           if (!ps->inflight.empty() || !ps->rdv_tx.empty() ||
-              !ps->shared_bulk.empty())
+              ps->rdv_out.chunks() != 0)
             return false;
           for (const auto& rail : ps->rails)
-            if (!rail->backlog.empty() || !rail->bulk_q.empty()) return false;
+            if (!rail->backlog.empty()) return false;
         }
         return true;
       },
@@ -1546,8 +1445,9 @@ TxFrag Engine::make_rma_frag_locked(PeerState& ps, FragKind kind) {
   tf.nfrags_total = 1;
   tf.last = true;
   tf.kind = kind;
-  tf.cls = kind == FragKind::RmaAck ? TrafficClass::Control
-                                    : TrafficClass::PutGet;
+  tf.cls = kind == FragKind::RmaAck || kind == FragKind::RdvCts
+               ? TrafficClass::Control
+               : TrafficClass::PutGet;
   const Nanos t = std::max(timers_.now(), ps.last_drain_time);
   ps.last_drain_time = t;
   tf.submit_time = t;
@@ -1560,55 +1460,30 @@ SendHandle Engine::rma_put(NodeId peer, WindowId window, std::uint64_t offset,
                            TrafficClass cls) {
   MADO_CHECK(data != nullptr && len > 0);
   PeerState& ps = peer_ref(peer);
-  auto state = std::make_shared<SendState>();
-  state->pending.store(1, std::memory_order_relaxed);  // peer's RmaAck
-  state->submit_time = timers_.now();
-  state->cls = cls;
-  state->peer = peer;
-
+  const SendStateRef state = new_send_state(peer, cls, 1);  // peer's RmaAck
   PeerLock lk(ps);
-  drain_submit_ring_locked(ps);
-  MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
-  const RailId rail_id = rail_for_class_locked(ps, cls);
-  Rail& rail = *ps.rails[rail_id];
-  if (rail.state == RailState::Down) {
-    state->failed.store(true, std::memory_order_release);
-    ps.stats.inc(Ctr::RelFailedSends);  // every rail toward the peer is dead
-    return SendHandle(state);
-  }
-  const std::size_t rdv_thr = cfg_.rdv_threshold_override != 0
-                                  ? cfg_.rdv_threshold_override
-                                  : rail.ep->caps().rdv_threshold;
-
+  Rail* rail = rma_rail_locked(ps, cls, *state);
+  if (!rail) return SendHandle(state);
+  const RailId rail_id = rail->port.rail;
   const std::uint64_t ack_token =
       next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
   ps.rma_acks.emplace(ack_token, state);
 
-  if (len >= rdv_thr) {
-    RdvTx rdv;
-    rdv.peer = peer;
-    rdv.channel = kRmaChannel;
-    rdv.data = static_cast<const Byte*>(data);
-    rdv.total = len;
-    rdv.state = nullptr;  // handle completes on the ack, not on chunks
-    rdv.rts_time = timers_.now();
-    rdv.rts_timed = true;
-    rdv.cls = cls;
-    ps.rdv_tx.emplace(ack_token, std::move(rdv));
-    trace_locked(TraceEvent::RdvRts, peer, rail_id, ack_token, len);
-
+  if (len >= rdv_threshold(*rail)) {
+    // The handle completes on the ack, not on chunks: the transfer has no
+    // state of its own, and the ack token doubles as its token.
     TxFrag tf = make_rma_frag_locked(ps, FragKind::RdvRts);
-    RtsBody body;
-    body.token = ack_token;
-    body.total_len = len;
-    body.target = RdvTarget::Window;
-    body.window = window;
-    body.offset = offset;
-    body.aux = ack_token;
-    tf.owned = ps.slab.take(RtsBody::kWireSize);
-    encode_rts(tf.owned, body);
-    tf.len = tf.owned.size();
-    rail.backlog.push(std::move(tf));
+    open_rdv_locked(ps, rail_id, ack_token,
+                    RdvTx{.channel = kRmaChannel,
+                          .data = static_cast<const Byte*>(data),
+                          .total = len,
+                          .rts_time = timers_.now()},
+                    RtsBody{.target = RdvTarget::Window,
+                            .window = window,
+                            .offset = offset,
+                            .aux = ack_token},
+                    tf);
+    rail->backlog.push(std::move(tf));
   } else {
     TxFrag tf = make_rma_frag_locked(ps, FragKind::RmaPut);
     tf.owned = ps.slab.take(RmaPutBody::kWireSize + len);
@@ -1616,11 +1491,11 @@ SendHandle Engine::rma_put(NodeId peer, WindowId window, std::uint64_t offset,
     const auto* p = static_cast<const Byte*>(data);
     tf.owned.insert(tf.owned.end(), p, p + len);
     tf.len = tf.owned.size();
-    rail.backlog.push(std::move(tf));
+    rail->backlog.push(std::move(tf));
   }
   ps.stats.inc(Ctr::RmaPuts);
   trace_locked(TraceEvent::RmaOp, peer, rail_id, 0, window, len);
-  pump_rail_locked(ps, rail);
+  pump_rail_locked(ps, *rail);
   return SendHandle(state);
 }
 
@@ -1628,22 +1503,10 @@ SendHandle Engine::rma_get(NodeId peer, WindowId window, std::uint64_t offset,
                            void* dest, std::size_t len, TrafficClass cls) {
   MADO_CHECK(dest != nullptr && len > 0);
   PeerState& ps = peer_ref(peer);
-  auto state = std::make_shared<SendState>();
-  state->pending.store(1, std::memory_order_relaxed);  // all bytes landed
-  state->submit_time = timers_.now();
-  state->cls = cls;
-  state->peer = peer;
-
+  const SendStateRef state = new_send_state(peer, cls, 1);  // bytes landed
   PeerLock lk(ps);
-  drain_submit_ring_locked(ps);
-  MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
-  const RailId rail_id = rail_for_class_locked(ps, cls);
-  Rail& rail = *ps.rails[rail_id];
-  if (rail.state == RailState::Down) {
-    state->failed.store(true, std::memory_order_release);
-    ps.stats.inc(Ctr::RelFailedSends);  // every rail toward the peer is dead
-    return SendHandle(state);
-  }
+  Rail* rail = rma_rail_locked(ps, cls, *state);
+  if (!rail) return SendHandle(state);
   const std::uint64_t get_token =
       next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
   ps.pending_gets.emplace(get_token,
@@ -1653,11 +1516,32 @@ SendHandle Engine::rma_get(NodeId peer, WindowId window, std::uint64_t offset,
   tf.owned = ps.slab.take(RmaGetBody::kWireSize);
   encode_rma_get(tf.owned, RmaGetBody{window, offset, len, get_token});
   tf.len = tf.owned.size();
-  rail.backlog.push(std::move(tf));
+  rail->backlog.push(std::move(tf));
   ps.stats.inc(Ctr::RmaGets);
-  trace_locked(TraceEvent::RmaOp, peer, rail_id, 1, window, len);
-  pump_rail_locked(ps, rail);
+  trace_locked(TraceEvent::RmaOp, peer, rail->port.rail, 1, window, len);
+  pump_rail_locked(ps, *rail);
   return SendHandle(state);
+}
+
+Engine::Rail* Engine::rma_rail_locked(PeerState& ps, TrafficClass cls,
+                                      SendState& state) {
+  drain_submit_ring_locked(ps);
+  MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << ps.id);
+  Rail& rail = *ps.rails[rail_for_class_locked(ps, cls)];
+  if (rail.state != RailState::Down) return &rail;
+  state.failed.store(true, std::memory_order_release);
+  ps.stats.inc(Ctr::RelFailedSends);  // every rail toward the peer is dead
+  return nullptr;
+}
+
+SendStateRef Engine::new_send_state(NodeId peer, TrafficClass cls,
+                                    std::uint32_t pending) const {
+  auto state = std::make_shared<SendState>();
+  state->pending.store(pending, std::memory_order_relaxed);
+  state->submit_time = timers_.now();
+  state->cls = cls;
+  state->peer = peer;
+  return state;
 }
 
 // ---- traffic classes --------------------------------------------------------
@@ -1689,9 +1573,8 @@ void Engine::rebalance_classes() {
     for (std::size_t i = 0; i < ps->rails.size(); ++i) {
       const Rail& r = *ps->rails[i];
       if (r.state == RailState::Down) dead[i] = true;
-      std::size_t bulk_bytes = 0;
-      for (const BulkChunk& c : r.bulk_q) bulk_bytes += c.len;
-      load[i] += r.backlog.byte_count() + r.inflight_bytes + bulk_bytes;
+      load[i] += r.backlog.byte_count() + r.inflight_bytes +
+                 ps->rdv_out.queued_bytes(i);
     }
   }
   if (load.size() < 2) return;  // nothing to balance
@@ -1772,9 +1655,7 @@ std::size_t Engine::pending_bulk_chunks(NodeId peer) const {
   PeerState* ps = find_peer(peer);
   MADO_CHECK(ps != nullptr);
   std::lock_guard<std::mutex> lk(ps->mu);
-  std::size_t n = ps->shared_bulk.size();
-  for (const auto& rail : ps->rails) n += rail->bulk_q.size();
-  return n;
+  return ps->rdv_out.chunks();
 }
 
 Engine::Snapshot Engine::snapshot() const {
@@ -1784,18 +1665,19 @@ Engine::Snapshot Engine::snapshot() const {
     std::lock_guard<std::mutex> lk(ps->mu);
     Snapshot::PeerInfo pi;
     pi.id = id;
-    pi.shared_bulk_chunks = ps->shared_bulk.size();
+    pi.shared_bulk_chunks = ps->rdv_out.pool().size();
     pi.open_channels = ps->channels.size();
     pi.rx_pending_msgs = ps->rx_msgs.size();
     pi.submit_ring_pending =
         ps->ring_pending.load(std::memory_order_acquire);
-    for (const auto& rail : ps->rails) {
+    for (std::size_t i = 0; i < ps->rails.size(); ++i) {
+      const Rail* rail = ps->rails[i].get();
       Snapshot::RailInfo ri;
       ri.driver = rail->ep->caps().name;
       ri.state = rail->state;
       ri.backlog_frags = rail->backlog.frag_count();
       ri.backlog_bytes = rail->backlog.byte_count();
-      ri.bulk_chunks = rail->bulk_q.size();
+      ri.bulk_chunks = ps->rdv_out.queue(i).size();
       for (std::size_t n : rail->outstanding) ri.outstanding_packets += n;
       ri.inflight_bytes = rail->inflight_bytes;
       ri.unacked_packets =

@@ -49,12 +49,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -69,6 +67,7 @@
 #include "core/packet.hpp"
 #include "core/payload_pool.hpp"
 #include "core/reliability.hpp"
+#include "core/rendezvous.hpp"
 #include "core/strategy.hpp"
 #include "core/timer_host.hpp"
 #include "core/token_table.hpp"
@@ -271,23 +270,12 @@ class Engine final {
     void on_ready() override { engine->note_activity(*ps); }
   };
 
-  /// One pending rendezvous bulk chunk.
-  struct BulkChunk {
-    std::uint64_t token = 0;
-    std::uint64_t offset = 0;
-    std::uint32_t len = 0;
-    /// Stripe sequence within the transfer's plan (Stripe policy; 0
-    /// otherwise). Travels to the wire/trace for observability.
-    std::uint32_t stripe = 0;
-  };
-
   struct Rail {
     std::unique_ptr<drv::DriverEndpoint> ep;
     RailPort port;
     std::vector<std::size_t> outstanding;  // per track
     TxBacklog backlog;
-    std::deque<BulkChunk> bulk_q;  // SingleRail / Stripe chunks
-    bool bulk_turn = false;        // shared-track alternation
+    bool bulk_turn = false;  // shared-track alternation
     RailState state = RailState::Up;
     // Reliable streams [0] eager packets, [1] bulk chunks, whatever the
     // physical track (a shared-track rail multiplexes both on track 0).
@@ -329,12 +317,10 @@ class Engine final {
     std::size_t dest_len = 0;
     bool posted = false;
     bool done = false;
-    // Rendezvous:
+    // Rendezvous (its bytes are counted in the transfer's RdvRx):
     bool is_rdv = false;
-    bool cts_sent = false;
     std::uint64_t token = 0;
     std::uint64_t total = 0;
-    std::uint64_t received = 0;
   };
 
   struct RxMessage {
@@ -356,24 +342,16 @@ class Engine final {
 
   /// Sender-side rendezvous state.
   struct RdvTx {
-    NodeId peer = 0;
     ChannelId channel = 0;
     const Byte* data = nullptr;
-    Bytes storage;  ///< keeps Safe-mode payload copies alive until sent
+    Bytes storage{};  ///< keeps Safe-mode payload copies alive until sent
     std::uint64_t total = 0;
-    std::uint64_t queued = 0;     // bytes cut into chunks so far
     std::uint64_t completed = 0;  // bytes whose chunk send completed
-    std::uint32_t next_stripe = 0;  // next stripe id to assign (Stripe)
     bool cts_received = false;
     Nanos rts_time = 0;  ///< when the RTS was submitted (handshake latency)
-    /// True once rts_time is a real timestamp. A plain `rts_time != 0`
-    /// check would silently drop latency samples for transfers submitted at
-    /// virtual time 0 — the very first message of every simulation.
-    bool rts_timed = false;
-    TrafficClass cls = TrafficClass::Bulk;
     /// Null for puts with remote acknowledgement (the handle then lives in
     /// rma_acks and completes on the RmaAck, not on local chunk completion).
-    SendStateRef state;
+    SendStateRef state{};
   };
 
   /// Receiver-side rendezvous routing: where bulk chunks for `token` land,
@@ -381,25 +359,15 @@ class Engine final {
   /// the table lives inside the sending peer's shard now.
   struct RdvRx {
     RdvTarget target = RdvTarget::Message;
-    // Message target:
+    // Message target: the receive slot to complete.
     ChannelId channel = 0;
     MsgSeq seq = 0;
     FragIdx idx = 0;
-    // Direct targets (Window / GetBuffer):
+    /// Where the bytes land, known once the CTS goes out (a Message
+    /// target's when its fragment is unpacked).
     Byte* base = nullptr;
-    std::uint64_t len = 0;
-    std::uint64_t received = 0;
-    std::uint64_t ack_token = 0;  ///< Window: RmaAck to send on completion
-    std::uint64_t get_token = 0;  ///< GetBuffer: pending get to complete
-    /// Reliability: chunk offsets already applied, so a chunk replayed on a
-    /// surviving rail (delivered once, ack lost) is not double-counted.
-    /// TokenSet: allocation-free while empty (the lossless-fabric common
-    /// case), shrinks back after a reassembly burst.
-    TokenSet seen_offsets;
-    /// Reassembly watermark: lowest offset not yet known-contiguous from 0.
-    /// Chunks landing above it arrived out of order (another rail ran
-    /// ahead) — counted as `stripe.reassembly_ooo`.
-    std::uint64_t next_contig = 0;
+    std::uint64_t aux = 0;  ///< Window: the RmaAck token; GetBuffer: the get
+    RdvReceiver::Landing landing;
   };
 
   struct RmaWindow {
@@ -424,10 +392,7 @@ class Engine final {
     Bytes header_block;
     FragList frags;
     bool is_bulk = false;
-    std::uint64_t rdv_token = 0;
-    std::uint64_t chunk_off = 0;
-    std::uint32_t chunk_len = 0;
-    std::uint32_t chunk_stripe = 0;
+    RdvSender::Chunk chunk;  ///< is_bulk: the chunk this packet carries
     std::size_t wire_bytes = 0;
     // Reliability:
     bool reliable = false;  ///< held by rel[is_bulk] until acked
@@ -472,7 +437,10 @@ class Engine final {
         : id(peer),
           owner(owner_idx),
           slab(&stats),
-          strategy(StrategyRegistry::instance().create(cfg.strategy)) {
+          strategy(StrategyRegistry::instance().create(cfg.strategy)),
+          rdv_out(cfg.multirail, cfg.stripe.steal),
+          rdv_in(cfg.reliability, kRdvDoneWindow,
+                 TokenTableOpts{.stats = &stats}) {
       if (cfg.submit_ring > 0) {
         std::size_t cap = 2;
         while (cap < cfg.submit_ring) cap <<= 1;
@@ -488,7 +456,6 @@ class Engine final {
       rdv_rx.set_opts(topts);
       pending_gets.set_opts(topts);
       rma_acks.set_opts(topts);
-      rdv_rx_done.set_opts(topts);
     }
 
     const NodeId id;
@@ -536,7 +503,10 @@ class Engine final {
     std::vector<std::unique_ptr<Rail>> rails;
     std::map<ChannelId, ChannelState> channels;
     std::map<RxKey, RxMessage> rx_msgs;
-    std::deque<BulkChunk> shared_bulk;  // DynamicSplit chunk pool
+    /// Rendezvous decisions: the queued chunks toward the peer, and the
+    /// verdict on replays of what it sends.
+    RdvSender rdv_out;
+    RdvReceiver rdv_in;
     /// Hot token-keyed state: open-addressing slabs (core/token_table.hpp),
     /// not std::map — O(1) probes, no per-entry allocation, and they shrink
     /// back when a flow burst drains so per-peer memory stays bounded.
@@ -545,10 +515,6 @@ class Engine final {
     TokenTable<RdvRx> rdv_rx;
     TokenTable<PendingGet> pending_gets;
     TokenTable<SendStateRef> rma_acks;
-    /// Reliability: recently completed receiver-side rendezvous tokens;
-    /// dedup ring for cross-rail replays. Bounded (see note_rdv_done).
-    TokenSet rdv_rx_done;
-    std::deque<std::uint64_t> rdv_rx_done_fifo;
 
     /// Monotonic floor for drained submit times: ring enqueue timestamps
     /// from racing threads can arrive slightly out of order, but the
@@ -644,7 +610,8 @@ class Engine final {
   bool try_send_bulk_locked(PeerState& ps, Rail& rail);
   /// Send `frags` as one eager packet; no fragments make a standalone ack.
   void send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags);
-  void send_bulk_chunk_locked(PeerState& ps, Rail& rail, BulkChunk chunk);
+  void send_bulk_chunk_locked(PeerState& ps, Rail& rail,
+                              const RdvSender::Chunk& chunk);
   /// Hand `rec`'s header block and payload to the driver (again, to resend)
   /// and keep its stream's retransmit timer armed.
   void transmit_locked(PeerState& ps, Rail& rail, std::uint64_t token,
@@ -652,7 +619,6 @@ class Engine final {
   /// f(data, len) for each payload segment: fragments or the chunk's bytes.
   template <class F>
   void for_each_payload_locked(PeerState& ps, const InFlight& rec, F&& f);
-  bool pop_bulk_chunk_locked(PeerState& ps, Rail& rail, BulkChunk& out);
   void schedule_nagle_timer_locked(PeerState& ps, Rail& rail, Nanos when);
 
   void complete_send_locked(PeerState& ps, Rail& rail, drv::TrackId track,
@@ -695,10 +661,9 @@ class Engine final {
   /// Mark a send as failed (idempotent) and release its channel slot.
   void fail_state_locked(PeerState& ps, ChannelId ch,
                          const SendStateRef& state);
-  /// Reliability: remember the token of a completed rendezvous so a
-  /// replayed RTS/chunk for it is dropped as a duplicate, bounded in size.
-  void note_rdv_done_locked(PeerState& ps, std::uint64_t token);
-  bool rdv_was_done_locked(const PeerState& ps, std::uint64_t token) const;
+  /// Every cross-rail replay verdict: a copy is counted and dropped with
+  /// reliability on, a protocol violation without. Returns `replay`.
+  bool replay_locked(PeerState& ps, bool replay, const char* what);
 
   void handle_eager_packet_locked(PeerState& ps, RailId rail,
                                   const Bytes& payload);
@@ -706,28 +671,30 @@ class Engine final {
                                  const Bytes& payload);
   void deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
                                 ByteSpan payload);
+  /// The message whose slot `fh` fills, or nullptr for a replay: a
+  /// fragment of a finished message, or of a slot already filled.
+  RxMessage* filling_locked(PeerState& ps, const FragHeader& fh);
   void handle_rts_locked(PeerState& ps, const FragHeader& fh,
                          ByteSpan payload);
   void handle_cts_locked(PeerState& ps, ByteSpan payload);
   void note_nfrags_locked(RxMessage& msg, const FragHeader& fh);
-  /// Queue the RdvCts answering the RTS `fh` of rendezvous `token`. A
-  /// caller answering for an RxSlot sets its `cts_sent` first.
+  /// Queue the RdvCts answering the RTS `fh` of rendezvous `token`, whose
+  /// RdvRx already knows where the bytes land.
   void send_cts_locked(PeerState& ps, const FragHeader& fh,
                        std::uint64_t token);
-  void distribute_chunks_locked(PeerState& ps, std::uint64_t token,
-                                RdvTx& rdv);
-  /// MultirailPolicy::Stripe placement: consult the cost model
-  /// (strategy_detail::stripe_shares) to split the transfer into per-rail
-  /// contiguous ranges, then cut each range into chunks on that rail's
-  /// queue. Falls back to the Bulk class rail when fewer than two rails can
-  /// carry traffic.
-  void stripe_chunks_locked(PeerState& ps, std::uint64_t token, RdvTx& rdv,
-                            std::size_t chunk_size);
-  /// Bytes that must drain from `rail` before a newly-queued bulk chunk
-  /// moves: queued bulk chunks + eager backlog + the larger of
-  /// driver-in-flight and un-acked wire bytes (they overlap; counting both
-  /// would double-charge a loaded rail).
-  static std::size_t rail_pending_bytes_locked(const Rail& rail);
+  /// The CTS of `token` arrived: place its chunks, by the cost model's
+  /// stripe_shares under MultirailPolicy::Stripe.
+  void place_chunks_locked(PeerState& ps, std::uint64_t token,
+                           std::uint64_t total);
+  /// The config's rendezvous threshold, else `rail`'s driver's.
+  std::size_t rdv_threshold(const Rail& rail) const;
+  /// Open rendezvous `token` carrying `rdv` and turn `tf` into its RTS,
+  /// with `body`'s target fields.
+  void open_rdv_locked(PeerState& ps, RailId rail, std::uint64_t token,
+                       RdvTx&& rdv, RtsBody body, TxFrag& tf);
+  /// The last byte of rendezvous `token` landed: complete its target.
+  void finish_rdv_rx_locked(PeerState& ps, RailId rail, std::uint64_t token,
+                            const RdvRx& rx);
   void mark_slot_done_locked(RxMessage& msg, RxSlot& slot);
   /// finish() bookkeeping: if message (ch, seq) is complete, check that
   /// `nposted` fragments were unpacked, erase it and advance the channel's
@@ -741,10 +708,17 @@ class Engine final {
   void handle_rma_get_data_locked(PeerState& ps, ByteSpan payload);
   void handle_rma_ack_locked(PeerState& ps, ByteSpan payload);
   void push_rma_ack_locked(PeerState& ps, std::uint64_t ack_token);
+  /// The shared start of rma_put and rma_get: the rail for `cls`, or null
+  /// when every rail toward the peer is dead, which fails `state`.
+  Rail* rma_rail_locked(PeerState& ps, TrafficClass cls, SendState& state);
+  /// A handle's state toward `peer`, with `pending` completions to go.
+  SendStateRef new_send_state(NodeId peer, TrafficClass cls,
+                              std::uint32_t pending) const;
   /// Bounds-checked window lookup, BY VALUE under windows_mu_ (shared):
   /// callers hold a peer lock, never the window map's.
   RmaWindow window_checked(WindowId id, std::uint64_t offset,
                            std::uint64_t len) const;
+  /// An engine-made fragment, stamped now and addressed to the RMA channel.
   TxFrag make_rma_frag_locked(PeerState& ps, FragKind kind);
 
   // ---- wait plumbing ---------------------------------------------------

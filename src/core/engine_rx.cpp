@@ -159,28 +159,31 @@ void Engine::note_nfrags_locked(RxMessage& msg, const FragHeader& fh) {
   }
 }
 
-void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
-                                      ByteSpan payload) {
-  if (cfg_.reliability) {
-    // Cross-rail replay after a failover can re-deliver a fragment whose
-    // message already finished (delivered on the dead rail, ack lost) —
-    // or one that landed twice. Dedup instead of treating it as protocol
-    // abuse: with reliability on, duplicates are expected physics.
-    auto cit = ps.channels.find(fh.channel);
-    if (cit != ps.channels.end() &&
-        fh.msg_seq < cit->second.rx_done_floor) {
-      ps.stats.inc(Ctr::RelDupDrops);
-      return;
-    }
-  }
+Engine::RxMessage* Engine::filling_locked(PeerState& ps,
+                                          const FragHeader& fh) {
+  // A failover can resend a fragment whose message already finished here
+  // (it landed on the dead rail, its ack did not). Only with reliability:
+  // without, the floor (one past the highest finished message) says
+  // nothing about an earlier message that is still open.
+  auto cit = ps.channels.find(fh.channel);
+  if (replay_locked(ps,
+                    cfg_.reliability && cit != ps.channels.end() &&
+                        fh.msg_seq < cit->second.rx_done_floor,
+                    "fragment of a finished message"))
+    return nullptr;
   RxMessage& msg = ps.rx_msgs[{fh.channel, fh.msg_seq}];
   note_nfrags_locked(msg, fh);
-  RxSlot& slot = msg.slot(fh.frag_idx);
-  if (cfg_.reliability && (slot.have_data || slot.is_rdv)) {
-    ps.stats.inc(Ctr::RelDupDrops);
-    return;
-  }
-  MADO_CHECK_MSG(!slot.have_data && !slot.is_rdv, "duplicate fragment");
+  const RxSlot& slot = msg.slot(fh.frag_idx);
+  if (replay_locked(ps, slot.have_data || slot.is_rdv, "duplicate fragment"))
+    return nullptr;
+  return &msg;
+}
+
+void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
+                                      ByteSpan payload) {
+  RxMessage* msg = filling_locked(ps, fh);
+  if (!msg) return;
+  RxSlot& slot = msg->slot(fh.frag_idx);
   slot.have_data = true;
   if (slot.posted) {
     MADO_CHECK_MSG(slot.dest_len == payload.size(),
@@ -188,7 +191,7 @@ void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
                                   << " != fragment size " << payload.size());
     if (!payload.empty())
       std::memcpy(slot.dest, payload.data(), payload.size());
-    mark_slot_done_locked(msg, slot);
+    mark_slot_done_locked(*msg, slot);
   } else {
     slot.buffered.assign(payload.begin(), payload.end());
     ps.stats.inc(Ctr::RxUnexpectedFrags);
@@ -207,113 +210,75 @@ void Engine::mark_slot_done_locked(RxMessage& msg, RxSlot& slot) {
 void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
                                ByteSpan payload) {
   const RtsBody rts = decode_rts(payload);
-  if (rdv_was_done_locked(ps, rts.token)) {
-    ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS of a finished rendezvous
+  if (replay_locked(ps,
+                    ps.rdv_rx.contains(rts.token) ||
+                        ps.rdv_in.finished(rts.token),
+                    "duplicate RTS token"))
     return;
-  }
   trace_locked(TraceEvent::RdvRts, ps.id, 0, rts.token, rts.total_len);
+  RdvRx rx;
+  rx.target = rts.target;
+  rx.aux = rts.aux;
+  rx.landing.len = rts.total_len;
   switch (rts.target) {
     case RdvTarget::Message: {
-      if (cfg_.reliability) {
-        auto cit = ps.channels.find(fh.channel);
-        if (cit != ps.channels.end() &&
-            fh.msg_seq < cit->second.rx_done_floor) {
-          ps.stats.inc(Ctr::RelDupDrops);
-          return;
-        }
-      }
-      RxMessage& msg = ps.rx_msgs[{fh.channel, fh.msg_seq}];
-      note_nfrags_locked(msg, fh);
-      RxSlot& slot = msg.slot(fh.frag_idx);
-      if (cfg_.reliability && (slot.have_data || slot.is_rdv)) {
-        ps.stats.inc(Ctr::RelDupDrops);
-        return;
-      }
-      MADO_CHECK_MSG(!slot.have_data && !slot.is_rdv, "duplicate RTS");
+      RxMessage* msg = filling_locked(ps, fh);
+      if (!msg) return;
+      RxSlot& slot = msg->slot(fh.frag_idx);
       slot.is_rdv = true;
       slot.token = rts.token;
       slot.total = rts.total_len;
-      RdvRx rx;
-      rx.target = RdvTarget::Message;
       rx.channel = fh.channel;
       rx.seq = fh.msg_seq;
       rx.idx = fh.frag_idx;
-      ps.rdv_rx.insert_or_assign(rts.token, std::move(rx));
       ps.stats.inc(Ctr::RxRdvRts);
       if (slot.posted) {
         MADO_CHECK_MSG(slot.dest_len == slot.total,
                        "unpack size " << slot.dest_len
                                       << " != rendezvous size "
                                       << slot.total);
-        MADO_ASSERT(!slot.cts_sent);
-        slot.cts_sent = true;
-        send_cts_locked(ps, fh, slot.token);
+        rx.base = slot.dest;
       }
-      return;
+      break;
     }
     case RdvTarget::Window: {
       // One-sided put: the destination is an exposed window — no
       // application receive exists, so the engine answers the CTS itself.
       const RmaWindow win =
           window_checked(rts.window, rts.offset, rts.total_len);
-      RdvRx rx;
-      rx.target = RdvTarget::Window;
       rx.base = win.base + rts.offset;
-      rx.len = rts.total_len;
-      rx.ack_token = rts.aux;
-      if (cfg_.reliability && ps.rdv_rx.contains(rts.token)) {
-        ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS, transfer in progress
-        return;
-      }
-      MADO_CHECK_MSG(ps.rdv_rx.emplace(rts.token, std::move(rx)).second,
-                     "duplicate RTS token");
       ps.stats.inc(Ctr::RxRmaPutRts);
-      send_cts_locked(ps, fh, rts.token);
-      return;
+      break;
     }
     case RdvTarget::GetBuffer: {
       // Bulk reply to our own rma_get: route chunks into the requester's
       // destination buffer.
-      if (cfg_.reliability && ps.rdv_rx.contains(rts.token)) {
-        ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS, transfer in progress
-        return;
-      }
-      PendingGet* pg = ps.pending_gets.find(rts.aux);
-      if (cfg_.reliability && !pg) {
-        ps.stats.inc(Ctr::RelDupDrops);  // replayed RTS, get already finished
-        return;
-      }
-      MADO_CHECK_MSG(pg != nullptr, "RTS for unknown get token " << rts.aux);
+      const PendingGet* pg = ps.pending_gets.find(rts.aux);
+      if (replay_locked(ps, !pg, "RTS for an unknown get")) return;
       MADO_CHECK_MSG(pg->len == rts.total_len, "get reply size mismatch");
-      RdvRx rx;
-      rx.target = RdvTarget::GetBuffer;
       rx.base = pg->dest;
-      rx.len = rts.total_len;
-      rx.get_token = rts.aux;
-      MADO_CHECK_MSG(ps.rdv_rx.emplace(rts.token, std::move(rx)).second,
-                     "duplicate RTS token");
-      send_cts_locked(ps, fh, rts.token);
-      return;
+      break;
     }
   }
+  // A Message target whose fragment is not unpacked yet answers later,
+  // from post_unpack.
+  const bool answer = rx.base != nullptr;
+  ps.rdv_rx.emplace(rts.token, std::move(rx));
+  if (answer) send_cts_locked(ps, fh, rts.token);
 }
 
 void Engine::send_cts_locked(PeerState& ps, const FragHeader& fh,
                              std::uint64_t token) {
-  TxFrag tf;
+  // Addressed to the fragment whose RTS it answers.
+  TxFrag tf = make_rma_frag_locked(ps, FragKind::RdvCts);
   tf.channel = fh.channel;
   tf.msg_seq = fh.msg_seq;
   tf.idx = fh.frag_idx;
   tf.nfrags_total = fh.nfrags_total;
-  tf.kind = FragKind::RdvCts;
-  tf.cls = TrafficClass::Control;
+  tf.last = false;
   tf.owned = ps.slab.take(CtsBody::kWireSize);
   encode_cts(tf.owned, CtsBody{token});
   tf.len = tf.owned.size();
-  const Nanos t = std::max(timers_.now(), ps.last_drain_time);
-  ps.last_drain_time = t;
-  tf.submit_time = t;
-  tf.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
   const RailId rail = rail_for_class_locked(ps, TrafficClass::Control);
   ps.rails[rail]->backlog.push_control(std::move(tf));
   ps.stats.inc(Ctr::TxRdvCts);
@@ -323,126 +288,60 @@ void Engine::send_cts_locked(PeerState& ps, const FragHeader& fh,
 void Engine::handle_cts_locked(PeerState& ps, ByteSpan payload) {
   const CtsBody cts = decode_cts(payload);
   trace_locked(TraceEvent::RdvCts, ps.id, 0, cts.token);
-  RdvTx* rdvp = ps.rdv_tx.find(cts.token);
-  if (cfg_.reliability && !rdvp) {
-    ps.stats.inc(Ctr::RelDupDrops);  // replayed CTS, rendezvous already done
-    return;
-  }
-  MADO_CHECK_MSG(rdvp != nullptr, "CTS for unknown rendezvous");
-  RdvTx& rdv = *rdvp;
-  if (cfg_.reliability && rdv.cts_received) {
-    ps.stats.inc(Ctr::RelDupDrops);  // replayed CTS, chunks already queued
-    return;
-  }
-  MADO_CHECK_MSG(!rdv.cts_received, "duplicate CTS");
-  rdv.cts_received = true;
+  RdvTx* rdv = ps.rdv_tx.find(cts.token);
+  // A replayed CTS: the rendezvous is done, or its chunks are queued.
+  if (replay_locked(ps, !rdv || rdv->cts_received, "duplicate CTS")) return;
+  rdv->cts_received = true;
   ps.stats.inc(Ctr::RxRdvCts);
   // Handshake latency: RTS submitted → CTS back from the receiver.
-  if (rdv.rts_timed) {
-    const Nanos now = timers_.now();
-    ps.stats.observe(Hist::LatRdvHandshake, now - std::min(now, rdv.rts_time));
-  }
-  distribute_chunks_locked(ps, cts.token, rdv);
+  const Nanos now = timers_.now();
+  ps.stats.observe(Hist::LatRdvHandshake, now - std::min(now, rdv->rts_time));
+  place_chunks_locked(ps, cts.token, rdv->total);
 }
 
-void Engine::distribute_chunks_locked(PeerState& ps, std::uint64_t token,
-                                      RdvTx& rdv) {
+void Engine::place_chunks_locked(PeerState& ps, std::uint64_t token,
+                                 std::uint64_t total) {
   const std::size_t chunk_size = std::max<std::size_t>(1, cfg_.rdv_chunk);
-  if (cfg_.multirail == MultirailPolicy::Stripe) {
-    stripe_chunks_locked(ps, token, rdv, chunk_size);
+  const RailId bulk_rail = rail_for_class_locked(ps, TrafficClass::Bulk);
+  if (cfg_.multirail != MultirailPolicy::Stripe) {
+    ps.rdv_out.place(token, total, chunk_size, bulk_rail);
     return;
   }
-  for (std::uint64_t off = 0; off < rdv.total; off += chunk_size) {
-    BulkChunk chunk;
-    chunk.token = token;
-    chunk.offset = off;
-    chunk.len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(chunk_size, rdv.total - off));
-    rdv.queued += chunk.len;
-    switch (cfg_.multirail) {
-      case MultirailPolicy::SingleRail: {
-        const RailId r = rail_for_class_locked(ps, TrafficClass::Bulk);
-        ps.rails[r]->bulk_q.push_back(chunk);
-        break;
-      }
-      case MultirailPolicy::DynamicSplit:
-        // Shared pool: each idle bulk track pulls the next chunk, so faster
-        // rails automatically take more (paper §2, dynamic load balancing).
-        ps.shared_bulk.push_back(chunk);
-        break;
-      case MultirailPolicy::Stripe:
-        MADO_CHECK_MSG(false, "Stripe handled by stripe_chunks_locked");
-        break;
-    }
-  }
-}
-
-std::size_t Engine::rail_pending_bytes_locked(const Rail& rail) {
-  std::size_t queued = 0;
-  for (const BulkChunk& c : rail.bulk_q) queued += c.len;
-  // inflight_bytes (until driver completion) and held bytes (until
-  // cumulative ack) cover overlapping sets of packets; take the larger so
-  // a loaded rail is not charged twice for the same wire bytes.
-  const std::size_t unacked =
-      rail.rel[0].held_bytes() + rail.rel[1].held_bytes();
-  return queued + rail.backlog.byte_count() +
-         std::max(rail.inflight_bytes, unacked);
-}
-
-void Engine::stripe_chunks_locked(PeerState& ps, std::uint64_t token,
-                                  RdvTx& rdv, std::size_t chunk_size) {
   // Cost-model placement (the optimizing layer's stripe hook): split the
   // transfer into per-rail contiguous byte ranges sized so every rail's
   // predicted completion time — per-chunk injection cost (PIO/DMA), wire
   // occupancy at the rail's effective bandwidth, and the backlog it must
-  // drain first — comes out equal. Work stealing in pop_bulk_chunk_locked
+  // drain first — comes out equal. Work stealing in RdvSender::pop
   // corrects whatever the prediction gets wrong.
   std::vector<strategy_detail::StripeRail> cands(ps.rails.size());
   for (std::size_t i = 0; i < ps.rails.size(); ++i) {
     const Rail& rail = *ps.rails[i];
     cands[i].caps = &rail.ep->caps();
-    cands[i].backlog_bytes = rail_pending_bytes_locked(rail);
+    // What must drain before a new chunk moves: queued chunks, the eager
+    // backlog, and the larger of driver-in-flight and un-acked wire bytes
+    // (they overlap; counting both would double-charge a loaded rail).
+    cands[i].backlog_bytes =
+        ps.rdv_out.queued_bytes(i) + rail.backlog.byte_count() +
+        std::max(rail.inflight_bytes,
+                 rail.rel[0].held_bytes() + rail.rel[1].held_bytes());
     cands[i].up = rail.state != RailState::Down;
   }
   std::vector<std::uint64_t> shares;
   const double imbalance = strategy_detail::stripe_shares(
-      cands, rdv.total, chunk_size, cfg_.stripe.min_chunk, shares);
-  const bool planned =
-      std::count_if(shares.begin(), shares.end(),
-                    [](std::uint64_t s) { return s > 0; }) > 0;
-  if (!planned) {
+      cands, total, chunk_size, cfg_.stripe.min_chunk, shares);
+  if (std::none_of(shares.begin(), shares.end(),
+                   [](std::uint64_t s) { return s > 0; })) {
     // No carrier survived the model (all rails down — failover handles the
     // rest): park everything on the Bulk class rail like SingleRail would.
-    const RailId r = rail_for_class_locked(ps, TrafficClass::Bulk);
     shares.assign(ps.rails.size(), 0);
-    shares[r] = rdv.total;
+    shares[bulk_rail] = total;
   }
   ps.stats.inc(Ctr::StripeTransfers);
   // Histogram values are integral; record the predicted spread in percent.
   ps.stats.observe(Hist::StripeImbalancePct,
                    static_cast<std::uint64_t>(imbalance + 0.5));
-
-  // Cut each rail's contiguous range into chunks on its queue. Offsets run
-  // low-to-high across rails in index order; stripe ids are global over the
-  // plan so traces can replay the placement.
-  std::uint64_t off = 0;
-  for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-    std::uint64_t left = shares[i];
-    while (left > 0) {
-      BulkChunk chunk;
-      chunk.token = token;
-      chunk.offset = off;
-      chunk.len = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(chunk_size, left));
-      chunk.stripe = rdv.next_stripe++;
-      off += chunk.len;
-      left -= chunk.len;
-      rdv.queued += chunk.len;
-      ps.rails[i]->bulk_q.push_back(chunk);
-      ps.stats.inc(Ctr::StripeChunks);
-    }
-  }
-  MADO_ASSERT(off == rdv.total);
+  ps.stats.inc(Ctr::StripeChunks,
+               ps.rdv_out.place_striped(token, chunk_size, shares));
 }
 
 // ---- bulk path -------------------------------------------------------------------
@@ -453,77 +352,63 @@ void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
   const BulkHeader bh =
       decode_bulk(ByteSpan(payload), data, /*crc_check=*/true);
   if (!rel_rx_locked(ps, *ps.rails[rail_id], 1, bh)) return;
-  RdvRx* rxp = ps.rdv_rx.find(bh.token);
-  if (!rxp && rdv_was_done_locked(ps, bh.token)) {
-    // A chunk delivered on a rail that then died was replayed on the
-    // survivor (its ack was lost in the failover) after the rendezvous
-    // finished: drop the second copy.
-    ps.stats.inc(Ctr::RelDupDrops);
+  RdvRx* rx = ps.rdv_rx.find(bh.token);
+  // A chunk delivered on a rail that then died was replayed on the
+  // survivor (its ack was lost in the failover) after the rendezvous
+  // finished.
+  if (replay_locked(ps, !rx && ps.rdv_in.finished(bh.token),
+                    "chunk of a finished rendezvous"))
     return;
-  }
-  MADO_CHECK_MSG(rxp != nullptr, "bulk chunk for unknown rendezvous");
-  RdvRx& rx = *rxp;
-  if (cfg_.reliability && !rx.seen_offsets.insert(bh.offset)) {
-    // Same story, rendezvous still in progress: the offset already landed.
-    ps.stats.inc(Ctr::RelDupDrops);
+  MADO_CHECK_MSG(rx != nullptr, "bulk chunk for unknown rendezvous");
+  MADO_CHECK_MSG(rx->base != nullptr, "bulk chunk before the CTS");
+  MADO_CHECK_MSG(bh.offset + bh.len <= rx->landing.len,
+                 "bulk chunk out of range");
+  // Same story, rendezvous still in progress: the offset already landed.
+  const RdvReceiver::Chunk verdict =
+      ps.rdv_in.land(rx->landing, bh.offset, bh.len);
+  if (replay_locked(ps, verdict == RdvReceiver::Chunk::Replay,
+                    "duplicate bulk chunk"))
     return;
-  }
   ps.stats.inc(Ctr::RxBulkChunks);
   ps.stats.inc(Ctr::RxBytes, payload.size());
   // Reassembly watermark: a chunk starting above the in-order front arrived
   // out of order — another rail (or a stolen chunk) ran ahead. The memcpy
   // below is offset-addressed, so OOO landing is free; the counter just
   // makes cross-rail interleaving observable.
-  if (bh.offset > rx.next_contig)
+  if (verdict == RdvReceiver::Chunk::OutOfOrder)
     ps.stats.inc(Ctr::StripeReassemblyOoo);
-  else
-    rx.next_contig = std::max(rx.next_contig, bh.offset + bh.len);
   trace_locked(TraceEvent::BulkRx, ps.id, rail_id, bh.token, bh.offset,
                bh.len, bh.stripe);
+  if (bh.len > 0) std::memcpy(rx->base + bh.offset, data.data(), bh.len);
+  if (rx->landing.complete()) finish_rdv_rx_locked(ps, rail_id, bh.token, *rx);
+}
 
-  if (rx.target == RdvTarget::Message) {
-    auto mit = ps.rx_msgs.find({rx.channel, rx.seq});
-    MADO_CHECK(mit != ps.rx_msgs.end());
-    RxMessage& msg = mit->second;
-    RxSlot& slot = msg.slot(rx.idx);
-    MADO_CHECK(slot.is_rdv && slot.posted);
-    MADO_CHECK_MSG(bh.offset + bh.len <= slot.total,
-                   "bulk chunk out of range");
-    if (bh.len > 0)
-      std::memcpy(slot.dest + bh.offset, data.data(), bh.len);
-    slot.received += bh.len;
-    MADO_ASSERT(slot.received <= slot.total);
-    if (slot.received == slot.total) {
-      mark_slot_done_locked(msg, slot);
-      note_rdv_done_locked(ps, bh.token);
-      ps.rdv_rx.erase(bh.token);
+void Engine::finish_rdv_rx_locked(PeerState& ps, RailId rail,
+                                  std::uint64_t token, const RdvRx& rx) {
+  switch (rx.target) {
+    case RdvTarget::Message: {
+      auto mit = ps.rx_msgs.find({rx.channel, rx.seq});
+      MADO_CHECK(mit != ps.rx_msgs.end());
+      mark_slot_done_locked(mit->second, mit->second.slot(rx.idx));
       ps.stats.inc(Ctr::RxRdvCompleted);
-      trace_locked(TraceEvent::RdvDone, ps.id, rail_id, bh.token,
-                   slot.total);
+      break;
     }
-    return;
+    case RdvTarget::Window:
+      push_rma_ack_locked(ps, rx.aux);
+      ps.stats.inc(Ctr::RxRmaPutsCompleted);
+      break;
+    case RdvTarget::GetBuffer: {
+      PendingGet* pg = ps.pending_gets.find(rx.aux);
+      MADO_CHECK(pg != nullptr);
+      if (pg->state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        ps.stats.inc(Ctr::RmaGetsCompleted);
+      ps.pending_gets.erase(rx.aux);
+      break;
+    }
   }
-
-  // Direct targets: one-sided window or get-reply buffer.
-  MADO_CHECK_MSG(bh.offset + bh.len <= rx.len, "bulk chunk out of range");
-  if (bh.len > 0) std::memcpy(rx.base + bh.offset, data.data(), bh.len);
-  rx.received += bh.len;
-  MADO_ASSERT(rx.received <= rx.len);
-  if (rx.received < rx.len) return;
-
-  if (rx.target == RdvTarget::Window) {
-    push_rma_ack_locked(ps, rx.ack_token);
-    ps.stats.inc(Ctr::RxRmaPutsCompleted);
-  } else {
-    PendingGet* pg = ps.pending_gets.find(rx.get_token);
-    MADO_CHECK(pg != nullptr);
-    if (pg->state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      ps.stats.inc(Ctr::RmaGetsCompleted);
-    ps.pending_gets.erase(rx.get_token);
-  }
-  note_rdv_done_locked(ps, bh.token);
-  trace_locked(TraceEvent::RdvDone, ps.id, rail_id, bh.token, rx.len);
-  ps.rdv_rx.erase(bh.token);
+  ps.rdv_in.finish(token);
+  trace_locked(TraceEvent::RdvDone, ps.id, rail, token, rx.landing.len);
+  ps.rdv_rx.erase(token);  // last: `rx` lives in the table
 }
 
 // ---- RMA eager paths -----------------------------------------------------------
@@ -542,6 +427,8 @@ void Engine::handle_rma_put_locked(PeerState& ps, ByteSpan payload) {
   ByteSpan data;
   const RmaPutBody b = decode_rma_put(payload, data);
   const RmaWindow win = window_checked(b.window, b.offset, data.size());
+  if (replay_locked(ps, !ps.rdv_in.serve(b.ack_token), "put served twice"))
+    return;
   if (!data.empty())
     std::memcpy(win.base + b.offset, data.data(), data.size());
   ps.stats.inc(Ctr::RxRmaPuts);
@@ -551,40 +438,26 @@ void Engine::handle_rma_put_locked(PeerState& ps, ByteSpan payload) {
 void Engine::handle_rma_get_locked(PeerState& ps, ByteSpan payload) {
   const RmaGetBody b = decode_rma_get(payload);
   const RmaWindow win = window_checked(b.window, b.offset, b.len);
+  if (replay_locked(ps, !ps.rdv_in.serve(b.get_token), "get served twice"))
+    return;
   ps.stats.inc(Ctr::RxRmaGets);
 
   MADO_CHECK(!ps.rails.empty());
   const RailId rail_id = rail_for_class_locked(ps, TrafficClass::PutGet);
   Rail& rail = *ps.rails[rail_id];
-  const std::size_t rdv_thr = cfg_.rdv_threshold_override != 0
-                                  ? cfg_.rdv_threshold_override
-                                  : rail.ep->caps().rdv_threshold;
-  if (b.len >= rdv_thr) {
+  if (b.len >= rdv_threshold(rail)) {
     // Bulk reply: rendezvous straight from the window into the requester's
-    // get buffer (the requester auto-answers the CTS).
-    const std::uint64_t token =
-        next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
-    RdvTx rdv;
-    rdv.peer = ps.id;
-    rdv.channel = kRmaChannel;
-    rdv.data = win.base + b.offset;
-    rdv.total = b.len;
-    rdv.state = nullptr;  // no local handle: the requester tracks completion
-    rdv.rts_time = timers_.now();
-    rdv.rts_timed = true;
-    rdv.cls = TrafficClass::PutGet;
-    ps.rdv_tx.emplace(token, std::move(rdv));
-    trace_locked(TraceEvent::RdvRts, ps.id, rail_id, token, b.len);
-
+    // get buffer (the requester auto-answers the CTS). No local handle:
+    // the requester tracks completion.
     TxFrag tf = make_rma_frag_locked(ps, FragKind::RdvRts);
-    RtsBody rts;
-    rts.token = token;
-    rts.total_len = b.len;
-    rts.target = RdvTarget::GetBuffer;
-    rts.aux = b.get_token;
-    tf.owned = ps.slab.take(RtsBody::kWireSize);
-    encode_rts(tf.owned, rts);
-    tf.len = tf.owned.size();
+    open_rdv_locked(ps, rail_id,
+                    next_rdv_token_.fetch_add(1, std::memory_order_relaxed),
+                    RdvTx{.channel = kRmaChannel,
+                          .data = win.base + b.offset,
+                          .total = b.len,
+                          .rts_time = timers_.now()},
+                    RtsBody{.target = RdvTarget::GetBuffer, .aux = b.get_token},
+                    tf);
     rail.backlog.push(std::move(tf));
   } else {
     TxFrag tf = make_rma_frag_locked(ps, FragKind::RmaGetData);
@@ -601,12 +474,8 @@ void Engine::handle_rma_get_data_locked(PeerState& ps, ByteSpan payload) {
   ByteSpan data;
   const RmaGetDataBody b = decode_rma_get_data(payload, data);
   PendingGet* pg = ps.pending_gets.find(b.get_token);
-  if (cfg_.reliability && !pg) {
-    ps.stats.inc(Ctr::RelDupDrops);  // replayed reply, get already finished
-    return;
-  }
-  MADO_CHECK_MSG(pg != nullptr,
-                 "get reply for unknown token " << b.get_token);
+  // A replayed reply: the get already finished.
+  if (replay_locked(ps, !pg, "get reply for an unknown get")) return;
   MADO_CHECK_MSG(pg->len == data.size(), "get reply size mismatch");
   std::memcpy(pg->dest, data.data(), data.size());
   if (pg->state->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
@@ -617,11 +486,8 @@ void Engine::handle_rma_get_data_locked(PeerState& ps, ByteSpan payload) {
 void Engine::handle_rma_ack_locked(PeerState& ps, ByteSpan payload) {
   const RmaAckBody b = decode_rma_ack(payload);
   SendStateRef* sp = ps.rma_acks.find(b.ack_token);
-  if (cfg_.reliability && !sp) {
-    ps.stats.inc(Ctr::RelDupDrops);  // replayed ack, put already completed
-    return;
-  }
-  MADO_CHECK_MSG(sp != nullptr, "unexpected RMA ack " << b.ack_token);
+  // A replayed ack: the put already completed.
+  if (replay_locked(ps, !sp, "unexpected RMA ack")) return;
   if ((*sp)->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
     ps.stats.inc(Ctr::RmaPutsCompleted);
   ps.rma_acks.erase(b.ack_token);
@@ -680,16 +546,19 @@ bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
       if (len > 0) std::memcpy(buf, slot.buffered.data(), len);
       mark_slot_done_locked(msg, slot);
       done = true;
-    } else if (slot.is_rdv && !slot.cts_sent) {
+    } else if (slot.is_rdv) {
       MADO_CHECK_MSG(slot.total == len,
                      "unpack size " << len << " != rendezvous size "
                                     << slot.total);
+      // The destination is known now: the transfer can start.
+      RdvRx* rx = ps.rdv_rx.find(slot.token);
+      MADO_CHECK(rx != nullptr);
+      rx->base = slot.dest;
       FragHeader fh;
       fh.channel = ch;
       fh.msg_seq = seq;
       fh.frag_idx = idx;
       fh.nfrags_total = msg.nfrags_total;
-      slot.cts_sent = true;
       send_cts_locked(ps, fh, slot.token);
       pump_peer_locked(ps);
     }

@@ -379,6 +379,96 @@ TEST_F(ReliabilityTest, RandomizedLossySoakWithScheduledFailover) {
             RailState::Down);
   EXPECT_EQ(world_->node(1).snapshot().peers[0].rails[1].state,
             RailState::Down);
+  // flush() looks at the senders only; the receive side must drain too.
+  world_->run();
+  for (NodeId n : {NodeId{0}, NodeId{1}}) {
+    const Engine::Snapshot snap = world_->node(n).snapshot();
+    EXPECT_TRUE(snap.quiescent()) << "node " << n << ": " << snap.to_string();
+    EXPECT_EQ(world_->node(n).stats().counter("rx.malformed"), 0u)
+        << "node " << n;
+  }
+}
+
+// A one-sided request replayed across rails is served once. Node 0 is the
+// requester and node 1 the target; rail 0 loses every packet from the
+// target to the requester, rail 1 is clean. The requester's request then
+// goes unacked on rail 0, and so does the target's reply: each side fails
+// rail 0 over in its own time and replays what it had sent there on rail 1.
+// Replayed requests carry the requester's token, by which the target knows
+// it served them.
+class RmaReplayTest : public ::testing::Test {
+ protected:
+  void build(const EngineConfig& requester) {
+    world_ = std::make_unique<SimWorld>(
+        std::vector<EngineConfig>{requester, reliable_cfg()});
+    drv::FaultPlan black_hole;
+    black_hole.drop = 1.0;
+    world_->connect(0, 1, drv::test_profile(), {}, black_hole);
+    world_->connect(0, 1, drv::test_profile());
+    window_ = pattern(64 * 1024, 5);
+    world_->node(1).expose_window(5, window_.data(), window_.size());
+  }
+
+  /// Both engines drained: no transfer, request or chunk left behind, and
+  /// no replay mistaken for a malformed packet.
+  void expect_settled() {
+    world_->run();
+    EXPECT_TRUE(world_->node(1).flush());
+    for (NodeId n : {NodeId{0}, NodeId{1}}) {
+      const Engine::Snapshot snap = world_->node(n).snapshot();
+      EXPECT_TRUE(snap.quiescent()) << "node " << n << ": " << snap.to_string();
+      EXPECT_EQ(world_->node(n).stats().counter("rx.malformed"), 0u)
+          << "node " << n;
+      EXPECT_EQ(snap.peers[0].rails[0].state, RailState::Down) << "node " << n;
+    }
+  }
+
+  void get_served_once(std::size_t len) {
+    Bytes out(len);
+    SendHandle h = world_->node(0).rma_get(1, 5, 0, out.data(), out.size());
+    EXPECT_TRUE(world_->node(0).wait_send(h));
+    EXPECT_EQ(out, Bytes(window_.begin(),
+                         window_.begin() + static_cast<std::ptrdiff_t>(len)));
+    expect_settled();
+    EXPECT_EQ(world_->node(1).stats().counter("rx.rma_gets"), 1u);
+  }
+
+  std::unique_ptr<SimWorld> world_;
+  Bytes window_;
+};
+
+// The requester fails rail 0 over first and replays the get on rail 1. At
+// the parent the target served it twice; the second reply, under a fresh
+// token, landed after the get had completed and left a transfer behind.
+TEST_F(RmaReplayTest, LargeGetReplayedByTheRequesterIsServedOnce) {
+  build(reliable_cfg());
+  get_served_once(32 * 1024);
+}
+
+// With a slower requester RTO the target fails over first: its reply moves
+// to rail 1 and completes the get. The requester's later replay of the get
+// must not start a second reply that nobody answers.
+TEST_F(RmaReplayTest, LargeGetReplayedAfterTheReplyIsServedOnce) {
+  EngineConfig slow = reliable_cfg();
+  slow.rel_rto_initial = 2 * kNanosPerMilli;
+  slow.rel_rto_max = 50 * kNanosPerMilli;
+  build(slow);
+  get_served_once(32 * 1024);
+}
+
+TEST_F(RmaReplayTest, SmallGetIsServedOnce) {
+  build(reliable_cfg());
+  get_served_once(512);
+}
+
+TEST_F(RmaReplayTest, SmallPutIsServedOnce) {
+  build(reliable_cfg());
+  const Bytes data = pattern(512, 9);
+  SendHandle h = world_->node(0).rma_put(1, 5, 0, data.data(), data.size());
+  EXPECT_TRUE(world_->node(0).wait_send(h));
+  EXPECT_EQ(Bytes(window_.begin(), window_.begin() + 512), data);
+  expect_settled();
+  EXPECT_EQ(world_->node(1).stats().counter("rx.rma_puts"), 1u);
 }
 
 // Reliability off (the default) must be wire-compatible with itself and pay

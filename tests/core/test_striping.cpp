@@ -424,6 +424,14 @@ void run_stripe_soak(std::uint64_t seed) {
   if (kill_rail) {
     EXPECT_GE(world.node(0).stats().counter("rel.rail_failovers"), 1u);
   }
+  // flush() looks at the senders only; the receive side must drain too.
+  world.run();
+  for (NodeId n : {NodeId{0}, NodeId{1}}) {
+    const Engine::Snapshot snap = world.node(n).snapshot();
+    EXPECT_TRUE(snap.quiescent()) << "node " << n << ": " << snap.to_string();
+    EXPECT_EQ(world.node(n).stats().counter("rx.malformed"), 0u)
+        << "node " << n;
+  }
 }
 
 class StripeSoak : public ::testing::TestWithParam<std::uint64_t> {};
