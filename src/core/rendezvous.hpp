@@ -132,7 +132,8 @@ class RdvReceiver {
   /// unless the chunk is a replay.
   Chunk land(Landing& l, std::uint64_t offset, std::uint32_t len);
 
-  std::size_t remembered() const { return fifo_.size(); }
+  /// The remembered tokens, oldest first.
+  const std::deque<std::uint64_t>& window() const { return fifo_; }
 
  private:
   bool replays_;
