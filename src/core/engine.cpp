@@ -448,10 +448,9 @@ bool Engine::try_send_bulk_locked(PeerState& ps, Rail& rail) {
   if (!rail.track_free(rail.bulk_track())) return false;
   if (cfg_.reliability && rail.rel[1].window_full()) return false;
   RdvSender::Chunk chunk;
-  std::size_t victim = 0;
-  const RdvSender::Source from = ps.rdv_out.pop(rail.port.rail, chunk, victim);
-  if (from == RdvSender::Source::None) return false;
-  if (from == RdvSender::Source::Steal) {
+  std::size_t victim = RdvSender::kNoRail;
+  if (!ps.rdv_out.pop(rail.port.rail, chunk, victim)) return false;
+  if (victim != RdvSender::kNoRail) {
     ps.stats.inc(Ctr::StripeSteals);
     ps.stats.inc(Ctr::StripeStealBytes, chunk.len);
     trace_locked(TraceEvent::BulkSteal, ps.id, rail.port.rail, chunk.token,

@@ -45,35 +45,36 @@ std::size_t RdvSender::place_striped(
   return stripe;
 }
 
-RdvSender::Source RdvSender::pop(std::size_t rail, Chunk& out,
-                                 std::size_t& victim) {
+bool RdvSender::pop(std::size_t rail, Chunk& out, std::size_t& victim) {
+  victim = kNoRail;
   Fifo& own = rails_[rail];
   if (!own.q.empty()) {
     out = own.q.front();
     own.q.pop_front();
     own.bytes -= out.len;
-    return Source::Own;
+    return true;
   }
   if (!pool_.empty()) {
     out = pool_.front();
     pool_.pop_front();
-    return Source::Pool;
+    return true;
   }
-  if (policy_ != MultirailPolicy::Stripe || !steal_) return Source::None;
+  if (policy_ != MultirailPolicy::Stripe || !steal_) return false;
   // Work stealing, the paper's "NIC becomes idle" trigger across rails:
   // rob the tail of the most-loaded live FIFO, whose head keeps streaming.
-  victim = kNoRail;
+  std::size_t from = kNoRail;
   for (std::size_t r = 0; r < rails_.size(); ++r) {
     const Fifo& f = rails_[r];
     if (r == rail || f.dead || f.q.empty()) continue;
-    if (victim == kNoRail || f.bytes > rails_[victim].bytes) victim = r;
+    if (from == kNoRail || f.bytes > rails_[from].bytes) from = r;
   }
-  if (victim == kNoRail) return Source::None;
-  Fifo& v = rails_[victim];
+  if (from == kNoRail) return false;
+  Fifo& v = rails_[from];
   out = v.q.back();
   v.q.pop_back();
   v.bytes -= out.len;
-  return Source::Steal;
+  victim = from;
+  return true;
 }
 
 std::size_t RdvSender::fail_rail(std::size_t dead, std::size_t survivor,

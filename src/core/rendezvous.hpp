@@ -39,9 +39,7 @@ class RdvSender {
     std::uint64_t offset = 0;
     std::uint32_t len = 0;
     std::uint32_t stripe = 0;  ///< id within a Stripe plan, else 0
-    auto operator<=>(const Chunk&) const = default;
   };
-  enum class Source : std::uint8_t { None, Own, Pool, Steal };
   static constexpr std::size_t kNoRail = static_cast<std::size_t>(-1);
 
   RdvSender(MultirailPolicy policy, bool steal)
@@ -60,9 +58,9 @@ class RdvSender {
   std::size_t place_striped(std::uint64_t token, std::size_t chunk,
                             const std::vector<std::uint64_t>& shares);
 
-  /// The next chunk for idle rail `rail`, and where it came from. A steal
-  /// reports the robbed rail in `victim`.
-  Source pop(std::size_t rail, Chunk& out, std::size_t& victim);
+  /// The next chunk for idle rail `rail`, if any. `victim` is the robbed
+  /// rail when the chunk was stolen, else kNoRail.
+  bool pop(std::size_t rail, Chunk& out, std::size_t& victim);
 
   /// Rail `dead` failed: `unacked`, its sent chunks not yet acked, then
   /// its queued ones go to `survivor` (kNoRail: none is left, and every

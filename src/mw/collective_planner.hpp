@@ -1,4 +1,4 @@
-// Topology-aware collective planner (ROADMAP item 3).
+// Topology-aware collective planner.
 //
 // The paper optimizes point-to-point packet schedules against a NIC cost
 // model; this module applies the same idea one level up. Given the set of

@@ -2,7 +2,7 @@
 // allreduce (sum of doubles) and alltoall — the regular SPMD communication
 // patterns an MPI-like middleware layers on top of Madeleine (paper §2).
 //
-// Since ROADMAP item 3 these are no longer hard-coded linear fan-outs:
+// With the collective planner these are no longer hard-coded linear fan-outs:
 // every operation asks the topology-aware CollectivePlanner for a schedule
 // (binomial tree / pipelined ring / bucket / linear, chosen per size and
 // node count against the NicModel cost model) and executes the local rank's

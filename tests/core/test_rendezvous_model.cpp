@@ -36,7 +36,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <string>
 #include <unordered_set>
@@ -81,11 +80,12 @@ struct Item {
   auto operator<=>(const Item&) const = default;
 };
 
-/// One direction of one rail.
+/// One direction of one rail. Vectors, not deques: an empty one costs no
+/// allocation when a state is copied.
 struct Wire {
-  std::deque<Item> sent;       // un-acked, in send order
+  std::vector<Item> sent;      // un-acked, in send order
   std::size_t delivered = 0;   // prefix of `sent` that arrived
-  std::deque<Item> late;       // on the rail when it died, still arriving
+  std::vector<Item> late;      // on the rail when it died, still arriving
 };
 
 /// One transfer as its sender sees it, plus where its bytes land.
@@ -291,7 +291,7 @@ class Checker {
     Item it;
     if (s.dead[w / 2]) {
       it = wi.late.front();
-      wi.late.pop_front();
+      wi.late.erase(wi.late.begin());
     } else {
       it = wi.sent[wi.delivered++];
     }
@@ -305,7 +305,7 @@ class Checker {
   void ack(State& s, std::size_t w) {
     Wire& wi = s.wire[w];
     const Item it = wi.sent.front();
-    wi.sent.pop_front();
+    wi.sent.erase(wi.sent.begin());
     --wi.delivered;
     if (it.kind != Kind::Chunk) return;
     Transfer* x = find(s, it.token);
@@ -318,8 +318,7 @@ class Checker {
     if (s.dead[r] || s.wire[w].sent.size() >= kWindow) return false;
     RdvSender::Chunk c;
     std::size_t victim = 0;
-    if (s.node[w % 2].out.pop(r, c, victim) == RdvSender::Source::None)
-      return false;
+    if (!s.node[w % 2].out.pop(r, c, victim)) return false;
     s.wire[w].sent.push_back(Item{Kind::Chunk, c.token, c.offset});
     return true;
   }
@@ -417,7 +416,7 @@ class Checker {
   std::string key(const State& s) const {
     std::string k;
     const auto put = [&k](std::uint64_t v) { k += static_cast<char>(v); };
-    const auto items = [&](const std::deque<Item>& q) {
+    const auto items = [&](const std::vector<Item>& q) {
       for (const Item& it : q) {
         put(static_cast<std::uint64_t>(it.kind));
         put(it.token);
@@ -465,8 +464,8 @@ class Checker {
   void explore(State init) {
     std::vector<State> level;
     const auto visit = [&](State&& n, int depth) {
-      check_window(n);
       if (!visited_.insert(key(n)).second) return;
+      check_window(n);
       if (!finish(clone(n)))
         fail("no fault-free finish within " + std::to_string(kLivenessSteps) +
              " steps from a state " + std::to_string(depth) + " steps deep");
