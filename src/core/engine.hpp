@@ -53,6 +53,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -303,10 +304,12 @@ class Engine final {
     MsgSeq next_tx_seq = 0;
     MsgSeq next_attach_seq = 0;
     std::uint32_t outstanding_sends = 0;
-    /// Reliability: messages with seq below this finished delivery; frags
-    /// replayed across rails after a failover that land late are dropped
-    /// as duplicates instead of resurrecting a completed message.
+    /// The lowest message seq not finished here, and the finished seqs
+    /// above it. A fragment of a finished message (replayed across rails
+    /// after a failover, landing late) is dropped as a duplicate instead
+    /// of resurrecting the message; an earlier message still open is not.
     MsgSeq rx_done_floor = 0;
+    std::set<MsgSeq> rx_done_above;
   };
 
   /// Receive-side state of one fragment.
@@ -697,8 +700,9 @@ class Engine final {
                             const RdvRx& rx);
   void mark_slot_done_locked(RxMessage& msg, RxSlot& slot);
   /// finish() bookkeeping: if message (ch, seq) is complete, check that
-  /// `nposted` fragments were unpacked, erase it and advance the channel's
-  /// rx_done_floor. Returns false, changing nothing, while it is not.
+  /// `nposted` fragments were unpacked, erase it and record it finished in
+  /// the channel's rx_done_floor / rx_done_above. Returns false, changing
+  /// nothing, while it is not.
   bool retire_if_complete_locked(PeerState& ps, ChannelId ch, MsgSeq seq,
                                  FragIdx nposted);
 

@@ -162,13 +162,12 @@ void Engine::note_nfrags_locked(RxMessage& msg, const FragHeader& fh) {
 Engine::RxMessage* Engine::filling_locked(PeerState& ps,
                                           const FragHeader& fh) {
   // A failover can resend a fragment whose message already finished here
-  // (it landed on the dead rail, its ack did not). Only with reliability:
-  // without, the floor (one past the highest finished message) says
-  // nothing about an earlier message that is still open.
+  // (it landed on the dead rail, its ack did not).
   auto cit = ps.channels.find(fh.channel);
   if (replay_locked(ps,
-                    cfg_.reliability && cit != ps.channels.end() &&
-                        fh.msg_seq < cit->second.rx_done_floor,
+                    cit != ps.channels.end() &&
+                        (fh.msg_seq < cit->second.rx_done_floor ||
+                         cit->second.rx_done_above.count(fh.msg_seq) != 0),
                     "fragment of a finished message"))
     return nullptr;
   RxMessage& msg = ps.rx_msgs[{fh.channel, fh.msg_seq}];
@@ -624,9 +623,17 @@ bool Engine::retire_if_complete_locked(PeerState& ps, ChannelId ch,
                                              << it->second.nfrags_total
                                              << " fragments");
   ps.rx_msgs.erase(it);
-  auto cit = ps.channels.find(ch);
-  if (cit != ps.channels.end() && seq >= cit->second.rx_done_floor)
-    cit->second.rx_done_floor = seq + 1;  // dedup floor for rail replays
+  if (auto cit = ps.channels.find(ch); cit != ps.channels.end()) {
+    // Dedup for rail replays. In order, the floor just moves on; a message
+    // finished early waits in rx_done_above until the floor reaches it.
+    ChannelState& cs = cit->second;
+    if (seq != cs.rx_done_floor) {
+      cs.rx_done_above.insert(seq);
+    } else {
+      do ++cs.rx_done_floor;
+      while (cs.rx_done_above.erase(cs.rx_done_floor) != 0);
+    }
+  }
   ps.stats.inc(Ctr::RxMsgsCompleted);
   return true;
 }

@@ -199,6 +199,33 @@ TEST_F(ReliabilityTest, EagerBacklogFailsOverInOrder) {
   EXPECT_GE(world_->node(0).stats().counter("rel.rail_failovers"), 1u);
 }
 
+// A later message on a channel may overtake an earlier one on a faster
+// rail and be finished first. The receiver's replay filter must drop only
+// fragments of finished messages, not those of the earlier one still open.
+TEST_F(ReliabilityTest, MessageFinishedFirstKeepsEarlierOpenMessage) {
+  world_ = std::make_unique<SimWorld>(2, reliable_cfg());
+  world_->connect(0, 1, drv::tcp_gige_profile());
+  world_->connect(0, 1, drv::mx_myrinet_profile());
+  a_ = world_->node(0).open_channel(1, 7);
+  b_ = world_->node(1).open_channel(0, 7);
+  send_bytes(a_, pattern(2000, 0));  // message 0, on the slow rail 0
+  world_->node(0).set_class_rail(TrafficClass::SmallEager, 1);
+  send_bytes(a_, pattern(64, 1));  // message 1, on the fast rail 1
+  IncomingMessage m0 = b_.begin_recv();
+  IncomingMessage m1 = b_.begin_recv();
+  Bytes out1(64);
+  m1.unpack(out1.data(), out1.size());
+  m1.finish();
+  EXPECT_EQ(out1, pattern(64, 1));
+  world_->run();  // message 0 lands, on the slow rail
+  EXPECT_EQ(world_->node(1).stats().counter("rel.dup_drops"), 0u);
+  Bytes out0(2000);
+  m0.unpack(out0.data(), out0.size());
+  m0.finish();
+  EXPECT_EQ(out0, pattern(2000, 0));
+  EXPECT_TRUE(world_->node(0).flush());
+}
+
 // Snapshot rail state stays consistent with the failure machinery
 // (satellite: RailInfo state / unacked bookkeeping).
 TEST_F(ReliabilityTest, SnapshotReportsRailStates) {
