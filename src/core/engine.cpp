@@ -17,6 +17,11 @@ thread_local ProgressLap* t_progress_lap = nullptr;
 }  // namespace detail
 
 namespace {
+/// Bytes an eager packet adds around its largest data fragment: the packet
+/// header, that fragment's header and an RmaPut body.
+constexpr std::size_t kEagerFrameOverhead = PacketHeader::kWireSize +
+                                            FragHeader::kWireSize +
+                                            RmaPutBody::kWireSize;
 /// Progress-thread idle backoff: consecutive idle laps spent spinning, then
 /// yielding, before the thread parks on its slot.
 constexpr std::size_t kSpinLaps = 64;
@@ -99,6 +104,18 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
   for (GoBackN& rel : rail->rel)
     rel = GoBackN({cfg_.rel_window, cfg_.rel_rto_initial, cfg_.rel_rto_max,
                    kRelMaxRetries});
+  const drv::Capabilities& caps = rail->ep->caps();
+  const std::size_t max_frame =
+      caps.max_frame == 0 || ps.max_frame == 0
+          ? std::max(caps.max_frame, ps.max_frame)
+          : std::min(caps.max_frame, ps.max_frame);
+  const std::size_t max_eager = std::max(ps.max_eager, caps.max_eager);
+  MADO_CHECK_MSG(max_frame == 0 || max_frame > kEagerFrameOverhead + max_eager,
+                 "rail '" << caps.name << "': a max_frame of " << max_frame
+                          << " cannot hold an eager packet of " << max_eager
+                          << " bytes");
+  ps.max_frame = max_frame;
+  ps.max_eager = max_eager;
   rail->ep->relay_ready_to(&rail->port);
   rail->ep->set_handler(&rail->port);
   ps.rails.push_back(std::move(rail));
@@ -189,16 +206,18 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
   }
 
   if (ps.ring) {
-    if (ps.mu.try_lock()) {
+    if (std::unique_lock<std::mutex> lk(ps.mu, std::try_to_lock);
+        lk.owns_lock()) {
       // Uncontended fast path (flat combining): nobody holds the shard, so
       // skip the ring round-trip entirely — drain whatever racing threads
       // parked, then submit inline. A single application thread always
       // lands here, so post() latency with the ring enabled is identical
       // to the ring-disabled engine (and to the pre-sharding locked path).
+      // The lock is scoped: a driver's send() that throws (clause 6)
+      // leaves the shard unlocked.
       ps.stats.inc(Ctr::OptLockAcquisitions);
       drain_submit_ring_locked(ps);
       submit_locked(ps, ch, std::move(msg), state, state->submit_time);
-      ps.mu.unlock();
       return SendHandle(state);
     }
     // Shard busy: park the message in the submit ring and return without
@@ -215,13 +234,13 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
       ps.ring_pending.fetch_add(1, std::memory_order_release);
       // A parked op is no driver event, so no driver rings for it.
       note_activity(ps);
-      if (ps.mu.try_lock()) {
+      if (std::unique_lock<std::mutex> lk(ps.mu, std::try_to_lock);
+          lk.owns_lock()) {
         // The holder may have released between our failed try_lock and the
         // push landing; re-check so the op cannot linger un-drained until
         // the next pump.
         ps.stats.inc(Ctr::OptLockAcquisitions);
         drain_submit_ring_locked(ps);
-        ps.mu.unlock();
       }
       return SendHandle(state);
     }
@@ -294,7 +313,7 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
     tf.submit_time = sub_time;
     tf.order = next_submit_order_.fetch_add(1, std::memory_order_relaxed);
 
-    if (mf.len >= rdv_threshold(rail)) {
+    if (mf.len >= rdv_threshold(ps, rail)) {
       // Rendezvous: the RTS control fragment takes this fragment's place in
       // the eager stream (so intra-message ordering of headers vs payload
       // is preserved); the bytes flow on bulk tracks after the CTS.
@@ -345,9 +364,22 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
   pump_rail_locked(ps, rail);
 }
 
-std::size_t Engine::rdv_threshold(const Rail& rail) const {
-  return cfg_.rdv_threshold_override != 0 ? cfg_.rdv_threshold_override
-                                          : rail.ep->caps().rdv_threshold;
+std::size_t Engine::rdv_threshold(const PeerState& ps,
+                                  const Rail& rail) const {
+  const std::size_t threshold = cfg_.rdv_threshold_override != 0
+                                    ? cfg_.rdv_threshold_override
+                                    : rail.ep->caps().rdv_threshold;
+  if (ps.max_frame == 0) return threshold;
+  // A strategy admits controls up to max_eager, then one data fragment of
+  // any eager size: that packet, with threshold − 1 bytes, must fit.
+  return std::min(threshold,
+                  ps.max_frame + 1 - kEagerFrameOverhead - ps.max_eager);
+}
+
+std::size_t Engine::chunk_size(const PeerState& ps) const {
+  const std::size_t chunk = std::max<std::size_t>(1, cfg_.rdv_chunk);
+  if (ps.max_frame == 0) return chunk;
+  return std::min(chunk, ps.max_frame - BulkHeader::kWireSize);
 }
 
 void Engine::open_rdv_locked(PeerState& ps, RailId rail, std::uint64_t token,
@@ -1468,7 +1500,7 @@ SendHandle Engine::rma_put(NodeId peer, WindowId window, std::uint64_t offset,
       next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
   ps.rma_acks.emplace(ack_token, state);
 
-  if (len >= rdv_threshold(*rail)) {
+  if (len >= rdv_threshold(ps, *rail)) {
     // The handle completes on the ack, not on chunks: the transfer has no
     // state of its own, and the ack token doubles as its token.
     TxFrag tf = make_rma_frag_locked(ps, FragKind::RdvRts);

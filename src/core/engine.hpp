@@ -504,6 +504,12 @@ class Engine final {
     std::atomic<bool> any_rail_up{false};
 
     std::vector<std::unique_ptr<Rail>> rails;
+    /// Over every rail: the smallest non-zero max_frame (0 = unbounded)
+    /// and the largest max_eager. Failover and the chunk pool can move a
+    /// fragment or chunk to any rail, so frames are cut to the peer's
+    /// bounds, not one rail's.
+    std::size_t max_frame = 0;
+    std::size_t max_eager = 0;
     std::map<ChannelId, ChannelState> channels;
     std::map<RxKey, RxMessage> rx_msgs;
     /// Rendezvous decisions: the queued chunks toward the peer, and the
@@ -689,8 +695,13 @@ class Engine final {
   /// stripe_shares under MultirailPolicy::Stripe.
   void place_chunks_locked(PeerState& ps, std::uint64_t token,
                            std::uint64_t total);
-  /// The config's rendezvous threshold, else `rail`'s driver's.
-  std::size_t rdv_threshold(const Rail& rail) const;
+  /// Fragments of at least this many bytes go by rendezvous on `rail`: its
+  /// threshold (or the override), cut so the largest eager packet still
+  /// fits the peer's max_frame.
+  std::size_t rdv_threshold(const PeerState& ps, const Rail& rail) const;
+  /// Rendezvous chunk size toward `ps`: cfg.rdv_chunk, cut so a chunk and
+  /// its BulkHeader fit the peer's max_frame.
+  std::size_t chunk_size(const PeerState& ps) const;
   /// Open rendezvous `token` carrying `rdv` and turn `tf` into its RTS,
   /// with `body`'s target fields.
   void open_rdv_locked(PeerState& ps, RailId rail, std::uint64_t token,

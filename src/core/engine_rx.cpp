@@ -300,10 +300,10 @@ void Engine::handle_cts_locked(PeerState& ps, ByteSpan payload) {
 
 void Engine::place_chunks_locked(PeerState& ps, std::uint64_t token,
                                  std::uint64_t total) {
-  const std::size_t chunk_size = std::max<std::size_t>(1, cfg_.rdv_chunk);
+  const std::size_t chunk = chunk_size(ps);
   const RailId bulk_rail = rail_for_class_locked(ps, TrafficClass::Bulk);
   if (cfg_.multirail != MultirailPolicy::Stripe) {
-    ps.rdv_out.place(token, total, chunk_size, bulk_rail);
+    ps.rdv_out.place(token, total, chunk, bulk_rail);
     return;
   }
   // Cost-model placement (the optimizing layer's stripe hook): split the
@@ -327,7 +327,7 @@ void Engine::place_chunks_locked(PeerState& ps, std::uint64_t token,
   }
   std::vector<std::uint64_t> shares;
   const double imbalance = strategy_detail::stripe_shares(
-      cands, total, chunk_size, cfg_.stripe.min_chunk, shares);
+      cands, total, chunk, cfg_.stripe.min_chunk, shares);
   if (std::none_of(shares.begin(), shares.end(),
                    [](std::uint64_t s) { return s > 0; })) {
     // No carrier survived the model (all rails down — failover handles the
@@ -340,7 +340,7 @@ void Engine::place_chunks_locked(PeerState& ps, std::uint64_t token,
   ps.stats.observe(Hist::StripeImbalancePct,
                    static_cast<std::uint64_t>(imbalance + 0.5));
   ps.stats.inc(Ctr::StripeChunks,
-               ps.rdv_out.place_striped(token, chunk_size, shares));
+               ps.rdv_out.place_striped(token, chunk, shares));
 }
 
 // ---- bulk path -------------------------------------------------------------------
@@ -444,7 +444,7 @@ void Engine::handle_rma_get_locked(PeerState& ps, ByteSpan payload) {
   MADO_CHECK(!ps.rails.empty());
   const RailId rail_id = rail_for_class_locked(ps, TrafficClass::PutGet);
   Rail& rail = *ps.rails[rail_id];
-  if (b.len >= rdv_threshold(rail)) {
+  if (b.len >= rdv_threshold(ps, rail)) {
     // Bulk reply: rendezvous straight from the window into the requester's
     // get buffer (the requester auto-answers the CTS). No local handle:
     // the requester tracks completion.

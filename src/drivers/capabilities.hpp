@@ -55,11 +55,12 @@ struct Capabilities {
   /// lossy rail unless cfg.reliability is on.
   bool lossless = true;
 
-  /// For datagram transports: the largest single datagram the driver emits
-  /// (header + payload). 0 for stream/copy transports. Frames larger than
-  /// the MTU payload are fragmented by the driver and reassembled on the
-  /// receive side; this is advertisement, not a send-size limit.
-  std::size_t datagram_mtu = 0;
+  /// The largest frame — the bytes of one send() — the driver accepts; 0
+  /// means unbounded (stream and copy transports). The engine cuts eager
+  /// packets and rendezvous chunks to the smallest non-zero max_frame
+  /// among a peer's rails, so only the engine cuts bytes; a driver refuses
+  /// a larger frame (driver contract clause 6).
+  std::size_t max_frame = 0;
 
   /// Cost-model parameters. The simulated driver charges time with these;
   /// strategies use the same numbers to score candidate packings, so the

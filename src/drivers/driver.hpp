@@ -26,6 +26,9 @@
 //     so a missing ring stalls the endpoint. Drivers whose events run from
 //     the pumping thread itself (the simulated driver's Fabric::step(), a
 //     hand-pumped test double) need not ring.
+//  6. A driver whose caps().max_frame is non-zero refuses (MADO_CHECK) a
+//     send() of more bytes; the engine never issues one. Each accepted
+//     frame reaches the peer whole, as one on_packet, or not at all.
 #pragma once
 
 #include <atomic>
@@ -33,10 +36,19 @@
 #include <string>
 
 #include "drivers/capabilities.hpp"
+#include "util/assert.hpp"
 #include "util/iovec.hpp"
 #include "util/wire.hpp"
 
 namespace mado::drv {
+
+/// Clause 6, for every driver's send(): refuse a frame above a non-zero
+/// max_frame.
+inline void check_frame(const Capabilities& caps, const GatherList& gl) {
+  MADO_CHECK_MSG(caps.max_frame == 0 || gl.total_bytes() <= caps.max_frame,
+                 "frame of " << gl.total_bytes() << " bytes above max_frame "
+                             << caps.max_frame << " of " << caps.name);
+}
 
 class EndpointHandler;
 

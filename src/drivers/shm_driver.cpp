@@ -52,6 +52,7 @@ void ShmEndpoint::close() {
 void ShmEndpoint::send(TrackId track, const GatherList& gl,
                        std::uint64_t token) {
   MADO_CHECK(track < caps_.track_count);
+  check_frame(caps_, gl);
   Frame f;
   f.track = track;
   f.payload = gl.flatten();

@@ -93,6 +93,7 @@ void SimEndpoint::send(TrackId track, const GatherList& gl,
   MADO_CHECK_MSG(track < caps_.track_count,
                  "track " << int(track) << " out of range for " << caps_.name);
   MADO_CHECK(link_->handler[side_] != nullptr);
+  check_frame(caps_, gl);
 
   // Materialize the payload now: segment buffers are only guaranteed valid
   // until on_send_complete, and delivery happens after that.

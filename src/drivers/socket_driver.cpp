@@ -58,6 +58,7 @@ void SocketEndpoint::close() {
 void SocketEndpoint::send(TrackId track, const GatherList& gl,
                           std::uint64_t token) {
   MADO_CHECK(track < caps_.track_count);
+  check_frame(caps_, gl);
   MADO_CHECK_MSG(!gate_.closed(), "send on closed endpoint");
   TxItem item;
   item.track = track;

@@ -138,7 +138,6 @@ Capabilities udp_loopback_profile() {
   c.max_gather_segments = 1;
   c.track_count = 2;
   c.lossless = false;  // Engine::add_rail demands cfg.reliability
-  c.datagram_mtu = UdpConfig{}.mtu;
   // Loopback through two event loops: syscall-dominated overheads, a few
   // GB/s of stream bandwidth, ~15 µs one-way through epoll + recvmmsg.
   c.cost.pio_overhead = 2000;
@@ -754,7 +753,6 @@ UdpEndpoint::UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
   chunk_ = cfg_.mtu - kHdrLen;
   // Honest advertisement: the wire drops, and the driver flattens.
   caps_.lossless = false;
-  caps_.datagram_mtu = cfg_.mtu;
   io_.next_seq.assign(caps_.track_count, 0);
   io_.rx.resize(caps_.track_count);
 }

@@ -2,9 +2,12 @@
 // each driver profile — around the eager packet budget (single-fragment
 // packets may exceed it), the PIO/DMA threshold, and the rendezvous
 // threshold — where off-by-one bugs in packing and protocol selection live.
+// Plus the frame bound: no frame above a driver's max_frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "core/world.hpp"
 #include "drivers/profiles.hpp"
@@ -98,6 +101,92 @@ TEST_P(SizeBoundaryTest, RmaPutAtEveryEdge) {
               data)
         << GetParam() << " size " << size;
   }
+}
+
+// A driver with a non-zero max_frame refuses a larger frame (driver
+// contract clause 6: the sim driver throws), so each send below fails the
+// test if the engine cut one byte too few. Each bound is met exactly:
+//  * eager: node 1's packet of 16 CTS controls (exactly max_eager) and an
+//    RmaPut of the clamped threshold − 1;
+//  * bulk: rendezvous of 3 chunks + 1 byte, a full chunk and its
+//    BulkHeader being exactly max_frame;
+//  * sizes on both sides of the clamped threshold, and the configured
+//    threshold − 1, which the clamp sends by rendezvous.
+TEST(MaxFrameTest, NoFrameExceedsMaxFrame) {
+  constexpr std::size_t kMaxFrame = 8192;
+  constexpr std::size_t kCtsControls = 16;
+  drv::Capabilities caps = drv::test_profile();
+  caps.max_eager = kCtsControls * (FragHeader::kWireSize + CtsBody::kWireSize);
+  caps.rdv_threshold = 64 * 1024;
+  caps.max_frame = kMaxFrame;
+  // Controls up to max_eager, then one RmaPut fragment of threshold − 1.
+  const std::size_t threshold =
+      kMaxFrame + 1 - PacketHeader::kWireSize - caps.max_eager -
+      FragHeader::kWireSize - RmaPutBody::kWireSize;
+  const std::size_t chunk = kMaxFrame - BulkHeader::kWireSize;
+
+  SimWorld w(2);
+  w.connect(0, 1, caps);
+  Tracer tracer(1 << 16);
+  w.node(0).set_tracer(&tracer);
+  w.node(1).set_tracer(&tracer);
+  Bytes win0(caps.rdv_threshold), win1(caps.rdv_threshold);
+  w.node(0).expose_window(1, win0.data(), win0.size());
+  w.node(1).expose_window(1, win1.data(), win1.size());
+  Channel a = w.node(0).open_channel(1, 7);
+  Channel b = w.node(1).open_channel(0, 7);
+
+  // Node 0's rendezvous RTS all land before node 1 posts a receive.
+  std::vector<Bytes> rdv;
+  for (std::uint32_t i = 0; i < kCtsControls; ++i) {
+    rdv.push_back(pattern(3 * chunk + 1, i));
+    send_bytes(a, rdv.back(), SendMode::Later);
+  }
+  w.run();
+  // Node 1's first packet holds its eager track while the 16 CTS its
+  // unpacks answer and an RmaPut queue behind it: one packet takes them all.
+  const Bytes big = pattern(caps.rdv_threshold - 1, 50);
+  send_bytes(b, big, SendMode::Later);
+  std::vector<Bytes> out(kCtsControls, Bytes(3 * chunk + 1));
+  std::vector<IncomingMessage> ims;
+  for (Bytes& o : out) {
+    ims.push_back(b.begin_recv());
+    ims.back().unpack(o.data(), o.size(), RecvMode::Cheaper);
+  }
+  const Bytes put = pattern(threshold - 1, 51);
+  SendHandle hp = w.node(1).rma_put(0, 1, 0, put.data(), put.size());
+  for (std::size_t i = 0; i < kCtsControls; ++i) {
+    ims[i].finish();
+    EXPECT_EQ(out[i], rdv[i]) << "rendezvous " << i;
+  }
+  EXPECT_TRUE(w.node(1).wait_send(hp));
+  EXPECT_EQ(Bytes(win0.begin(), win0.begin() + std::ptrdiff_t(put.size())),
+            put);
+  EXPECT_EQ(recv_bytes(a, big.size()), big);
+
+  for (const std::size_t len : {threshold - 1, threshold}) {
+    const Bytes data = pattern(len, static_cast<std::uint32_t>(len));
+    SendHandle h = w.node(0).rma_put(1, 1, 0, data.data(), len);
+    ASSERT_TRUE(w.node(0).wait_send(h)) << "put " << len;
+    EXPECT_EQ(Bytes(win1.begin(), win1.begin() + std::ptrdiff_t(len)), data)
+        << "put " << len;
+    Bytes got(len);
+    h = w.node(0).rma_get(1, 1, 0, got.data(), len);
+    ASSERT_TRUE(w.node(0).wait_send(h)) << "get " << len;
+    EXPECT_EQ(got, data) << "get " << len;
+  }
+  EXPECT_TRUE(w.node(0).flush());
+  EXPECT_TRUE(w.node(1).flush());
+
+  // The largest frame either engine handed its driver is exactly max_frame.
+  std::size_t largest = 0;
+  for (const TraceRecord& r : tracer.snapshot()) {
+    if (r.event == TraceEvent::PacketTx) largest = std::max(largest, r.b);
+    if (r.event == TraceEvent::BulkTx)
+      largest = std::max(largest, BulkHeader::kWireSize + r.c);
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(largest, kMaxFrame);
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, SizeBoundaryTest,

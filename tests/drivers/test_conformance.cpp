@@ -4,6 +4,7 @@
 // adding a driver (docs/internals.md §9) plugs it in here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -81,9 +82,10 @@ std::unique_ptr<Harness> make_harness(Kind kind) {
       break;
     }
     case Kind::Udp: {
-      // Real datagrams over 127.0.0.1. A clean loopback with the driver's
-      // flow-control window engaged delivers everything the contract asks
-      // for, including per-track FIFO (seq-ordered release).
+      // Real datagrams over 127.0.0.1, one per frame. A clean loopback with
+      // the driver's flow-control window engaged delivers everything the
+      // contract asks for, including per-track FIFO (the wire keeps send
+      // order; the driver reorders nothing).
       auto pair = UdpEndpoint::make_pair(test_profile());
       h->a = std::move(pair.a);
       h->b = std::move(pair.b);
@@ -123,6 +125,12 @@ class DriverConformanceTest : public ::testing::TestWithParam<Kind> {
       if (h_->b) h_->b->close();
     }
   }
+  /// `want` bytes, cut to the sender's max_frame when it has one.
+  std::size_t frame_size(std::size_t want) const {
+    const std::size_t max_frame = h_->a->caps().max_frame;
+    return max_frame == 0 ? want : std::min(want, max_frame);
+  }
+
   std::unique_ptr<Harness> h_;
 };
 
@@ -188,10 +196,27 @@ TEST_P(DriverConformanceTest, PayloadDeliveredByteExact) {
 }
 
 TEST_P(DriverConformanceTest, LargePayloadSurvives) {
-  const Bytes p = make_payload(2 * 1024 * 1024, 3);
+  const Bytes p = make_payload(frame_size(2 * 1024 * 1024), 3);
   h_->send(*h_->a, kTrackBulk, p, 1);
   ASSERT_TRUE(h_->pump_until([&] { return !h_->hb.packets.empty(); }));
   EXPECT_EQ(h_->hb.packets[0].payload, p);
+}
+
+// Clause 6: a driver with a non-zero max_frame refuses a larger frame at
+// send(), and carries one of exactly max_frame whole.
+TEST_P(DriverConformanceTest, FrameAboveMaxFrameIsRefused) {
+  const std::size_t max_frame = h_->a->caps().max_frame;
+  if (max_frame == 0) return;  // unbounded: nothing to refuse
+  const Bytes over = make_payload(max_frame + 1, 4);
+  EXPECT_THROW(h_->send(*h_->a, kTrackBulk, over, 1), CheckError);
+  const Bytes p = make_payload(max_frame, 5);
+  h_->send(*h_->a, kTrackBulk, p, 2);
+  ASSERT_TRUE(h_->pump_until([&] {
+    return !h_->hb.packets.empty() && !h_->ha.completions.empty();
+  }));
+  EXPECT_EQ(h_->hb.packets[0].payload, p);
+  ASSERT_EQ(h_->ha.completions.size(), 1u);
+  EXPECT_EQ(h_->ha.completions[0].token, 2u);
 }
 
 TEST_P(DriverConformanceTest, ZeroLengthPayload) {
@@ -260,7 +285,7 @@ TEST_P(DriverConformanceTest, ConcurrentTracksShareOnePeerWithoutInterference) {
   // other. This is exactly the shape the engine's striped rendezvous path
   // produces (eager control packets racing bulk chunks on one rail).
   constexpr std::uint64_t kN = 8;
-  constexpr std::size_t kBulkSize = 192 * 1024;
+  const std::size_t kBulkSize = frame_size(192 * 1024);
   for (std::uint64_t i = 0; i < kN; ++i) {
     h_->send(*h_->a, kTrackBulk,
              make_payload(kBulkSize, static_cast<std::uint8_t>(0x40 + i)),
