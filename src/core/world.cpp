@@ -119,11 +119,10 @@ ShmWorld::ShmWorld(const EngineConfig& cfg, std::size_t rails)
         return rail_pair(drv::ShmEndpoint::make_pair());
       }) {}
 
-UdpWorld::UdpWorld(const EngineConfig& cfg, std::size_t rails,
-                   const drv::UdpConfig& ucfg)
-    : ThreadedWorld(reliable(cfg), rails, [&ucfg] {
+UdpWorld::UdpWorld(const EngineConfig& cfg, std::size_t rails)
+    : ThreadedWorld(reliable(cfg), rails, [] {
         return rail_pair(
-            drv::UdpEndpoint::make_pair(drv::udp_loopback_profile(), ucfg));
+            drv::UdpEndpoint::make_pair(drv::udp_loopback_profile()));
       }) {}
 
 }  // namespace mado::core

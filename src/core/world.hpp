@@ -125,8 +125,7 @@ class ShmWorld : public ThreadedWorld {
 /// inject receive-side loss or link failures.
 class UdpWorld : public ThreadedWorld {
  public:
-  explicit UdpWorld(const EngineConfig& cfg, std::size_t rails = 1,
-                    const drv::UdpConfig& ucfg = {});
+  explicit UdpWorld(const EngineConfig& cfg, std::size_t rails = 1);
 
   /// The `node`-side endpoint of rail `rail` (0-based, in creation order).
   drv::UdpEndpoint& endpoint(NodeId node, std::size_t rail = 0) {

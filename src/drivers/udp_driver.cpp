@@ -19,12 +19,16 @@ namespace mado::drv {
 
 namespace {
 
-constexpr std::size_t kHdrLen = 16;
+/// [u8 type][u8 track]
+constexpr std::size_t kHdrLen = 2;
+/// An Ack's body: the u64 cumulative received-byte count.
+constexpr std::size_t kAckLen = kHdrLen + 8;
 /// Datagrams per sendmmsg/recvmmsg call.
 constexpr std::size_t kBatch = 32;
-constexpr std::size_t kMaxFrame = 256 * 1024 * 1024;
 /// IPv4 UDP payload ceiling (65535 - 20 IP - 8 UDP).
 constexpr std::size_t kMaxDatagram = 65507;
+/// max_frame: one datagram carries one frame, whole.
+constexpr std::size_t kFrameLimit = kMaxDatagram - kHdrLen;
 /// Receive scratch slot; any legal datagram fits.
 constexpr std::size_t kRxSlot = 65536;
 /// Per-datagram flow-control surcharge: the kernel charges the receive
@@ -38,14 +42,6 @@ constexpr std::uint64_t kChargeOverhead = 256;
 constexpr std::size_t kWindowBytes = 256 * 1024;
 /// Requested SO_RCVBUF/SO_SNDBUF (the kernel caps by rmem_max/wmem_max).
 constexpr int kSockbufBytes = 1 * 1024 * 1024;
-/// Reassembly bounds per (endpoint, track): a new partial frame beyond this
-/// many, or beyond kMaxFrame claimed bytes in all, evicts the oldest
-/// (udp.reasm_drops).
-constexpr std::size_t kMaxPendingFrames = 64;
-/// Capacity reserved when a frame opens, well above the engine's default
-/// frames (64 KiB bulk chunks). A larger claim grows only as its fragments
-/// arrive, so a datagram that claims a huge frame costs no more than this.
-constexpr std::size_t kReasmReserve = 1024 * 1024;
 
 constexpr std::uint8_t kTypeData = 1;
 constexpr std::uint8_t kTypeAck = 2;
@@ -72,53 +68,15 @@ std::uint64_t charge(std::size_t wire_len) {
   return static_cast<std::uint64_t>(wire_len) + kChargeOverhead;
 }
 
-struct Header {
-  std::uint8_t type = 0;
-  std::uint8_t track = 0;
-  std::uint16_t nfrags = 0;
-  std::uint32_t seq = 0;
-  std::uint32_t frag = 0;
-  std::uint32_t frame_len = 0;
-};
-
-void put_u16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v & 0xff);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
+void put_u64(std::uint8_t* p, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v & 0xff);
-  p[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
-  p[2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
-  p[3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
-}
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void encode_header(std::uint8_t* p, const Header& h) {
-  p[0] = h.type;
-  p[1] = h.track;
-  put_u16(p + 2, h.nfrags);
-  put_u32(p + 4, h.seq);
-  put_u32(p + 8, h.frag);
-  put_u32(p + 12, h.frame_len);
-}
-
-bool decode_header(const std::uint8_t* p, std::size_t len, Header& h) {
-  if (len < kHdrLen) return false;
-  h.type = p[0];
-  h.track = p[1];
-  h.nfrags = get_u16(p + 2);
-  h.seq = get_u32(p + 4);
-  h.frag = get_u32(p + 8);
-  h.frame_len = get_u32(p + 12);
-  return true;
+std::uint64_t get_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
 }
 
 Nanos now_ns() { return SteadyClock{}.now(); }
@@ -138,6 +96,7 @@ Capabilities udp_loopback_profile() {
   c.max_gather_segments = 1;
   c.track_count = 2;
   c.lossless = false;  // Engine::add_rail demands cfg.reliability
+  c.max_frame = kFrameLimit;
   // Loopback through two event loops: syscall-dominated overheads, a few
   // GB/s of stream bandwidth, ~15 µs one-way through epoll + recvmmsg.
   c.cost.pio_overhead = 2000;
@@ -326,7 +285,7 @@ void UdpLoop::run() {
     }
     const Nanos now = now_ns();
     // Pump every active endpoint; keep only the ones with remaining
-    // backlog (window- or EPOLLOUT-blocked, or mid-frame).
+    // backlog (window- or EPOLLOUT-blocked).
     std::size_t w = 0;
     for (std::size_t i = 0; i < active_tx_.size(); ++i) {
       UdpEndpoint* ep = active_tx_[i];
@@ -387,17 +346,17 @@ void UdpLoop::handle_readable(UdpEndpoint* ep) {
 void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
                               std::size_t len, Nanos now) {
   auto& io = ep->io_;
-  Header h;
-  if (!decode_header(data, len, h)) return;  // runt: not ours, drop
+  if (len < kHdrLen) return;  // runt: not ours, drop
+  const std::uint8_t type = data[0];
+  const std::uint8_t track = data[1];
   io.last_rx = now;
   ep->counters_.datagrams_rx.fetch_add(1, std::memory_order_relaxed);
   ep->counters_.bytes_rx.fetch_add(len, std::memory_order_relaxed);
-  switch (h.type) {
+  switch (type) {
     case kTypeAck: {
+      if (len != kAckLen) return;  // malformed: drop
       ep->counters_.acks_rx.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t acked =
-          static_cast<std::uint64_t>(h.seq) |
-          (static_cast<std::uint64_t>(h.frag) << 32);
+      const std::uint64_t acked = get_u64(data + kHdrLen);
       if (acked > io.peer_acked) {
         io.peer_acked = acked;
         io.blocked_since = 0;
@@ -435,63 +394,14 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
       return;
     }
   }
-  const std::size_t plen = len - kHdrLen;
-  if (h.track >= ep->caps_.track_count || h.nfrags == 0 ||
-      h.frag >= h.nfrags || h.frame_len > kMaxFrame)
-    return;  // malformed: drop
-  // Fragments append in order, so a partial frame holds only the bytes
-  // that arrived; one that skips a fragment has lost it for good (the wire
-  // is FIFO) and waits to be dropped.
-  auto& pend = io.rx[h.track];
-  auto it = pend.find(h.seq);
-  if (it == pend.end()) {
-    // Only a first fragment opens a frame, and only if its size agrees with
-    // the claim: every non-final fragment carries the sender's chunk, so
-    // nfrags of them are just enough for frame_len.
-    const std::uint64_t n = h.nfrags;
-    const bool fits = n == 1 ? h.frame_len == plen
-                             : (n - 1) * plen < h.frame_len &&
-                                   h.frame_len <= n * plen;
-    if (h.frag != 0 || !fits) return;
-    std::size_t bytes = h.frame_len;
-    for (const auto& [seq, r] : pend) bytes += r.frame_len;
-    while (!pend.empty() &&
-           (pend.size() >= kMaxPendingFrames || bytes > kMaxFrame)) {
-      const auto oldest = std::min_element(
-          pend.begin(), pend.end(), [](const auto& x, const auto& y) {
-            return seq_less(x.first, y.first);
-          });
-      bytes -= oldest->second.frame_len;
-      pend.erase(oldest);
-      ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
-    }
-    it = pend.emplace(h.seq, UdpEndpoint::Reasm{}).first;
-    it->second.buf.reserve(std::min<std::size_t>(h.frame_len, kReasmReserve));
-    it->second.frame_len = h.frame_len;
-    it->second.nfrags = h.nfrags;
-  } else if (it->second.nfrags != h.nfrags ||
-             it->second.frame_len != h.frame_len) {
-    return;  // conflicting metadata for this seq: drop the datagram
-  }
-  auto& r = it->second;
-  if (h.frag != r.next) return;  // a duplicate, or one past a lost fragment
-  const bool last = h.frag + 1u == h.nfrags;
-  if (last ? r.buf.size() + plen != r.frame_len
-           : r.buf.size() != std::size_t{h.frag} * plen)
-    return;  // size disagrees with the frame's chunk: drop the datagram
-  r.buf.insert(r.buf.end(), data + kHdrLen, data + len);
-  ++r.next;
-  if (!last) return;
-  // Complete: hand it up at once; ordering and recovery belong to the
-  // reliability layer. A partial frame with a lower seq lost a datagram
-  // for good (the wire is FIFO), so it goes.
-  ep->events_.push(UdpEndpoint::EvPacket{h.track, std::move(r.buf)});
+  if (track >= ep->caps_.track_count) return;  // malformed: drop
+  // One datagram is one frame: hand it up at once. Ordering, dedup and
+  // recovery belong to the reliability layer, and the engine's decoder
+  // judges the bytes.
+  ep->events_.push(
+      UdpEndpoint::EvPacket{track, Bytes(data + kHdrLen, data + len)});
   owe_ring(ep);
   ep->counters_.frames_rx.fetch_add(1, std::memory_order_relaxed);
-  pend.erase(it);
-  const std::size_t older = std::erase_if(
-      pend, [&](const auto& p) { return seq_less(p.first, h.seq); });
-  ep->counters_.reasm_drops.fetch_add(older, std::memory_order_relaxed);
 }
 
 void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
@@ -510,69 +420,32 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
       ep->events_.push(UdpEndpoint::EvSendFailed{item.track, item.token});
     if (!io.q.empty()) owe_ring(ep);
     io.q.clear();
-    io.cur_off = 0;
     return;
   }
   if (io.want_writable) return;  // waiting for EPOLLOUT
   while (!io.q.empty()) {
+    // One datagram per queued frame, as many as the window admits.
     mmsghdr msgs[kBatch];
     iovec iovs[kBatch][2];
     std::uint8_t hdrs[kBatch][kHdrLen];
-    struct Adv {
-      std::size_t bytes = 0;
-      std::uint64_t charge = 0;
-      bool frame_done = false;
-    } adv[kBatch];
     std::memset(msgs, 0, sizeof msgs);
     unsigned built = 0;
     std::uint64_t pending_charge = 0;
-    std::size_t qi = 0;
-    std::size_t off = io.cur_off;
-    while (built < kBatch && qi < io.q.size()) {
-      auto& item = io.q[qi];
-      if (!item.seq_assigned) {
-        item.seq = io.next_seq[item.track]++;
-        item.seq_assigned = true;
-      }
-      const std::size_t flen = item.payload.size();
-      const std::size_t chunk = ep->chunk_;
-      const auto nfrags = static_cast<std::uint32_t>(
-          flen == 0 ? 1 : (flen + chunk - 1) / chunk);
-      const std::size_t plen = flen == 0 ? 0 : std::min(chunk, flen - off);
-      const auto frag =
-          static_cast<std::uint32_t>(flen == 0 ? 0 : off / chunk);
-      const std::uint64_t ch = charge(kHdrLen + plen);
+    for (; built < kBatch && built < io.q.size(); ++built) {
+      auto& item = io.q[built];
+      const std::uint64_t ch = charge(kHdrLen + item.payload.size());
       if (io.tx_charged + pending_charge + ch >
           io.peer_acked + ep->window_)
         break;  // window full
-      Header h;
-      h.type = kTypeData;
-      h.track = item.track;
-      h.nfrags = static_cast<std::uint16_t>(nfrags);
-      h.seq = item.seq;
-      h.frag = frag;
-      h.frame_len = static_cast<std::uint32_t>(flen);
-      encode_header(hdrs[built], h);
+      hdrs[built][0] = kTypeData;
+      hdrs[built][1] = item.track;
       iovs[built][0].iov_base = hdrs[built];
       iovs[built][0].iov_len = kHdrLen;
+      iovs[built][1].iov_base = item.payload.data();
+      iovs[built][1].iov_len = item.payload.size();
       msgs[built].msg_hdr.msg_iov = iovs[built];
-      if (plen > 0) {
-        iovs[built][1].iov_base = item.payload.data() + off;
-        iovs[built][1].iov_len = plen;
-        msgs[built].msg_hdr.msg_iovlen = 2;
-      } else {
-        msgs[built].msg_hdr.msg_iovlen = 1;
-      }
-      adv[built].bytes = plen;
-      adv[built].charge = ch;
-      adv[built].frame_done = off + plen >= flen;
+      msgs[built].msg_hdr.msg_iovlen = 2;
       pending_charge += ch;
-      ++built;
-      off += plen;
-      if (off >= flen) {
-        ++qi;
-        off = 0;
-      }
     }
     if (built == 0) {
       // Window-blocked. Solicit an ack first; if the peer stays silent the
@@ -613,21 +486,16 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
       return;
     }
     for (int i = 0; i < n; ++i) {
-      io.tx_charged += adv[i].charge;
+      auto& item = io.q.front();
+      const std::size_t wire = kHdrLen + item.payload.size();
+      io.tx_charged += charge(wire);
       ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
-      ep->counters_.bytes_tx.fetch_add(kHdrLen + adv[i].bytes,
-                                       std::memory_order_relaxed);
-      io.cur_off += adv[i].bytes;
-      if (adv[i].frame_done) {
-        auto& item = io.q.front();
-        ep->events_.push(
-            UdpEndpoint::EvSendComplete{item.track, item.token});
-        owe_ring(ep);
-        ep->counters_.frames_tx.fetch_add(1, std::memory_order_relaxed);
-        io.q.pop_front();
-        io.cur_off = 0;
-      }
+      ep->counters_.bytes_tx.fetch_add(wire, std::memory_order_relaxed);
+      ep->counters_.frames_tx.fetch_add(1, std::memory_order_relaxed);
+      ep->events_.push(UdpEndpoint::EvSendComplete{item.track, item.token});
+      io.q.pop_front();
     }
+    if (n > 0) owe_ring(ep);
     io.blocked_since = 0;
     if (static_cast<unsigned>(n) < built) {
       ep->counters_.eagain_tx.fetch_add(1, std::memory_order_relaxed);
@@ -639,22 +507,19 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
 
 bool UdpLoop::send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type,
                                  std::uint64_t acked) {
-  std::uint8_t hdr[kHdrLen];
-  Header h;
-  h.type = type;
-  h.seq = static_cast<std::uint32_t>(acked & 0xffffffffu);
-  h.frag = static_cast<std::uint32_t>(acked >> 32);
-  encode_header(hdr, h);
+  std::uint8_t buf[kAckLen] = {type, 0};
+  const std::size_t len = type == kTypeAck ? kAckLen : kHdrLen;
+  if (type == kTypeAck) put_u64(buf + kHdrLen, acked);
   ssize_t n;
   do {
-    n = ::send(ep->fd_, hdr, sizeof hdr, 0);
+    n = ::send(ep->fd_, buf, len, 0);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     if (errno == ECONNREFUSED) break_link(ep, "econnrefused");
     return false;  // EAGAIN etc: best-effort, the next tick retries
   }
   ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
-  ep->counters_.bytes_tx.fetch_add(sizeof hdr, std::memory_order_relaxed);
+  ep->counters_.bytes_tx.fetch_add(len, std::memory_order_relaxed);
   if (type == kTypePing)
     ep->counters_.pings_tx.fetch_add(1, std::memory_order_relaxed);
   if (type == kTypeAck)
@@ -691,9 +556,9 @@ void UdpLoop::break_link(UdpEndpoint* ep, const char* why) {
   ep->gate_.mark_broken();
   owe_ring(ep);  // progress() reports the link down, failures or not
   MADO_DEBUG("udp: link down (" << why << ") on port " << ep->local_port_);
-  // Fail the partially-sent frame, everything queued behind it, and
-  // everything still sitting in the submit queue — exactly one failure per
-  // token, all delivered by progress() before on_link_down.
+  // Fail everything queued and everything still sitting in the submit
+  // queue — exactly one failure per token, all delivered by progress()
+  // before on_link_down.
   {
     std::vector<UdpEndpoint::TxItem> fresh;
     ep->tx_.drain(fresh);
@@ -702,7 +567,6 @@ void UdpLoop::break_link(UdpEndpoint* ep, const char* why) {
   for (auto& item : io.q)
     ep->events_.push(UdpEndpoint::EvSendFailed{item.track, item.token});
   io.q.clear();
-  io.cur_off = 0;
 }
 
 void UdpLoop::owe_ring(UdpEndpoint* ep) {
@@ -745,27 +609,20 @@ void UdpLoop::slow_tick(Nanos now) {
 // UdpEndpoint
 // ---------------------------------------------------------------------------
 
-UdpEndpoint::UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
-                         UdpConfig cfg)
-    : loop_(std::move(loop)), caps_(std::move(caps)), cfg_(cfg) {
-  MADO_CHECK_MSG(cfg_.mtu > kHdrLen, "udp mtu must exceed the header");
-  cfg_.mtu = std::min(cfg_.mtu, kMaxDatagram);
-  chunk_ = cfg_.mtu - kHdrLen;
-  // Honest advertisement: the wire drops, and the driver flattens.
+UdpEndpoint::UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps)
+    : loop_(std::move(loop)), caps_(std::move(caps)) {
+  // Honest advertisement: the wire drops, and a frame is one datagram.
   caps_.lossless = false;
-  io_.next_seq.assign(caps_.track_count, 0);
-  io_.rx.resize(caps_.track_count);
+  caps_.max_frame = kFrameLimit;
 }
 
 UdpEndpoint::~UdpEndpoint() { close(); }
 
 std::unique_ptr<UdpEndpoint> UdpEndpoint::bind(std::shared_ptr<UdpLoop> loop,
                                                const Capabilities& caps,
-                                               const UdpConfig& cfg,
                                                std::uint16_t port) {
   MADO_CHECK_MSG(loop, "udp endpoint needs a loop");
-  std::unique_ptr<UdpEndpoint> ep(
-      new UdpEndpoint(std::move(loop), caps, cfg));
+  std::unique_ptr<UdpEndpoint> ep(new UdpEndpoint(std::move(loop), caps));
   ep->open_and_bind(port);
   return ep;
 }
@@ -813,19 +670,18 @@ void UdpEndpoint::connect(const std::string& ip, std::uint16_t port) {
   if (rcv > 0)
     window_ = std::min(window_, static_cast<std::size_t>(rcv) / 2);
   window_ = std::max(window_,
-                     static_cast<std::size_t>(charge(kHdrLen + chunk_)));
+                     static_cast<std::size_t>(charge(kMaxDatagram)));
   connected_.store(true, std::memory_order_release);
   loop_->register_endpoint(this);
   registered_.store(true, std::memory_order_release);
 }
 
 UdpEndpoint::PairResult UdpEndpoint::make_pair(const Capabilities& caps_a,
-                                               const Capabilities& caps_b,
-                                               const UdpConfig& cfg) {
+                                               const Capabilities& caps_b) {
   auto loop = UdpLoop::create();
   PairResult r;
-  r.a = bind(loop, caps_a, cfg);
-  r.b = bind(loop, caps_b, cfg);
+  r.a = bind(loop, caps_a);
+  r.b = bind(loop, caps_b);
   r.a->connect("127.0.0.1", r.b->local_port());
   r.b->connect("127.0.0.1", r.a->local_port());
   return r;
@@ -834,6 +690,7 @@ UdpEndpoint::PairResult UdpEndpoint::make_pair(const Capabilities& caps_a,
 void UdpEndpoint::send(TrackId track, const GatherList& gl,
                        std::uint64_t token) {
   MADO_CHECK(track < caps_.track_count);
+  check_frame(caps_, gl);
   MADO_CHECK_MSG(!gate_.closed(), "send on closed endpoint");
   MADO_CHECK_MSG(connected_.load(std::memory_order_acquire),
                  "send before connect");
@@ -841,9 +698,6 @@ void UdpEndpoint::send(TrackId track, const GatherList& gl,
   item.track = track;
   item.token = token;
   item.payload = gl.flatten();  // segments only live until completion
-  MADO_CHECK_MSG(item.payload.size() <= kMaxFrame, "oversized frame");
-  MADO_CHECK_MSG((item.payload.size() + chunk_ - 1) / chunk_ <= 0xffff,
-                 "frame needs more than 65535 fragments at this MTU");
   gate_.accept();
   tx_.push(std::move(item));
   // One wake per burst: the loop clears the flag before draining, so the

@@ -5,17 +5,18 @@
 // can drop and reorder, and SIGKILLing a peer surfaces as a real transport
 // error (ICMP port-unreachable → ECONNREFUSED on the connected socket).
 //
-// Datagram format (16-byte header, little-endian, then payload):
+// Datagram format (2-byte header, then the body):
 //
-//   [u8 type][u8 track][u16 nfrags][u32 seq][u32 frag][u32 frame_len]
+//   [u8 type][u8 track]
 //
 //   type: 1=Data  2=Ack  3=Ping  4=Pong
 //
-// A driver frame (one send()) larger than the MTU payload is fragmented
-// into `nfrags` datagrams sharing one per-track `seq`; the receiver
-// appends each (track, seq)'s fragments in order and hands the frame up as
-// soon as its last datagram lands. Acks carry a cumulative received-byte
-// count (lo32 in `seq`, hi32 in `frag`) driving the sender's flow-control
+// One Data datagram carries one driver frame (one send()), whole. The
+// driver advertises max_frame = the IPv4 UDP payload ceiling less the
+// header, the engine cuts every frame to fit, and send() refuses a larger
+// one (driver contract clause 6): the driver neither fragments nor
+// reassembles, and keeps no per-frame receive state. An Ack's body is a
+// u64 cumulative received-byte count driving the sender's flow-control
 // window — without it, bulk senders overrun the loopback receive buffer
 // (~208 KiB default) and drop silently even on a "clean" link. Ping/Pong
 // are keepalive + ack solicitation.
@@ -38,7 +39,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -55,13 +55,6 @@ namespace mado::drv {
 
 class UdpEndpoint;
 
-struct UdpConfig {
-  /// Largest datagram emitted (header + payload). Bounded by the IPv4 UDP
-  /// maximum (65507); the default balances syscalls-per-byte against
-  /// pipelining inside the flow-control window.
-  std::size_t mtu = 32 * 1024;
-};
-
 /// Monotonic driver counters, written by the loop thread, readable from any
 /// thread (relaxed). The `udp.*` names in docs/counters.md map 1:1.
 struct UdpCounters {
@@ -77,14 +70,13 @@ struct UdpCounters {
   std::atomic<std::uint64_t> eagain_tx{0};
   std::atomic<std::uint64_t> window_stalls{0};
   std::atomic<std::uint64_t> window_resets{0};
-  std::atomic<std::uint64_t> reasm_drops{0};
   std::atomic<std::uint64_t> rx_loss_injected{0};
-  std::atomic<std::uint64_t> loop_wakeups{0};
 };
 
 /// Honest capability profile for UDP over loopback: no gather (datagram
-/// build flattens), lossless=false (reliability required), loopback-class
-/// cost numbers so RTO floors and stripe planning stay sane.
+/// build flattens), lossless=false (reliability required), one datagram per
+/// frame (max_frame), loopback-class cost numbers so RTO floors and stripe
+/// planning stay sane.
 Capabilities udp_loopback_profile();
 
 /// One epoll event loop serving every UdpEndpoint of a process. Create it
@@ -118,7 +110,7 @@ class UdpLoop {
   void handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
                        std::size_t len, Nanos now);
   void pump_tx(UdpEndpoint* ep, Nanos now);
-  /// Send a header-only datagram (an Ack carries the cumulative `acked`);
+  /// Send a control datagram (an Ack carries the cumulative `acked`);
   /// false if it did not go out.
   bool send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type,
                           std::uint64_t acked = 0);
@@ -154,7 +146,7 @@ class UdpLoop {
   std::vector<UdpEndpoint*> eps_;
   std::vector<UdpEndpoint*> active_tx_;
   std::vector<UdpEndpoint*> owed_;  ///< endpoints owed a ring (owe_ring)
-  std::vector<std::uint8_t> rx_buf_;  ///< batch × mtu receive scratch
+  std::vector<std::uint8_t> rx_buf_;  ///< batch × datagram receive scratch
   Nanos last_slow_tick_ = 0;
 };
 
@@ -167,11 +159,9 @@ class UdpEndpoint final : public DriverEndpoint {
   /// Both ends in one process, cross-connected over 127.0.0.1 on a shared
   /// loop — the drop-in analogue of SocketEndpoint::make_pair for tests.
   static PairResult make_pair(const Capabilities& caps_a,
-                              const Capabilities& caps_b,
-                              const UdpConfig& cfg = {});
-  static PairResult make_pair(const Capabilities& caps,
-                              const UdpConfig& cfg = {}) {
-    return make_pair(caps, caps, cfg);
+                              const Capabilities& caps_b);
+  static PairResult make_pair(const Capabilities& caps) {
+    return make_pair(caps, caps);
   }
 
   /// Multi-process path: bind an unconnected endpoint on 127.0.0.1 (port 0
@@ -179,7 +169,6 @@ class UdpEndpoint final : public DriverEndpoint {
   /// epoll registration start at connect().
   static std::unique_ptr<UdpEndpoint> bind(std::shared_ptr<UdpLoop> loop,
                                            const Capabilities& caps,
-                                           const UdpConfig& cfg = {},
                                            std::uint16_t port = 0);
   std::uint16_t local_port() const { return local_port_; }
   void connect(const std::string& ip, std::uint16_t port);
@@ -203,14 +192,13 @@ class UdpEndpoint final : public DriverEndpoint {
   /// fail, then exactly one on_link_down).
   void inject_failure();
   /// Test hook: drop this fraction of received DATA datagrams (after flow-
-  /// control accounting, before reassembly) — a lossy wire whose acks still
-  /// flow, so the window stays live while the reliability layer sweats.
+  /// control accounting) — a lossy wire whose acks still flow, so the
+  /// window stays live while the reliability layer sweats.
   void set_rx_loss(double probability, std::uint64_t seed);
 
  private:
   friend class UdpLoop;
-  UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
-              UdpConfig cfg);
+  UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps);
 
   void open_and_bind(std::uint16_t port);
   void register_with_loop();
@@ -219,8 +207,6 @@ class UdpEndpoint final : public DriverEndpoint {
     TrackId track = 0;
     std::uint64_t token = 0;
     Bytes payload;
-    bool seq_assigned = false;
-    std::uint32_t seq = 0;
   };
   struct EvSendComplete {
     TrackId track;
@@ -236,21 +222,10 @@ class UdpEndpoint final : public DriverEndpoint {
   };
   using Event = std::variant<EvSendComplete, EvSendFailed, EvPacket>;
 
-  /// One partially reassembled inbound frame: the fragments so far, in
-  /// order.
-  struct Reasm {
-    Bytes buf;
-    std::uint32_t frame_len = 0;
-    std::uint16_t nfrags = 0;
-    std::uint16_t next = 0;  ///< index of the next fragment expected
-  };
-
   /// Loop-thread-only IO state. Registration/deregistration handshakes
   /// (mutex + cv) order every access against construction and close().
   struct Io {
     std::deque<TxItem> q;
-    std::size_t cur_off = 0;  ///< payload bytes of q.front() already sent
-    std::vector<std::uint32_t> next_seq;  ///< per-track tx frame seq
     std::uint64_t tx_charged = 0;
     std::uint64_t peer_acked = 0;
     bool want_writable = false;
@@ -259,7 +234,6 @@ class UdpEndpoint final : public DriverEndpoint {
     std::uint64_t rx_charged = 0;
     std::uint64_t acked_sent = 0;  ///< last cumulative value sent to peer
     bool ack_pending = false;
-    std::vector<std::map<std::uint32_t, Reasm>> rx;  ///< per track, by seq
     Nanos last_rx = 0;
     Nanos last_ping = 0;
     bool broken = false;  ///< loop-side latch: fail everything from now on
@@ -268,10 +242,8 @@ class UdpEndpoint final : public DriverEndpoint {
 
   std::shared_ptr<UdpLoop> loop_;
   Capabilities caps_;
-  UdpConfig cfg_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
-  std::size_t chunk_ = 0;         ///< payload bytes per datagram
   std::size_t window_ = 0;        ///< effective window (rcvbuf-clamped)
   std::atomic<bool> connected_{false};
   std::atomic<bool> registered_{false};

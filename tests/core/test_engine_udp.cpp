@@ -23,9 +23,8 @@ using testing::send_bytes;
 
 class UdpEngineTest : public ::testing::Test {
  protected:
-  void build(EngineConfig cfg = {}, std::size_t rails = 1,
-             const drv::UdpConfig& ucfg = {}) {
-    world_ = std::make_unique<UdpWorld>(cfg, rails, ucfg);
+  void build(EngineConfig cfg = {}, std::size_t rails = 1) {
+    world_ = std::make_unique<UdpWorld>(cfg, rails);
     a_ = world_->node(0).open_channel(1, 7);
     b_ = world_->node(1).open_channel(0, 7);
   }

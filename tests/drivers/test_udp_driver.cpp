@@ -1,9 +1,9 @@
 // UDP driver unit tests: real datagrams over 127.0.0.1 inside one process.
-// Covers what the conformance kit cannot: fragmentation across the MTU,
-// flow-control under bulk pressure, injected receive-side loss (the driver
-// must keep flowing and report honest counters — recovery is the engine
-// reliability layer's job, exercised in test_engine_udp.cpp), and the
-// failure paths (inject_failure, peer close).
+// Covers what the conformance kit cannot: one datagram per frame up to
+// max_frame, flow-control under bulk pressure, injected receive-side loss
+// (the driver must keep flowing and report honest counters — recovery is
+// the engine reliability layer's job, exercised in test_engine_udp.cpp),
+// the failure paths (inject_failure, peer close) and forged datagrams.
 #include "drivers/udp_driver.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +13,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <functional>
-#include <set>
 #include <thread>
 
 #include "drivers/profiles.hpp"
@@ -33,8 +30,8 @@ using namespace std::chrono_literals;
 
 class UdpDriverTest : public ::testing::Test {
  protected:
-  void build(const UdpConfig& cfg = {}) {
-    auto pair = UdpEndpoint::make_pair(test_profile(), cfg);
+  void build() {
+    auto pair = UdpEndpoint::make_pair(test_profile());
     a_ = std::move(pair.a);
     b_ = std::move(pair.b);
     a_->set_handler(&ha_);
@@ -82,36 +79,25 @@ TEST_F(UdpDriverTest, RoundTripSingleDatagram) {
   EXPECT_GE(b_->counters().datagrams_rx.load(), 1u);
 }
 
-TEST_F(UdpDriverTest, FrameLargerThanMtuIsFragmentedAndReassembled) {
-  UdpConfig cfg;
-  cfg.mtu = 2048;  // force many fragments
-  build(cfg);
-  const Bytes p = make_payload(100 * 1024, 5);
-  send(*a_, kTrackBulk, p, 1);
-  ASSERT_TRUE(pump_until([&] { return hb_.packets.size() == 1; }));
-  EXPECT_EQ(hb_.packets[0].payload, p);
-  // ceil(100 KiB / (2048-16)) fragments at minimum.
-  EXPECT_GE(a_->counters().datagrams_tx.load(), 50u);
-  EXPECT_EQ(b_->counters().frames_rx.load(), 1u);
-}
-
-TEST_F(UdpDriverTest, FrameLargerThanTheReassemblyReserveArrivesIntact) {
-  // The receiver reserves 1 MiB when a frame opens; past that the frame
-  // grows as its fragments arrive.
+TEST_F(UdpDriverTest, MaxFrameArrivesAsOneDatagramAndOneByteMoreIsRefused) {
   build();
-  const Bytes p = make_payload(3 * 1024 * 1024 + 7, 6);
+  const std::size_t max_frame = a_->caps().max_frame;
+  const Bytes p = make_payload(max_frame, 5);
   send(*a_, kTrackBulk, p, 1);
   ASSERT_TRUE(pump_until([&] { return hb_.packets.size() == 1; }));
   EXPECT_EQ(hb_.packets[0].payload, p);
-  EXPECT_EQ(b_->counters().reasm_drops.load(), 0u);
+  EXPECT_EQ(a_->counters().frames_tx.load(), 1u);
+  EXPECT_EQ(b_->counters().frames_rx.load(), 1u);
+  const Bytes over = make_payload(max_frame + 1, 6);
+  EXPECT_THROW(send(*a_, kTrackBulk, over, 2), CheckError);
 }
 
 TEST_F(UdpDriverTest, BulkStreamEngagesFlowControlWithoutLoss) {
   // Far more data than the loopback receive buffer: without the ack-driven
   // window this drops silently at the kernel and the test times out.
   build();
-  constexpr std::uint64_t kN = 64;
-  constexpr std::size_t kSize = 256 * 1024;
+  const std::size_t kSize = a_->caps().max_frame;
+  const std::uint64_t kN = ((16u << 20) + kSize - 1) / kSize;  // 16 MiB
   for (std::uint64_t i = 0; i < kN; ++i)
     send(*a_, kTrackBulk, make_payload(kSize, static_cast<std::uint8_t>(i)),
          i);
@@ -277,20 +263,15 @@ TEST_F(UdpDriverTest, ManyEndpointsShareOneLoop) {
   for (auto& ep : eps) ep->close();
 }
 
-// Seeded fuzz of the 16-byte datagram header and fragment reassembly: any
-// local process can send datagrams to the port, so no mutation may crash
-// the receiver or grow its memory without bound, and a valid frame sent
-// afterwards must still round-trip byte-exact.
+// Seeded fuzz of the 2-byte datagram header: any local process can send
+// datagrams to the port, so no mutation may crash the receiver or grow its
+// state, and a valid frame sent afterwards must still round-trip
+// byte-exact. Each Data datagram is at most one frame, judged by the
+// engine's decoder (test_packet_fuzz.cpp), so the driver has only its
+// header to get wrong.
 class UdpFuzzTest : public ::testing::Test {
  protected:
-  struct Hdr {
-    std::uint8_t type = 1;  // Data
-    std::uint8_t track = 0;
-    std::uint16_t nfrags = 1;
-    std::uint32_t seq = 0;
-    std::uint32_t frag = 0;
-    std::uint32_t frame_len = 0;
-  };
+  static constexpr std::uint8_t kData = 1, kAck = 2;
 
   void SetUp() override {
     loop_ = UdpLoop::create();
@@ -320,17 +301,10 @@ class UdpFuzzTest : public ::testing::Test {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  static Bytes datagram(const Hdr& h, const Bytes& payload = {}) {
-    Bytes d(16 + payload.size());
-    d[0] = h.type;
-    d[1] = h.track;
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (i < 2) d[2 + i] = static_cast<Byte>(h.nfrags >> (8 * i));
-      d[4 + i] = static_cast<Byte>(h.seq >> (8 * i));
-      d[8 + i] = static_cast<Byte>(h.frag >> (8 * i));
-      d[12 + i] = static_cast<Byte>(h.frame_len >> (8 * i));
-    }
-    std::copy(payload.begin(), payload.end(), d.begin() + 16);
+  static Bytes datagram(std::uint8_t type, std::uint8_t track,
+                        const Bytes& body = {}) {
+    Bytes d{type, track};
+    d.insert(d.end(), body.begin(), body.end());
     return d;
   }
 
@@ -340,7 +314,7 @@ class UdpFuzzTest : public ::testing::Test {
     const std::uint64_t before = ep_->counters().datagrams_rx.load();
     ASSERT_EQ(::send(fd_, d.data(), d.size(), 0),
               static_cast<ssize_t>(d.size()));
-    if (d.size() < 16) return;  // runts are not counted
+    if (d.size() < 2) return;  // runts are not counted
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     while (ep_->counters().datagrams_rx.load() == before) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline);
@@ -349,163 +323,64 @@ class UdpFuzzTest : public ::testing::Test {
     }
   }
 
-  /// Wait until the endpoint has finished with every datagram sent so far:
-  /// it handles them in order, so a valid frame on the bulk track that
-  /// reaches the handler marks the point.
-  void barrier() {
+  /// Wait until the endpoint has handed up `frame`, sent on the bulk track.
+  void expect_frame_arrives(const Bytes& frame) {
     const std::size_t got = h_.packets.size();
-    inject(datagram(Hdr{1, 1, 1, barrier_seq_++, 0, 1}, make_payload(1)));
+    inject(datagram(kData, 1, frame));
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     while (h_.packets.size() == got) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline);
       ep_->progress();
       std::this_thread::sleep_for(20us);
     }
-  }
-
-  static std::uint64_t rss_bytes() {
-    std::FILE* f = std::fopen("/proc/self/statm", "r");
-    unsigned long size = 0, resident = 0;
-    if (f) {
-      if (std::fscanf(f, "%lu %lu", &size, &resident) != 2) resident = 0;
-      std::fclose(f);
-    }
-    return static_cast<std::uint64_t>(resident) *
-           static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    EXPECT_EQ(h_.packets.back().track, 1u);
+    EXPECT_EQ(h_.packets.back().payload, frame);
   }
 
   std::shared_ptr<UdpLoop> loop_;
   std::unique_ptr<UdpEndpoint> ep_;
   RecordingHandler h_;
   int fd_ = -1;
-  std::uint32_t barrier_seq_ = 1;
 };
 
 TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
   Rng rng(20261017);
-  std::set<std::uint32_t> used;  // data seqs the fuzz touched
-  const auto fresh = [&] {
-    const auto seq = static_cast<std::uint32_t>(rng.next());
-    used.insert(seq);
-    return seq;
-  };
-  const auto note_seq = [&](const Bytes& d) {
-    if (d.size() >= 8)
-      used.insert(static_cast<std::uint32_t>(d[4] | d[5] << 8 | d[6] << 16 |
-                                             d[7] << 24));
-  };
-  // Eight first fragments each claiming a 256 MiB frame on the next fresh
-  // seqs, cut as the sender would cut one at an 8 KiB chunk: the receiver
-  // may keep one such frame open, not all of them, and reserves at most
-  // 1 MiB for it, so the eight cost neither memory nor loop time.
-  {
-    constexpr std::uint32_t kHuge = 256u << 20, kChunk = 8192;
-    const Bytes chunk = make_payload(kChunk);
-    const std::uint64_t rss0 = rss_bytes();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t seq = 1; seq <= 8; ++seq) {
-      used.insert(seq);
-      inject(datagram(Hdr{1, 0, kHuge / kChunk, seq, 0, kHuge}, chunk));
-    }
-    barrier();
-    const auto took = std::chrono::steady_clock::now() - t0;
-    const std::uint64_t rss1 = rss_bytes();
-    const std::uint64_t grew = rss1 - std::min(rss0, rss1);
-    EXPECT_LT(grew, std::uint64_t{64} << 20) << "RSS grew " << (grew >> 20)
-                                             << " MiB";
-    EXPECT_LT(took, 250ms)
-        << "the eight claims took "
-        << std::chrono::duration_cast<std::chrono::milliseconds>(took).count()
-        << " ms";
-    EXPECT_EQ(ep_->counters().reasm_drops.load(), 7u);
-  }
-
   const Bytes frame = make_payload(3000, 9);
-  Hdr two{1, 0, 2, 0, 0, 3000};  // a valid 2-fragment frame: 2000 + 1000
-  const Bytes first = datagram(two, Bytes(frame.begin(), frame.begin() + 2000));
+  const Bytes valid = datagram(kData, 0, frame);
   for (int round = 0; round < 400; ++round) {
     Bytes d;
-    switch (round % 10) {
-      case 0: {  // bit flips in a valid first fragment
-        two.seq = fresh();
-        d = datagram(two, Bytes(frame.begin(), frame.begin() + 2000));
+    switch (round % 5) {
+      case 0:  // bit flips in a valid datagram
+        d = valid;
         for (std::uint64_t n = rng.range(1, 8); n > 0; --n)
           d[rng.below(d.size())] ^= static_cast<Byte>(1u << rng.below(8));
-        note_seq(d);
         break;
-      }
-      case 1:  // truncation around the 16-byte header
-        d = Bytes(first.begin(),
-                  first.begin() + static_cast<std::ptrdiff_t>(rng.range(0, 20)));
-        note_seq(d);
+      case 1:  // truncation around the header and an ack's body
+        d = Bytes(valid.begin(),
+                  valid.begin() + static_cast<std::ptrdiff_t>(rng.range(0, 12)));
+        if (rng.below(2) == 0 && d.size() >= 1) d[0] = kAck;
         break;
       case 2:  // random bytes
-        d.resize(rng.range(16, 200));
+        d.resize(rng.range(2, 200));
         for (Byte& b : d) b = static_cast<Byte>(rng.next());
-        note_seq(d);
         break;
-      case 3:  // a track the endpoint does not have
-        d = datagram(Hdr{1, static_cast<std::uint8_t>(rng.range(2, 255)), 1,
-                         fresh(), 0, 4},
+      case 3:  // a type the driver does not know
+        d = datagram(static_cast<std::uint8_t>(rng.range(5, 255)),
+                     static_cast<std::uint8_t>(rng.below(2)), make_payload(16));
+        break;
+      case 4:  // a track the endpoint does not have
+        d = datagram(kData, static_cast<std::uint8_t>(rng.range(2, 255)),
                      make_payload(4));
-        break;
-      case 4:  // nfrags 0
-        d = datagram(Hdr{1, 0, 0, fresh(), 0, 4}, make_payload(4));
-        break;
-      case 5:  // frag >= nfrags
-        d = datagram(Hdr{1, 0, 3, fresh(),
-                         static_cast<std::uint32_t>(rng.range(3, 1000)), 64},
-                     make_payload(8));
-        break;
-      case 6: {  // conflicting nfrags / frame_len on one seq
-        const std::uint32_t seq = fresh();
-        inject(datagram(Hdr{1, 0, 3, seq, 0, 300}, make_payload(100)));
-        d = datagram(Hdr{1, 0, 4, seq, 1, 999}, make_payload(100));
-        break;
-      }
-      case 7: {  // sequence numbers across 2^32
-        const std::uint32_t seq =
-            0xffffffffu - static_cast<std::uint32_t>(rng.below(4)) +
-            static_cast<std::uint32_t>(rng.below(4));
-        used.insert(seq);
-        d = datagram(Hdr{1, 1, 2, seq, static_cast<std::uint32_t>(rng.below(2)),
-                         16},
-                     make_payload(8));
-        break;
-      }
-      case 8: {  // duplicate fragments
-        const std::uint32_t seq = fresh();
-        d = datagram(Hdr{1, 0, 3, seq, 0, 300}, make_payload(100));
-        inject(d);
-        inject(d);
-        d = datagram(Hdr{1, 0, 3, seq, 1, 300}, make_payload(100));
-        inject(d);
-        break;
-      }
-      case 9:  // huge frame_len on a fresh seq, cut to any fragment count
-        d = datagram(Hdr{1, 0, static_cast<std::uint16_t>(rng.range(1, 65535)),
-                         fresh(), 0,
-                         static_cast<std::uint32_t>(rng.range(1, 256u << 20))},
-                     make_payload(64));
         break;
     }
     inject(d);
   }
+  // Only whole Data datagrams on real tracks reached the handler, each as
+  // one frame of its own bytes.
+  for (const auto& pkt : h_.packets) EXPECT_LT(pkt.track, 2u);
 
-  // A valid frame on a seq the fuzz never used still arrives byte-exact.
-  std::uint32_t seq = 0x12345678u;
-  while (used.count(seq)) ++seq;
-  const std::size_t got = h_.packets.size();
-  two.seq = seq;
-  inject(datagram(two, Bytes(frame.begin(), frame.begin() + 2000)));
-  two.frag = 1;
-  inject(datagram(two, Bytes(frame.begin() + 2000, frame.end())));
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (h_.packets.size() == got) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    ep_->progress();
-  }
-  EXPECT_EQ(h_.packets.back().payload, frame);
+  // A valid frame still arrives byte-exact.
+  expect_frame_arrives(frame);
   EXPECT_FALSE(ep_->broken());
 
   // And the endpoint still sends: its frame reaches the test socket intact.
@@ -516,10 +391,11 @@ TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
   Bytes in(600);
   for (;;) {  // skip acks and pongs the fuzz solicited
     const ssize_t n = ::recv(fd_, in.data(), in.size(), 0);
-    ASSERT_GE(n, 16);
-    if (in[0] != 1) continue;
-    ASSERT_EQ(static_cast<std::size_t>(n), 16 + out.size());
-    EXPECT_EQ(Bytes(in.begin() + 16, in.begin() + n), out);
+    ASSERT_GE(n, 2);
+    if (in[0] != kData) continue;
+    ASSERT_EQ(static_cast<std::size_t>(n), 2 + out.size());
+    EXPECT_EQ(in[1], kTrackEager);
+    EXPECT_EQ(Bytes(in.begin() + 2, in.begin() + n), out);
     break;
   }
 }
@@ -527,7 +403,11 @@ TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
 TEST_F(UdpDriverTest, CapabilitiesAreHonest) {
   build();
   EXPECT_FALSE(a_->caps().lossless);
+  // One datagram per frame: the IPv4 UDP payload ceiling less the 2-byte
+  // header.
+  EXPECT_EQ(a_->caps().max_frame, 65507u - 2u);
   const Capabilities prof = udp_loopback_profile();
+  EXPECT_EQ(prof.max_frame, a_->caps().max_frame);
   EXPECT_FALSE(prof.lossless);
   EXPECT_FALSE(prof.gather_scatter);
 }

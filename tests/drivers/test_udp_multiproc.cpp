@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "drivers/profiles.hpp"
 #include "drivers/udp_driver.hpp"
@@ -166,27 +167,30 @@ TEST(UdpMultiProcess, BindConnectHandshakeAndEchoAcrossProcesses) {
   RecordingHandler h;
   auto ep = connect_to_child(UdpLoop::create(), child, h);
 
-  // Small frames and a multi-fragment bulk frame, echoed byte-exact.
-  constexpr std::uint64_t kSmall = 16;
+  // Small frames and four bulk frames of max_frame, echoed byte-exact.
+  constexpr std::uint64_t kSmall = 16, kBig = 4;
   for (std::uint64_t i = 0; i < kSmall; ++i) {
     GatherList gl;
     const Bytes p = make_payload(512, static_cast<std::uint8_t>(i));
     gl.add(p.data(), p.size());
     ep->send(kTrackEager, gl, i);
   }
-  const Bytes big = make_payload(200 * 1024, 0xAB);
-  {
+  std::vector<Bytes> big;
+  for (std::uint64_t i = 0; i < kBig; ++i) {
+    big.push_back(make_payload(ep->caps().max_frame,
+                               static_cast<std::uint8_t>(0xA0 + i)));
     GatherList gl;
-    gl.add(big.data(), big.size());
-    ep->send(kTrackBulk, gl, 999);
+    gl.add(big.back().data(), big.back().size());
+    ep->send(kTrackBulk, gl, 1000 + i);
   }
-  ASSERT_TRUE(pump_until(*ep, [&] { return h.packets.size() == kSmall + 1; }));
-  std::size_t small_seen = 0;
-  bool big_seen = false;
+  ASSERT_TRUE(
+      pump_until(*ep, [&] { return h.packets.size() == kSmall + kBig; }));
+  std::size_t small_seen = 0, big_seen = 0;
   for (const auto& pkt : h.packets) {
     if (pkt.track == kTrackBulk) {
-      EXPECT_EQ(pkt.payload, big);
-      big_seen = true;
+      ASSERT_LT(big_seen, kBig);
+      EXPECT_EQ(pkt.payload, big[big_seen]) << "bulk #" << big_seen;
+      ++big_seen;
     } else {
       EXPECT_EQ(pkt.payload,
                 make_payload(512, static_cast<std::uint8_t>(small_seen)))
@@ -195,7 +199,7 @@ TEST(UdpMultiProcess, BindConnectHandshakeAndEchoAcrossProcesses) {
     }
   }
   EXPECT_EQ(small_seen, kSmall);
-  EXPECT_TRUE(big_seen);
+  EXPECT_EQ(big_seen, kBig);
   EXPECT_EQ(h.link_downs, 0);
 
   // Deliberate close tears the child down cleanly (its pings get refused).
