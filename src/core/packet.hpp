@@ -2,7 +2,7 @@
 //
 // Eager-track packet layout (all integers little-endian):
 //
-//   PacketHeader (20 B)
+//   PacketHeader (32 B)
 //   FragHeader   (20 B) x nfrags     -- all fragment headers up front
 //   payload area                      -- fragment payloads, same order
 //
@@ -13,7 +13,7 @@
 //
 // Bulk-track packet layout (rendezvous data chunks):
 //
-//   BulkHeader (32 B) | raw bytes
+//   BulkHeader (53 B) | raw bytes
 //
 // Control bodies (RTS/CTS) travel as regular fragment payloads inside
 // eager packets, so they are aggregated with application traffic like any
