@@ -10,14 +10,18 @@ own ledger through its own bench/ledger/run.py, in its own CARGO_TARGET_DIR,
 so both sides run identical benchmark code from their own trees. For every
 workload of BENCHMARK.json it runs the given number of pairs at seed 1,
 then --seed2-pairs pairs at seed 2, swapping which side runs first from one
-pair to the next, and one pair against the anchor commit fab1f73, where
-the ledger first ran: absolute numbers drift from one day or machine to the
-next, ratios to a fixed anchor much less.
+pair to the next, then one `--trace 1` pair at seed 1 for the per-layer
+rows, and one pair against the anchor commit fab1f73, where the ledger
+first ran: absolute numbers drift from one day or machine to the next,
+ratios to a fixed anchor much less.
 
 The file written at the repository root holds every run, the per-pair
 change/parent ratios, each side's median and quartiles, pair wins,
-hw_threads and both `git describe`s. Each end-to-end metric gets one
-verdict under BENCHMARK.json's bounds and the simplicity-review rules,
+hw_threads and both `git describe`s. A run that is not correct or exits
+non-zero keeps the last 40 lines of its standard error. The traced pair's
+per_layer rows are stored per side with their change/parent ratio and no
+verdict: BENCHMARK.json gives them no bounds. Each end-to-end metric gets
+one verdict under BENCHMARK.json's bounds and the simplicity-review rules,
 the first that applies:
   failed      a run was incorrect or had failed operations
   regression  the change's median is worse than the parent's by more than
@@ -29,6 +33,7 @@ the first that applies:
               neither) and the medians differ by more than the parent's
               interquartile range
   flat        none of the above
+A traced run that is not correct adds a failed verdict for W/per_layer.
 The exit status is 1 if any verdict is failed or regression, else 2 if any
 is bimodal or unresolved, else 0. Nothing under bench/ledger/ is edited.
 Progress goes to standard error.
@@ -44,6 +49,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ANCHOR = "fab1f73"
 RUN_TIMEOUT_S = 1200
+STDERR_TAIL = 40
 
 
 def log(msg):
@@ -76,17 +82,16 @@ class Side:
         self.tree = export(self.rev, scratch, name)
         self.target = os.path.join(scratch, "target-" + name)
 
-    def run(self, workload, seed, seconds, smoke=False):
+    def run(self, workload, seed, seconds, smoke=False, trace=0):
         cmd = [sys.executable,
                os.path.join(self.tree, "bench", "ledger", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds)]
+               "--seconds", str(seconds), "--trace", str(trace)]
         if smoke:
             cmd.append("--smoke")
         env = dict(os.environ, CARGO_TARGET_DIR=self.target)
         proc = subprocess.run(cmd, env=env, text=True, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL,
-                              timeout=RUN_TIMEOUT_S)
+                              stderr=subprocess.PIPE, timeout=RUN_TIMEOUT_S)
         lines = proc.stdout.strip().splitlines()
         try:
             rec = json.loads(lines[-1])
@@ -96,6 +101,8 @@ class Side:
         rec["side"] = self.label
         rec["seed"] = seed
         rec["exit"] = proc.returncode
+        if not rec["correct"] or proc.returncode != 0:
+            rec["stderr_tail"] = proc.stderr.splitlines()[-STDERR_TAIL:]
         return rec
 
 
@@ -151,10 +158,22 @@ def verdict(spec, pairs):
     return out
 
 
-def pair(first, second, workload, seed, seconds):
-    a = first.run(workload, seed, seconds)
-    b = second.run(workload, seed, seconds)
+def pair(first, second, workload, seed, seconds, trace=0):
+    a = first.run(workload, seed, seconds, trace=trace)
+    b = second.run(workload, seed, seconds, trace=trace)
     return {first.label: a, second.label: b}
+
+
+def per_layer(spec, p):
+    """Each per_layer row of traced pair `p`: both sides and their ratio."""
+    rows = {}
+    for m in spec["per_layer"]:
+        par, chg = value(p["parent"], m["name"]), value(p["change"], m["name"])
+        rows[m["name"]] = {"unit": m["unit"], "better": m["better"],
+                           "parent": par, "change": chg,
+                           "ratio": chg / par if par and chg is not None
+                           else None}
+    return rows
 
 
 def main():
@@ -228,6 +247,12 @@ def main():
                     for m in spec["end_to_end"]
                     if all(value(p[s], m["name"]) is not None
                            for p in sub for s in ("parent", "change"))}
+        sides = (parent, change) if order % 2 == 0 else (change, parent)
+        order += 1
+        log(f"{w} traced pair, {sides[0].label} first")
+        t = pair(*sides, w, 1, seconds, trace=1)
+        t["first"] = sides[0].label
+        entry["per_layer"] = {"pair": t, "rows": per_layer(spec, t)}
         log(f"{w} anchor pair")
         a = pair(anchor, change, w, 1, seconds)
         a["ratios"] = {
@@ -246,6 +271,10 @@ def main():
     for w, entry in out["workloads"].items():
         for m, v in entry["metrics"].items():
             verdicts.setdefault(v["verdict"], []).append(f"{w}/{m}")
+        if not all(r["correct"] and not r["failed"]
+                   for r in entry["per_layer"]["pair"].values()
+                   if isinstance(r, dict)):
+            verdicts.setdefault("failed", []).append(f"{w}/per_layer")
     out["verdicts"] = verdicts
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w") as f:
