@@ -294,13 +294,15 @@ TEST(CollectivesUdp, AllreduceBcastAlltoallOverRealDatagrams) {
 TEST(CollectivesUdp, LossyAllreduceRecoveredByGoBackN) {
   // 2% receive-side datagram loss in both directions: the reliability
   // layer must retransmit until the collective lands numerically exact.
+  // A round is only a few datagrams each way (a 64 KiB chunk is one), so
+  // 20 rounds give the seeded loss enough datagrams to hit.
   core::UdpWorld w({});
   w.endpoint(0).set_rx_loss(0.02, 11);
   w.endpoint(1).set_rx_loss(0.02, 12);
   Collectives c0(w.node(0), 0, 2), c1(w.node(1), 1, 2);
   constexpr std::size_t kN = 8192;  // 64 KiB: rendezvous over lossy UDP
   std::vector<double> in0(kN, 1.5), in1(kN, 2.5), out0(kN, 0), out1(kN, 0);
-  for (int round = 0; round < 5; ++round) {
+  for (int round = 0; round < 20; ++round) {
     std::fill(out0.begin(), out0.end(), 0.0);
     std::fill(out1.begin(), out1.end(), 0.0);
     auto op0 = c0.allreduce_sum(in0.data(), out0.data(), kN);
