@@ -68,17 +68,6 @@ std::uint64_t charge(std::size_t wire_len) {
   return static_cast<std::uint64_t>(wire_len) + kChargeOverhead;
 }
 
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i)
-    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 Nanos now_ns() { return SteadyClock{}.now(); }
 
 [[noreturn]] void throw_errno(const char* what) {
@@ -356,7 +345,8 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
     case kTypeAck: {
       if (len != kAckLen) return;  // malformed: drop
       ep->counters_.acks_rx.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t acked = get_u64(data + kHdrLen);
+      const std::uint64_t acked =
+          WireReader(as_bytes(data + kHdrLen, len - kHdrLen)).u64();
       if (acked > io.peer_acked) {
         io.peer_acked = acked;
         io.blocked_since = 0;
@@ -507,19 +497,22 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
 
 bool UdpLoop::send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type,
                                  std::uint64_t acked) {
-  std::uint8_t buf[kAckLen] = {type, 0};
-  const std::size_t len = type == kTypeAck ? kAckLen : kHdrLen;
-  if (type == kTypeAck) put_u64(buf + kHdrLen, acked);
+  ctrl_buf_.clear();
+  WireWriter w(ctrl_buf_);
+  w.u8(type);
+  w.u8(0);
+  if (type == kTypeAck) w.u64(acked);
   ssize_t n;
   do {
-    n = ::send(ep->fd_, buf, len, 0);
+    n = ::send(ep->fd_, ctrl_buf_.data(), ctrl_buf_.size(), 0);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     if (errno == ECONNREFUSED) break_link(ep, "econnrefused");
     return false;  // EAGAIN etc: best-effort, the next tick retries
   }
   ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
-  ep->counters_.bytes_tx.fetch_add(len, std::memory_order_relaxed);
+  ep->counters_.bytes_tx.fetch_add(ctrl_buf_.size(),
+                                   std::memory_order_relaxed);
   if (type == kTypePing)
     ep->counters_.pings_tx.fetch_add(1, std::memory_order_relaxed);
   if (type == kTypeAck)

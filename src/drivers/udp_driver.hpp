@@ -147,6 +147,7 @@ class UdpLoop {
   std::vector<UdpEndpoint*> active_tx_;
   std::vector<UdpEndpoint*> owed_;  ///< endpoints owed a ring (owe_ring)
   std::vector<std::uint8_t> rx_buf_;  ///< batch × datagram receive scratch
+  Bytes ctrl_buf_;                    ///< control datagram being sent
   Nanos last_slow_tick_ = 0;
 };
 
