@@ -16,6 +16,7 @@
 #include <chrono>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "drivers/profiles.hpp"
 #include "tests/drivers/test_helpers.hpp"
@@ -98,16 +99,17 @@ TEST_F(UdpDriverTest, BulkStreamEngagesFlowControlWithoutLoss) {
   build();
   const std::size_t kSize = a_->caps().max_frame;
   const std::uint64_t kN = ((16u << 20) + kSize - 1) / kSize;  // 16 MiB
+  // Built first, so the sends queue frames faster than the loop drains
+  // them even in a slow (sanitizer) build: the window must fill.
+  std::vector<Bytes> frames;
   for (std::uint64_t i = 0; i < kN; ++i)
-    send(*a_, kTrackBulk, make_payload(kSize, static_cast<std::uint8_t>(i)),
-         i);
+    frames.push_back(make_payload(kSize, static_cast<std::uint8_t>(i)));
+  for (std::uint64_t i = 0; i < kN; ++i) send(*a_, kTrackBulk, frames[i], i);
   ASSERT_TRUE(pump_until([&] {
     return hb_.packets.size() == kN && ha_.completions.size() == kN;
   }, 30000ms));
   for (std::uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hb_.packets[i].payload,
-              make_payload(kSize, static_cast<std::uint8_t>(i)))
-        << i;
+    EXPECT_EQ(hb_.packets[i].payload, frames[i]) << i;
     EXPECT_EQ(ha_.completions[i].token, i);
   }
   // 16 MiB against a ≤1 MiB window must have stalled the sender at least
