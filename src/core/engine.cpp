@@ -118,6 +118,11 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
   ps.max_eager = max_eager;
   rail->ep->relay_ready_to(&rail->port);
   rail->ep->set_handler(&rail->port);
+  Rail* const added = rail.get();
+  if (ps.rails.empty())
+    ps.first_rail.store(added, std::memory_order_release);
+  else
+    ps.rails.back()->next.store(added, std::memory_order_release);
   ps.rails.push_back(std::move(rail));
   ps.rdv_out.add_rail();
   ps.any_rail_up.store(true, std::memory_order_release);
@@ -1057,8 +1062,7 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
 
 // ---- progression / waiting -------------------------------------------------
 
-bool Engine::pump_shard(PeerState& ps, std::vector<RxEvent>& events,
-                        std::vector<drv::DriverEndpoint*>& eps) {
+bool Engine::pump_shard(PeerState& ps, std::vector<RxEvent>& events) {
   // Claim the shard: whoever wins drives the whole pump. A lost claim means
   // another thread (owner, stealer, or a manual progress() caller) is
   // already on it — skipping is correct, not a missed lap.
@@ -1067,22 +1071,19 @@ bool Engine::pump_shard(PeerState& ps, std::vector<RxEvent>& events,
                                           std::memory_order_acq_rel))
     return false;
   events.clear();
-  eps.clear();
-  {
-    // Brief: snapshot the endpoint pointers (rails vector only grows, but
-    // add_rail may be concurrent during setup).
-    std::lock_guard<std::mutex> lk(ps.mu);
-    for (auto& rail : ps.rails) eps.push_back(rail->ep.get());
-  }
   // Pump every endpoint with the lap context active: driver callbacks
-  // stage into `events` instead of taking the peer lock per event.
+  // stage into `events` instead of taking the peer lock per event. The
+  // rail list is walked without the lock (add_rail publishes each rail
+  // once it is set up), so an idle lap locks nothing.
   {
     detail::ProgressLap lap;
     lap.engine = this;
     lap.peer = ps.id;
     lap.events = &events;
     detail::LapScope scope(&lap);
-    for (auto* ep : eps) ep->progress();
+    for (Rail* r = ps.first_rail.load(std::memory_order_acquire); r;
+         r = r->next.load(std::memory_order_acquire))
+      r->ep->progress();
   }
   const bool have_ring = ps.ring_pending.load(std::memory_order_acquire) > 0;
   bool did_work = false;
@@ -1127,9 +1128,8 @@ bool Engine::progress() {
     for (auto& [id, ps] : peers_) peers.push_back(ps.get());
   }
   std::vector<RxEvent> events;
-  std::vector<drv::DriverEndpoint*> eps;
   for (PeerState* ps : peers)
-    if (pump_shard(*ps, events, eps)) did_work = true;
+    if (pump_shard(*ps, events)) did_work = true;
   if (timers_.run_due() > 0) did_work = true;
   return did_work;
 }
@@ -1178,7 +1178,6 @@ void Engine::progress_thread_main(std::size_t idx) {
   std::vector<PeerState*> mine, others;
   std::size_t seen_peers = 0;
   std::vector<RxEvent> events;
-  std::vector<drv::DriverEndpoint*> eps;
 
   // One full poll pass: every owned shard, then — only when idle and past
   // the yield phase — at most one stolen shard, then due timers.
@@ -1195,13 +1194,13 @@ void Engine::progress_thread_main(std::size_t idx) {
     }
     bool work = false;
     for (PeerState* ps : mine)
-      if (pump_shard(*ps, events, eps)) work = true;
+      if (pump_shard(*ps, events)) work = true;
     if (steal_ok && !work) {
       // Work stealing: this thread has nothing of its own — help a busy
       // (or wedged) owner by pumping ONE of its shards. One per lap keeps
       // the help incremental; the victim's shards stay primarily its own.
       for (PeerState* ps : others) {
-        if (pump_shard(*ps, events, eps)) {
+        if (pump_shard(*ps, events)) {
           work = true;
           slot.steals->fetch_add(1, std::memory_order_relaxed);
           eng_stats_.inc(Ctr::ProgSteals);

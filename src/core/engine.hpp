@@ -273,6 +273,9 @@ class Engine final {
 
   struct Rail {
     std::unique_ptr<drv::DriverEndpoint> ep;
+    /// The peer's next rail, published once by add_rail: a lap walks the
+    /// list from PeerState::first_rail without taking the peer lock.
+    std::atomic<Rail*> next{nullptr};
     RailPort port;
     std::vector<std::size_t> outstanding;  // per track
     TxBacklog backlog;
@@ -504,6 +507,10 @@ class Engine final {
     std::atomic<bool> any_rail_up{false};
 
     std::vector<std::unique_ptr<Rail>> rails;
+    /// rails[0], published once add_rail has set it up; with Rail::next,
+    /// the endpoint list a lap pumps. Rails only grow and never move, so
+    /// the walk needs no lock while add_rail appends under `mu`.
+    std::atomic<Rail*> first_rail{nullptr};
     /// Over every rail: the smallest non-zero max_frame (0 = unbounded)
     /// and the largest max_eager. Failover and the chunk pool can move a
     /// fragment or chunk to any rail, so frames are cut to the peer's
@@ -808,11 +815,10 @@ class Engine final {
 
   /// Pump one shard end-to-end (endpoint poll under a lap, then one locked
   /// batch apply + ring drain + pump + acks), guarded by the pump claim.
-  /// `events`/`eps` are caller-owned scratch (capacity reuse across laps).
-  /// Returns true if the shard produced work; false also when another
-  /// thread holds the claim.
-  bool pump_shard(PeerState& ps, std::vector<RxEvent>& events,
-                  std::vector<drv::DriverEndpoint*>& eps);
+  /// `events` is caller-owned scratch (capacity reuse across laps). An idle
+  /// lap takes no lock. Returns true if the shard produced work; false also
+  /// when another thread holds the claim.
+  bool pump_shard(PeerState& ps, std::vector<RxEvent>& events);
 
   /// Body of progress thread `idx` (shard ownership, steal, park backoff).
   void progress_thread_main(std::size_t idx);
