@@ -26,7 +26,28 @@ constexpr std::size_t kEagerFrameOverhead = PacketHeader::kWireSize +
 /// yielding, before the thread parks on its slot.
 constexpr std::size_t kSpinLaps = 64;
 constexpr std::size_t kYieldLaps = 64;
+/// Tries, a CPU pause apart, that a thread makes for a held peer lock
+/// before it blocks on it.
+constexpr std::size_t kLockSpins = 128;
+
+/// Tell the core that this thread spins (frees the pipeline for a sibling
+/// hyperthread, and on x86 eases the memory-order exit from the loop).
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 }  // namespace
+
+void Engine::PeerMutex::lock() {
+  for (std::size_t i = 0; i < kLockSpins; ++i) {
+    if (mu_.try_lock()) return;
+    cpu_pause();
+  }
+  mu_.lock();
+}
 
 Engine::Engine(NodeId self, EngineConfig cfg, TimerHost& timers)
     : self_(self), cfg_(std::move(cfg)),
@@ -59,7 +80,7 @@ Engine::~Engine() {
   alive_->store(false);
   std::unique_lock<std::shared_mutex> lk(peers_mu_);
   for (auto& [id, ps] : peers_) {
-    std::lock_guard<std::mutex> plk(ps->mu);
+    std::lock_guard plk(ps->mu);
     for (auto& rail : ps->rails)
       if (rail->ep) rail->ep->close();
   }
@@ -91,7 +112,7 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
     psp = slot.get();
   }
   PeerState& ps = *psp;
-  std::lock_guard<std::mutex> lk(ps.mu);
+  std::lock_guard lk(ps.mu);
   MADO_CHECK_MSG(ps.rails.size() < 255, "too many rails");
   const RailId id = static_cast<RailId>(ps.rails.size());
   auto rail = std::make_unique<Rail>();
@@ -132,14 +153,14 @@ RailId Engine::add_rail(NodeId peer, std::unique_ptr<drv::DriverEndpoint> ep) {
 std::size_t Engine::rail_count(NodeId peer) const {
   PeerState* ps = find_peer(peer);
   if (!ps) return 0;
-  std::lock_guard<std::mutex> lk(ps->mu);
+  std::lock_guard lk(ps->mu);
   return ps->rails.size();
 }
 
 drv::Capabilities Engine::rail_caps(NodeId peer, RailId rail) const {
   PeerState* ps = find_peer(peer);
   MADO_CHECK_MSG(ps != nullptr, "unknown peer " << peer);
-  std::lock_guard<std::mutex> lk(ps->mu);
+  std::lock_guard lk(ps->mu);
   MADO_CHECK_MSG(rail < ps->rails.size(), "no rail " << unsigned(rail)
                                                      << " toward " << peer);
   return ps->rails[rail]->ep->caps();
@@ -148,7 +169,7 @@ drv::Capabilities Engine::rail_caps(NodeId peer, RailId rail) const {
 RailState Engine::rail_state(NodeId peer, RailId rail) const {
   PeerState* ps = find_peer(peer);
   MADO_CHECK_MSG(ps != nullptr, "unknown peer " << peer);
-  std::lock_guard<std::mutex> lk(ps->mu);
+  std::lock_guard lk(ps->mu);
   MADO_CHECK_MSG(rail < ps->rails.size(), "no rail " << unsigned(rail)
                                                      << " toward " << peer);
   return ps->rails[rail]->state;
@@ -158,7 +179,7 @@ Channel Engine::open_channel(NodeId peer, ChannelId id, TrafficClass cls) {
   MADO_CHECK_MSG(id != kRmaChannel,
                  "channel id is reserved for engine-internal RMA traffic");
   PeerState& ps = peer_ref(peer);
-  std::lock_guard<std::mutex> lk(ps.mu);
+  std::lock_guard lk(ps.mu);
   MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
   auto [it, inserted] = ps.channels.emplace(id, ChannelState{});
   MADO_CHECK_MSG(inserted, "channel " << id << " already open to peer "
@@ -211,7 +232,7 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
   }
 
   if (ps.ring) {
-    if (std::unique_lock<std::mutex> lk(ps.mu, std::try_to_lock);
+    if (std::unique_lock lk(ps.mu, std::try_to_lock);
         lk.owns_lock()) {
       // Uncontended fast path (flat combining): nobody holds the shard, so
       // skip the ring round-trip entirely — drain whatever racing threads
@@ -239,7 +260,7 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
       ps.ring_pending.fetch_add(1, std::memory_order_release);
       // A parked op is no driver event, so no driver rings for it.
       note_activity(ps);
-      if (std::unique_lock<std::mutex> lk(ps.mu, std::try_to_lock);
+      if (std::unique_lock lk(ps.mu, std::try_to_lock);
           lk.owns_lock()) {
         // The holder may have released between our failed try_lock and the
         // push landing; re-check so the op cannot linger un-drained until
@@ -1147,7 +1168,7 @@ void Engine::set_tracer(Tracer* tracer) {
   // destroy it.
   std::unique_lock<std::shared_mutex> lk(peers_mu_);
   for (auto& [id, ps] : peers_) {
-    std::lock_guard<std::mutex> plk(ps->mu);
+    std::lock_guard plk(ps->mu);
   }
 }
 
@@ -1433,7 +1454,7 @@ bool Engine::flush(Nanos timeout) {
           // fragments are visible under the lock taken just below.
           if (ps->ring_pending.load(std::memory_order_acquire) > 0)
             return false;
-          std::lock_guard<std::mutex> lk(ps->mu);
+          std::lock_guard lk(ps->mu);
           if (!ps->inflight.empty() || !ps->rdv_tx.empty() ||
               ps->rdv_out.chunks() != 0)
             return false;
@@ -1595,7 +1616,7 @@ void Engine::rebalance_classes() {
   std::vector<std::size_t> load;
   std::vector<bool> dead;
   for (const auto& [id, ps] : peers_) {
-    std::lock_guard<std::mutex> lk(ps->mu);
+    std::lock_guard lk(ps->mu);
     if (ps->rails.size() > load.size()) {
       load.resize(ps->rails.size(), 0);
       dead.resize(ps->rails.size(), false);
@@ -1666,7 +1687,7 @@ void Engine::set_auto_rebalance(Nanos interval) {
 std::size_t Engine::backlog_frags(NodeId peer, RailId rail) const {
   PeerState* ps = find_peer(peer);
   MADO_CHECK(ps != nullptr);
-  std::lock_guard<std::mutex> lk(ps->mu);
+  std::lock_guard lk(ps->mu);
   MADO_CHECK(rail < ps->rails.size());
   return ps->rails[rail]->backlog.frag_count();
 }
@@ -1675,7 +1696,7 @@ std::size_t Engine::inflight_packets() const {
   std::shared_lock<std::shared_mutex> plk(peers_mu_);
   std::size_t n = 0;
   for (const auto& [id, ps] : peers_) {
-    std::lock_guard<std::mutex> lk(ps->mu);
+    std::lock_guard lk(ps->mu);
     n += ps->inflight.size();
   }
   return n;
@@ -1684,7 +1705,7 @@ std::size_t Engine::inflight_packets() const {
 std::size_t Engine::pending_bulk_chunks(NodeId peer) const {
   PeerState* ps = find_peer(peer);
   MADO_CHECK(ps != nullptr);
-  std::lock_guard<std::mutex> lk(ps->mu);
+  std::lock_guard lk(ps->mu);
   return ps->rdv_out.chunks();
 }
 
@@ -1692,7 +1713,7 @@ Engine::Snapshot Engine::snapshot() const {
   Snapshot s;
   std::shared_lock<std::shared_mutex> plk(peers_mu_);
   for (const auto& [id, ps] : peers_) {
-    std::lock_guard<std::mutex> lk(ps->mu);
+    std::lock_guard lk(ps->mu);
     Snapshot::PeerInfo pi;
     pi.id = id;
     pi.shared_bulk_chunks = ps->rdv_out.pool().size();

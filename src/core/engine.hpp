@@ -431,6 +431,21 @@ class Engine final {
     Bytes payload;
   };
 
+  /// The peer lock: a std::mutex that retries a bounded number of times,
+  /// with a CPU pause between tries, before it blocks. Its critical
+  /// sections are short, so a thread that finds it held usually gets it
+  /// within the spin — without the futex sleep and the syscall wake that a
+  /// plain std::mutex would cost both sides of every hand-off.
+  class PeerMutex {
+   public:
+    void lock();
+    bool try_lock() { return mu_.try_lock(); }
+    void unlock() { mu_.unlock(); }
+
+   private:
+    std::mutex mu_;
+  };
+
   /// All state for one peer, guarded by its own `mu`. Everything the wire
   /// protocols key by (peer, token) lives here keyed by token: rendezvous
   /// tables, in-flight records, pending gets, RMA acks — they were always
@@ -479,7 +494,7 @@ class Engine final {
     /// lap" holds by construction.
     std::atomic<bool> pumping{false};
 
-    mutable std::mutex mu;  ///< guards every non-atomic member below
+    mutable PeerMutex mu;  ///< guards every non-atomic member below
 
     /// Completion waiters parked on this peer (wait_send, wait_frag, ...).
     /// `cv` is notified only when `waiters` is non-zero. Every such wake
@@ -539,7 +554,7 @@ class Engine final {
   };
 
   /// RAII peer-lock with contention accounting: try_lock fast path; on
-  /// contention the blocked time lands in opt.lock_wait_ns.
+  /// contention the spun and blocked time lands in opt.lock_wait_ns.
   class PeerLock {
    public:
     explicit PeerLock(PeerState& ps) : ps_(ps) {

@@ -504,14 +504,14 @@ void Engine::handle_rma_ack_locked(PeerState& ps, ByteSpan payload) {
 // already holds.
 
 MsgSeq Engine::attach_recv(PeerState& ps, ChannelId ch) {
-  std::lock_guard<std::mutex> lk(ps.mu);
+  std::lock_guard lk(ps.mu);
   auto it = ps.channels.find(ch);
   MADO_CHECK_MSG(it != ps.channels.end(), "channel " << ch << " not open");
   return it->second.next_attach_seq++;
 }
 
 bool Engine::probe_recv(PeerState& ps, ChannelId ch) const {
-  std::lock_guard<std::mutex> lk(ps.mu);
+  std::lock_guard lk(ps.mu);
   auto cit = ps.channels.find(ch);
   MADO_CHECK_MSG(cit != ps.channels.end(), "channel " << ch << " not open");
   auto it = ps.rx_msgs.find({ch, cit->second.next_attach_seq});
@@ -519,7 +519,7 @@ bool Engine::probe_recv(PeerState& ps, ChannelId ch) const {
 }
 
 bool Engine::recv_complete(PeerState& ps, ChannelId ch, MsgSeq seq) const {
-  std::lock_guard<std::mutex> lk(ps.mu);
+  std::lock_guard lk(ps.mu);
   auto it = ps.rx_msgs.find({ch, seq});
   return it != ps.rx_msgs.end() && it->second.complete();
 }
@@ -529,7 +529,7 @@ bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
   MADO_CHECK(buf != nullptr || len == 0);
   bool done = false;
   {
-    std::lock_guard<std::mutex> lk(ps.mu);
+    std::lock_guard lk(ps.mu);
     RxMessage& msg = ps.rx_msgs[{ch, seq}];
     RxSlot& slot = msg.slot(idx);
     MADO_CHECK_MSG(!slot.posted, "fragment already unpacked");
@@ -570,7 +570,7 @@ void Engine::wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx) {
   const bool ok = wait_peer_impl(
       ps,
       [&ps, ch, seq, idx] {
-        std::lock_guard<std::mutex> lk(ps.mu);
+        std::lock_guard lk(ps.mu);
         auto it = ps.rx_msgs.find({ch, seq});
         if (it == ps.rx_msgs.end()) return false;
         if (it->second.slots.size() <= idx) return false;
@@ -590,7 +590,7 @@ std::size_t Engine::wait_frag_size(PeerState& ps, ChannelId ch, MsgSeq seq,
   const bool ok = wait_peer_impl(
       ps,
       [&ps, ch, seq, idx, &size] {
-        std::lock_guard<std::mutex> lk(ps.mu);
+        std::lock_guard lk(ps.mu);
         auto it = ps.rx_msgs.find({ch, seq});
         if (it == ps.rx_msgs.end() || it->second.slots.size() <= idx)
           return false;
@@ -643,7 +643,7 @@ void Engine::finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq,
   {
     // Fast path: the whole message is here — check and retire it under
     // this one lock.
-    std::lock_guard<std::mutex> lk(ps.mu);
+    std::lock_guard lk(ps.mu);
     if (retire_if_complete_locked(ps, ch, seq, nposted)) return;
   }
   // First learn the message's fragment count (the first arrived fragment
@@ -652,14 +652,14 @@ void Engine::finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq,
   bool ok = wait_peer_impl(
       ps,
       [&ps, ch, seq] {
-        std::lock_guard<std::mutex> lk(ps.mu);
+        std::lock_guard lk(ps.mu);
         auto it = ps.rx_msgs.find({ch, seq});
         return it != ps.rx_msgs.end() && it->second.nfrags_total != 0;
       },
       kDefaultTimeout);
   MADO_CHECK_MSG(ok, "timed out waiting for message " << seq);
   {
-    std::lock_guard<std::mutex> lk(ps.mu);
+    std::lock_guard lk(ps.mu);
     const RxMessage& msg = ps.rx_msgs.at({ch, seq});
     MADO_CHECK_MSG(nposted == msg.nfrags_total,
                    "finish() after unpacking " << nposted << " of "
@@ -669,13 +669,13 @@ void Engine::finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq,
   ok = wait_peer_impl(
       ps,
       [&ps, ch, seq] {
-        std::lock_guard<std::mutex> lk(ps.mu);
+        std::lock_guard lk(ps.mu);
         auto it = ps.rx_msgs.find({ch, seq});
         return it != ps.rx_msgs.end() && it->second.complete();
       },
       kDefaultTimeout);
   MADO_CHECK_MSG(ok, "timed out completing message " << seq);
-  std::lock_guard<std::mutex> lk(ps.mu);
+  std::lock_guard lk(ps.mu);
   retire_if_complete_locked(ps, ch, seq, nposted);
 }
 
@@ -683,7 +683,7 @@ void Engine::flush_channel(PeerState& ps, ChannelId ch) {
   const bool ok = wait_peer_impl(
       ps,
       [&ps, ch] {
-        std::lock_guard<std::mutex> lk(ps.mu);
+        std::lock_guard lk(ps.mu);
         auto it = ps.channels.find(ch);
         return it == ps.channels.end() ||
                (it->second.outstanding_sends == 0 &&
