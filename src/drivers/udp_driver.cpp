@@ -347,8 +347,13 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
       ep->counters_.acks_rx.fetch_add(1, std::memory_order_relaxed);
       const std::uint64_t acked =
           WireReader(as_bytes(data + kHdrLen, len - kHdrLen)).u64();
-      if (acked > io.peer_acked) {
-        io.peer_acked = acked;
+      // The peer's count sums charge() over the datagrams it got, so it
+      // passes tx_charged only when the network duplicated one, or when the
+      // Ack is forged. Taken whole, a forged one would open the window past
+      // anything the peer can have drained, so it is capped at tx_charged.
+      const std::uint64_t upto = std::min(acked, io.tx_charged);
+      if (upto > io.peer_acked) {
+        io.peer_acked = upto;
         io.blocked_since = 0;
         if (!io.q.empty()) set_active(ep, true);
       }

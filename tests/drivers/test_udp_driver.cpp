@@ -10,6 +10,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include "drivers/profiles.hpp"
 #include "tests/drivers/test_helpers.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace mado::drv {
 namespace {
@@ -279,22 +281,28 @@ class UdpFuzzTest : public ::testing::Test {
     loop_ = UdpLoop::create();
     ep_ = UdpEndpoint::bind(loop_, test_profile());
     ep_->set_handler(&h_);
-    fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-    ASSERT_GE(fd_, 0);
+    connect_raw(*ep_, fd_);
+  }
+
+  /// Bind a plain UDP socket on loopback and connect it and `ep` to each
+  /// other: the test speaks for `ep`'s peer through `fd`.
+  static void connect_raw(UdpEndpoint& ep, int& fd) {
+    fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::bind(fd_, reinterpret_cast<const sockaddr*>(&addr),
+    ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
                      sizeof addr), 0);
     socklen_t alen = sizeof addr;
-    ASSERT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &alen),
+    ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen),
               0);
     const timeval wait{10, 0};  // bounds the recv() at the end of a test
-    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof wait),
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof wait),
               0);
-    ep_->connect("127.0.0.1", ntohs(addr.sin_port));
-    addr.sin_port = htons(ep_->local_port());
-    ASSERT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+    ep.connect("127.0.0.1", ntohs(addr.sin_port));
+    addr.sin_port = htons(ep.local_port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                         sizeof addr), 0);
   }
 
@@ -400,6 +408,94 @@ TEST_F(UdpFuzzTest, MutatedDatagramsAreContained) {
     EXPECT_EQ(Bytes(in.begin() + 2, in.begin() + n), out);
     break;
   }
+}
+
+// An Ack opens the window no further than the bytes this side sent. One
+// claiming 2^62 bytes before anything was sent, from the connected peer's
+// own socket, must not open it: a bulk sender toward a socket that never
+// reads still stalls once the window is full, instead of overrunning the
+// receiver's buffer.
+TEST_F(UdpFuzzTest, AckPastWhatWasSentLeavesTheWindowShut) {
+  Bytes body;
+  WireWriter(body).u64(std::uint64_t{1} << 62);
+  inject(datagram(kAck, 0, body));
+  ASSERT_EQ(ep_->counters().acks_rx.load(), 1u);
+  const Bytes frame = make_payload(60000, 4);
+  GatherList gl;
+  gl.add(frame.data(), frame.size());
+  constexpr std::uint64_t kFrames = 64;
+  for (std::uint64_t i = 0; i < kFrames; ++i) ep_->send(kTrackBulk, gl, i);
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (ep_->counters().window_stalls.load() == 0 &&
+         h_.completions.size() < kFrames) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    ep_->progress();
+    std::this_thread::sleep_for(100us);
+  }
+  EXPECT_GT(ep_->counters().window_stalls.load(), 0u)
+      << "the forged Ack opened the window: all " << h_.completions.size()
+      << " frames left without a stall";
+}
+
+// The network may deliver a datagram twice, and the peer counts the copy
+// too, so its Acks then run past what this side sent. They must still open
+// the window up to what was sent: a sender that dropped them would sit out
+// a window reset (udp.window_resets) on every fill for the rest of the
+// connection. This thread relays between ep_ and a second endpoint and
+// sends the first Data datagram twice.
+TEST_F(UdpFuzzTest, DuplicatedDataDatagramKeepsTheWindowMoving) {
+  auto peer = UdpEndpoint::bind(loop_, test_profile());
+  RecordingHandler hp;
+  peer->set_handler(&hp);
+  int fd2 = -1;
+  connect_raw(*peer, fd2);
+  // Relay buffers as large as the driver asks for its own sockets, so the
+  // relay holds a full window and drops nothing.
+  const int rcvbuf = 1 << 20;
+  for (int fd : {fd_, fd2})
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf),
+              0);
+  const Bytes frame = make_payload(60000, 5);
+  GatherList gl;
+  gl.add(frame.data(), frame.size());
+  constexpr std::uint64_t kFrames = 64;
+  std::vector<std::uint8_t> buf(1 << 16);
+  bool duplicated = false;
+  auto relay = [&](int from, int to) {
+    for (;;) {
+      const ssize_t n = ::recv(from, buf.data(), buf.size(), MSG_DONTWAIT);
+      if (n <= 0) return;
+      const int copies = !duplicated && from == fd_ && buf[0] == kData ? 2 : 1;
+      for (int c = 0; c < copies; ++c)
+        ASSERT_EQ(::send(to, buf.data(), static_cast<std::size_t>(n), 0), n);
+      if (copies == 2) duplicated = true;
+    }
+  };
+  std::uint64_t queued = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (hp.packets.size() < kFrames + 1 || h_.completions.size() < kFrames) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    // A few frames per relay round: more than a window's worth, so the
+    // window fills, while the relay still answers within the 20 ms after
+    // which a blocked sender resets its window on its own.
+    for (int k = 0; k < 8 && queued < kFrames; ++k)
+      ep_->send(kTrackBulk, gl, queued++);
+    pollfd fds[2] = {{fd_, POLLIN, 0}, {fd2, POLLIN, 0}};
+    if (::poll(fds, 2, 1) > 0) {
+      relay(fd_, fd2);
+      relay(fd2, fd_);
+    }
+    ep_->progress();
+    peer->progress();
+  }
+  peer->close();
+  ::close(fd2);
+  EXPECT_TRUE(duplicated);
+  EXPECT_GT(ep_->counters().window_stalls.load(), 0u)
+      << "the stream never filled the window";
+  EXPECT_EQ(ep_->counters().window_resets.load(), 0u)
+      << "Acks past what was sent were dropped, so the window waited for a "
+         "reset";
 }
 
 TEST_F(UdpDriverTest, CapabilitiesAreHonest) {
