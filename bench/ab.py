@@ -10,7 +10,7 @@ own ledger through its own bench/ledger/run.py, in its own CARGO_TARGET_DIR,
 so both sides run identical benchmark code from their own trees. For every
 workload of BENCHMARK.json it runs the given number of pairs at seed 1,
 then --seed2-pairs pairs at seed 2, swapping which side runs first from one
-pair to the next, then one `--trace 1` pair at seed 1 for the per-layer
+pair to the next, then three `--trace 1` pairs at seed 1 for the per-layer
 rows, and one pair against the anchor commit fab1f73, where the ledger
 first ran: absolute numbers drift from one day or machine to the next,
 ratios to a fixed anchor much less.
@@ -18,11 +18,13 @@ ratios to a fixed anchor much less.
 The file written at the repository root holds every run, the per-pair
 change/parent ratios, each side's median and quartiles, pair wins,
 hw_threads and both `git describe`s. A run that is not correct or exits
-non-zero keeps the last 40 lines of its standard error. The traced pair's
-per_layer rows are stored per side with their change/parent ratio and no
-verdict: BENCHMARK.json gives them no bounds. Each end-to-end metric gets
-one verdict under BENCHMARK.json's bounds and the simplicity-review rules,
-the first that applies:
+non-zero keeps the last 40 lines of its standard error. The traced pairs'
+per_layer rows are stored per side as the median, min and max over the
+pairs, with the ratio of the medians (change/parent) and no verdict:
+BENCHMARK.json gives them no bounds, and traced runs of one tree spread
+too widely for one pair to tell spread from change. Each end-to-end
+metric gets one verdict under BENCHMARK.json's bounds and the
+rules below, the first that applies:
   failed      a run was incorrect or had failed operations
   regression  the change's median is worse than the parent's by more than
               the bound, however noisy the runs
@@ -48,6 +50,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ANCHOR = "fab1f73"
+TRACED_PAIRS = 3
 RUN_TIMEOUT_S = 1200
 STDERR_TAIL = 40
 
@@ -164,15 +167,26 @@ def pair(first, second, workload, seed, seconds, trace=0):
     return {first.label: a, second.label: b}
 
 
-def per_layer(spec, p):
-    """Each per_layer row of traced pair `p`: both sides and their ratio."""
+def extent(values):
+    """Median, min and max of the values that exist, or None."""
+    values = [v for v in values if v is not None]
+    if not values:
+        return None
+    return {"median": statistics.median(values), "min": min(values),
+            "max": max(values), "n": len(values)}
+
+
+def per_layer(spec, traced):
+    """Each per_layer row over the traced pairs: both sides' spread and the
+    ratio of their medians."""
     rows = {}
     for m in spec["per_layer"]:
-        par, chg = value(p["parent"], m["name"]), value(p["change"], m["name"])
+        par, chg = (extent(value(p[side], m["name"]) for p in traced)
+                    for side in ("parent", "change"))
         rows[m["name"]] = {"unit": m["unit"], "better": m["better"],
                            "parent": par, "change": chg,
-                           "ratio": chg / par if par and chg is not None
-                           else None}
+                           "ratio": chg["median"] / par["median"]
+                           if par and chg and par["median"] else None}
     return rows
 
 
@@ -247,12 +261,16 @@ def main():
                     for m in spec["end_to_end"]
                     if all(value(p[s], m["name"]) is not None
                            for p in sub for s in ("parent", "change"))}
-        sides = (parent, change) if order % 2 == 0 else (change, parent)
-        order += 1
-        log(f"{w} traced pair, {sides[0].label} first")
-        t = pair(*sides, w, 1, seconds, trace=1)
-        t["first"] = sides[0].label
-        entry["per_layer"] = {"pair": t, "rows": per_layer(spec, t)}
+        traced = []
+        for _ in range(TRACED_PAIRS):
+            sides = (parent, change) if order % 2 == 0 else (change, parent)
+            order += 1
+            log(f"{w} traced pair {len(traced) + 1}/{TRACED_PAIRS}, "
+                f"{sides[0].label} first")
+            t = pair(*sides, w, 1, seconds, trace=1)
+            t["first"] = sides[0].label
+            traced.append(t)
+        entry["per_layer"] = {"pairs": traced, "rows": per_layer(spec, traced)}
         log(f"{w} anchor pair")
         a = pair(anchor, change, w, 1, seconds)
         a["ratios"] = {
@@ -272,8 +290,8 @@ def main():
         for m, v in entry["metrics"].items():
             verdicts.setdefault(v["verdict"], []).append(f"{w}/{m}")
         if not all(r["correct"] and not r["failed"]
-                   for r in entry["per_layer"]["pair"].values()
-                   if isinstance(r, dict)):
+                   for t in entry["per_layer"]["pairs"]
+                   for r in t.values() if isinstance(r, dict)):
             verdicts.setdefault("failed", []).append(f"{w}/per_layer")
     out["verdicts"] = verdicts
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
