@@ -18,13 +18,14 @@
 // Threading model (sharded; docs/internals.md §1 has the full write-up):
 // engine state is partitioned per peer. Each PeerState carries its own
 // mutex guarding everything reachable from it (rails, backlogs, reliability
-// windows, rendezvous tables, RX reassembly, in-flight records); the peer
-// map itself is read-mostly behind a shared_mutex and peers are never
-// erased, so a resolved PeerState* stays valid for the engine's lifetime.
-// Application threads submitting to different peers never contend. The
-// submit fast path does not even take the peer lock: fragments ride a
-// bounded lock-free MPMC ring drained by whoever holds the peer lock next
-// (flat combining).
+// windows, rendezvous tables, RX reassembly, in-flight records); a thread
+// that finds it held spins a bounded number of tries before it blocks.
+// The peer map itself is read-mostly behind a shared_mutex and peers are
+// never erased, so a resolved PeerState* stays valid for the engine's
+// lifetime. Application threads submitting to different peers never
+// contend. The submit fast path does not even take the peer lock:
+// fragments ride a bounded lock-free MPMC ring drained by whoever holds
+// the peer lock next (flat combining).
 //
 // Progress runs on cfg.progress_threads shard-owning threads: every peer
 // is statically assigned an owner (insertion order modulo thread count,
@@ -35,8 +36,10 @@
 // sleep until the next timer deadline. A per-shard pump claim
 // (PeerState::pumping) keeps driver progress() single-entrant per endpoint
 // whichever thread — owner, stealer, or a manual progress() caller — runs
-// the lap. Peer-scoped timers (nagle, RTO) run on whichever thread runs the
-// timer wheel and take the peer lock like any other locked path.
+// the lap, and a lap that finds nothing takes no lock. Waiters park while
+// progress threads run. Peer-scoped timers (nagle, RTO) run on whichever
+// thread runs the timer wheel and take the peer lock like any other locked
+// path.
 //
 // Lock order: peers_mu_ (shared) → PeerState::mu → {windows_mu_, wait/park
 // mutexes, ProgSlot::mu}; at most one peer lock is held at a
