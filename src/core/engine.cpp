@@ -882,7 +882,9 @@ void Engine::arm_rto_locked(PeerState& ps, Rail& rail, int stream) {
 void Engine::rto_fired_locked(PeerState& ps, Rail& rail, int stream) {
   GoBackN& rel = rail.rel[stream];
   if (rail.state == RailState::Down || rel.held().empty()) return;
-  const GoBackN::Timeout verdict = rel.timeout();
+  const InFlight* head = ps.inflight.find(rel.held().front().token);
+  MADO_ASSERT(head != nullptr);
+  const GoBackN::Timeout verdict = rel.timeout(head->tx_outstanding > 0);
   if (verdict == GoBackN::Timeout::Restart) {
     arm_rto_locked(ps, rail, stream);
     return;

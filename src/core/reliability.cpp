@@ -10,8 +10,8 @@ std::uint32_t GoBackN::stamp(std::uint64_t token, std::size_t wire_bytes) {
   return next_seq_++;
 }
 
-GoBackN::Timeout GoBackN::timeout() {
-  if (armed_acked_ != acked_) return Timeout::Restart;
+GoBackN::Timeout GoBackN::timeout(bool head_in_driver) {
+  if (armed_acked_ != acked_ || head_in_driver) return Timeout::Restart;
   if (++retries_ > p_.max_retries) return Timeout::GiveUp;
   rto_ = std::min(rto_ * 2, p_.rto_max);
   return Timeout::Resend;

@@ -8,6 +8,8 @@
 // cumulative ack ("every seq below N arrived") covers it, at most `window`
 // at a time. A timeout without ack progress resends the whole held tail
 // and doubles the RTO; `max_retries` of them in a row mean the rail is dead.
+// A timeout while the held head's last copy is still inside the driver
+// counts nothing: that copy has not left the host, so no ack can be late.
 // Receiver: only the next expected seq is accepted. A lower one is a
 // duplicate; a higher one lies past a gap and is dropped too, as the
 // sender's timeout resends the tail in order. Every reliable arrival owes
@@ -34,7 +36,9 @@ class GoBackN {
   };
   enum class Arrival : std::uint8_t { Accept, Duplicate, Gap };
   enum class Timeout : std::uint8_t {
-    Restart,  ///< acks moved since the timer was armed: re-arm for the tail
+    /// Acks moved since the timer was armed, or the held head's last copy
+    /// is still inside the driver: re-arm, resend nothing, count no retry.
+    Restart,
     Resend,   ///< resend the whole held tail; the RTO has doubled
     GiveUp,   ///< max_retries timeouts without progress: the rail is dead
   };
@@ -78,8 +82,9 @@ class GoBackN {
     armed_acked_ = acked_;
     return rto_;
   }
-  /// Verdict on the armed timer firing.
-  Timeout timeout();
+  /// Verdict on the armed timer firing; `head_in_driver`: the driver has
+  /// not completed the last send of held().front().
+  Timeout timeout(bool head_in_driver);
   const std::deque<Held>& held() const { return held_; }
   std::size_t held_bytes() const { return held_bytes_; }
   std::size_t retries() const { return retries_; }

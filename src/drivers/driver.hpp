@@ -29,6 +29,17 @@
 //  6. A driver whose caps().max_frame is non-zero refuses (MADO_CHECK) a
 //     send() of more bytes; the engine never issues one. Each accepted
 //     frame reaches the peer whole, as one on_packet, or not at all.
+//  7. Every send() completes (on_send_complete) or fails (on_send_failed,
+//     or on_link_down) in bounded time. The engine's retransmit timer
+//     counts no retry while a packet's last copy is still inside the
+//     driver, so a send held forever would stall its rail, never fail it.
+//     The simulated driver completes at the NIC model's accept time; shm
+//     queues the completion inside send(); the socket driver's TX thread
+//     writes into a socketpair whose peer RX thread always reads, and a
+//     broken socket fails every queued send; UDP sends a frame once the
+//     credit window admits it (a stall resets the window after 20 ms), and
+//     after 2 s of peer silence breaks the link, failing every queued
+//     send.
 #pragma once
 
 #include <atomic>

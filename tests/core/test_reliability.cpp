@@ -2,18 +2,26 @@
 // ack/retransmit with exponential backoff, duplicate/out-of-order
 // suppression, payload CRC repair, and rail failover.
 //
-// All tests run on the deterministic SimWorld fabric with seeded fault
-// plans, so every loss/duplication/reordering pattern replays
-// bit-identically.
+// All tests but ReliabilityHold run on the deterministic SimWorld fabric
+// with seeded fault plans, so every loss/duplication/reordering pattern
+// replays bit-identically. ReliabilityHold runs shm rails under real
+// progress threads and wall-clock timers.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/timer_host.hpp"
 #include "core/world.hpp"
 #include "drivers/profiles.hpp"
+#include "drivers/shm_driver.hpp"
 #include "tests/core/engine_test_util.hpp"
 
 namespace mado::core {
@@ -496,6 +504,107 @@ TEST_F(RmaReplayTest, SmallPutIsServedOnce) {
   EXPECT_EQ(Bytes(window_.begin(), window_.begin() + 512), data);
   expect_settled();
   EXPECT_EQ(world_->node(1).stats().counter("rx.rma_puts"), 1u);
+}
+
+// One side of a ShmEndpoint pair whose send() hands each frame on `hold`
+// later, in order, from a thread of its own: a driver that keeps a copy
+// longer than the whole retry budget (a UDP frame behind the credit window,
+// a descheduled IO thread) while nothing is lost.
+class HoldingEndpoint final : public drv::DriverEndpoint {
+ public:
+  explicit HoldingEndpoint(std::unique_ptr<drv::DriverEndpoint> inner)
+      : inner_(std::move(inner)), thread_([this] { run(); }) {}
+  ~HoldingEndpoint() override { close(); }
+
+  void set_hold(std::chrono::milliseconds hold) {
+    std::lock_guard lk(mu_);
+    hold_ = hold;
+  }
+  const drv::Capabilities& caps() const override { return inner_->caps(); }
+  void set_handler(drv::EndpointHandler* h) override { inner_->set_handler(h); }
+  void send(drv::TrackId track, const GatherList& gl,
+            std::uint64_t token) override {
+    std::lock_guard lk(mu_);
+    q_.push_back(Frame{track, gl.flatten(), token,
+                       std::chrono::steady_clock::now() + hold_});
+    cv_.notify_one();
+  }
+  void progress() override { inner_->progress(); }
+  void close() override {
+    {
+      std::lock_guard lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    if (thread_.joinable()) thread_.join();
+    inner_->close();
+  }
+
+ private:
+  struct Frame {
+    drv::TrackId track;
+    Bytes bytes;
+    std::uint64_t token;
+    std::chrono::steady_clock::time_point due;
+  };
+
+  void run() {
+    std::unique_lock lk(mu_);
+    while (!stop_) {
+      if (q_.empty() || std::chrono::steady_clock::now() < q_.front().due) {
+        if (q_.empty())
+          cv_.wait(lk);
+        else
+          cv_.wait_until(lk, q_.front().due);
+        continue;
+      }
+      Frame f = std::move(q_.front());
+      q_.pop_front();
+      GatherList gl;
+      gl.add(f.bytes.data(), f.bytes.size());
+      inner_->send(f.track, gl, f.token);
+    }
+  }
+
+  std::unique_ptr<drv::DriverEndpoint> inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Frame> q_;
+  std::chrono::milliseconds hold_{0};
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+// A copy still inside the driver has not left the host, so a timeout
+// resends nothing and counts no retry for it. Otherwise the 11 timeouts of
+// the retry budget (~62 ms) run out under a 150 ms hold, and the sender
+// fails its only rail with nothing lost.
+TEST(ReliabilityHold, SendHeldInTheDriverKeepsTheRail) {
+  EngineConfig cfg = reliable_cfg();
+  cfg.progress_threads = 1;
+  RealTimerHost ta, tb;
+  Engine a(0, cfg, ta);
+  Engine b(1, cfg, tb);
+  auto pair = drv::ShmEndpoint::make_pair();
+  auto holding = std::make_unique<HoldingEndpoint>(std::move(pair.a));
+  HoldingEndpoint& hold = *holding;
+  a.add_rail(1, std::move(holding));
+  b.add_rail(0, std::move(pair.b));
+  a.start_progress_thread();
+  b.start_progress_thread();
+  Channel tx = a.open_channel(1, 1), rx = b.open_channel(0, 1);
+  for (std::uint32_t i = 0; i < 20; ++i) {  // warm-up, nothing held
+    send_bytes(tx, pattern(64, i));
+    EXPECT_EQ(recv_bytes(rx, 64), pattern(64, i));
+  }
+  hold.set_hold(std::chrono::milliseconds(150));
+  SendHandle h = send_bytes(tx, pattern(64, 99));
+  EXPECT_TRUE(a.wait_send(h));
+  EXPECT_EQ(recv_bytes(rx, 64), pattern(64, 99));
+  EXPECT_EQ(a.rail_state(1, 0), RailState::Up);
+  EXPECT_EQ(a.stats().counter("rel.rail_failovers"), 0u);
+  a.stop_progress_thread();
+  b.stop_progress_thread();
 }
 
 // Reliability off (the default) must be wire-compatible with itself and pay

@@ -17,11 +17,18 @@
 //   duplicate a packet in flight is copied;
 //   timeout   an armed retransmit timer fires and the end executes the
 //             verdict: re-arm, resend the whole held tail with the acks it
-//             carried at first transmission, or give up.
+//             carried at first transmission, or give up;
+//   release   with Model::hold, every packet an end sends first waits in
+//             its driver, which hands the oldest one to the channel.
 //
 // Drops, duplicates and premature timeouts (any timeout while a packet is
-// still in flight) each spend one unit of a fault bound (Model::faults);
-// the search stops at Model::depth steps (60). Every case below runs out
+// on a channel or in the other end's driver) each spend one unit of a
+// fault bound (Model::faults). A timeout while only the end's own driver
+// holds packets is free: a driver may hold a copy for any number of RTOs.
+// The timer is told whether the held head's copy is still in the driver,
+// and giving up while it is counts as a fault of its own. The rest
+// of the bound works as before: the search stops at Model::depth steps
+// (60). Every case below runs out
 // of new states well before that depth, so it covers everything the fault
 // bound allows, and the checker asserts that it did.
 //
@@ -29,7 +36,8 @@
 // message, so what it has delivered is a prefix of what the peer posted,
 // in order, each message once. Liveness, checked from every explored
 // state: a canonical fault-free continuation (deliver, else post, else let
-// a timer fire) delivers and acks every message within kLivenessSteps.
+// a timer fire; with a hold, a release before a post) delivers and acks
+// every message within kLivenessSteps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,6 +73,7 @@ struct End {
   bool armed = false;  // retransmit timer
   bool dead = false;   // the timer gave up
   std::array<std::uint32_t, kMaxMsgs> stamped_ack{};  // per message
+  std::vector<Packet> driver;  // sent, not yet on the channel (hold only)
 };
 
 struct Model {
@@ -74,6 +83,10 @@ struct Model {
   int faults = 2;  // drops, duplicates and premature timeouts, in total
   int depth = 60;  // steps from the initial state
   std::uint32_t first_seq = 0;
+  bool hold = false;  ///< sends wait in the driver until a release step
+  /// The rule before drivers were consulted: a timeout counts even while
+  /// the held head's copy is still in the driver.
+  bool ignore_driver = false;
   /// The rule an end uses to send an ack on its own.
   bool (*ack_alone)(bool owed, bool backlog_empty,
                     bool window_full) = &GoBackN::ack_alone;
@@ -111,6 +124,26 @@ class Checker {
     if (failure_.empty()) failure_ = why;
   }
 
+  /// End `e` hands `p` to its driver.
+  void send(State& s, std::size_t e, const Packet& p) {
+    if (m_.hold)
+      s.end[e].driver.push_back(p);
+    else
+      s.chan[e ^ 1].push_back(p);
+  }
+
+  void release(State& s, std::size_t e) {
+    std::vector<Packet>& d = s.end[e].driver;
+    s.chan[e ^ 1].push_back(d.front());
+    d.erase(d.begin());
+  }
+
+  /// Packets on a channel or in the driver of the end other than `e`.
+  static bool in_flight(const State& s, std::size_t e) {
+    return !s.chan[0].empty() || !s.chan[1].empty() ||
+           !s.end[e ^ 1].driver.empty();
+  }
+
   void arm(End& e) {
     if (e.armed || e.rel.held().empty()) return;
     e.rel.arm();
@@ -128,13 +161,12 @@ class Checker {
       if (seq != m_.first_seq + static_cast<std::uint32_t>(msg))
         fail("stamp numbered message " + std::to_string(msg) + " out of order");
       me.stamped_ack[msg] = ack;
-      s.chan[e ^ 1].push_back(
-          Packet{true, static_cast<std::uint8_t>(msg), ack});
+      send(s, e, Packet{true, static_cast<std::uint8_t>(msg), ack});
       arm(me);
     }
     if (m_.ack_alone(me.rel.ack_owed(), me.sent == me.posted,
                      me.rel.window_full()))
-      s.chan[e ^ 1].push_back(Packet{false, 0, me.rel.ack_out()});
+      send(s, e, Packet{false, 0, me.rel.ack_out()});
   }
 
   void post(State& s, std::size_t e) {
@@ -167,17 +199,24 @@ class Checker {
   void timeout(State& s, std::size_t e) {
     End& me = s.end[e];
     me.armed = false;
-    switch (me.rel.timeout()) {
+    const std::uint64_t head = me.rel.held().front().token;
+    const bool held = std::any_of(
+        me.driver.begin(), me.driver.end(),
+        [head](const Packet& p) { return p.data && p.msg == head; });
+    switch (me.rel.timeout(held && !m_.ignore_driver)) {
       case GoBackN::Timeout::Restart:
         arm(me);
         break;
       case GoBackN::Timeout::GiveUp:
+        if (held)
+          fail("gave up on message " + std::to_string(head) +
+               " while its copy was still in the driver");
         me.dead = true;
         break;
       case GoBackN::Timeout::Resend:
         for (const GoBackN::Held& h : me.rel.held()) {
           const auto msg = static_cast<std::uint8_t>(h.token);
-          s.chan[e ^ 1].push_back(Packet{true, msg, me.stamped_ack[msg]});
+          send(s, e, Packet{true, msg, me.stamped_ack[msg]});
         }
         arm(me);
         break;
@@ -201,6 +240,8 @@ class Checker {
       if (!failure_.empty()) return -1;
       if (!s.chan[0].empty() || !s.chan[1].empty()) {
         deliver(s, s.chan[1].empty() ? 0 : 1, 0);
+      } else if (!s.end[0].driver.empty() || !s.end[1].driver.empty()) {
+        release(s, s.end[0].driver.empty() ? 1 : 0);
       } else if (s.end[0].posted < msgs(0) || s.end[1].posted < msgs(1)) {
         post(s, s.end[0].posted < msgs(0) ? 0 : 1);
       } else if (s.end[0].armed || s.end[1].armed) {
@@ -231,10 +272,14 @@ class Checker {
         k += static_cast<char>(me.stamped_ack[h.token] - m_.first_seq);
       std::vector<Packet> bag = s.chan[e];
       std::sort(bag.begin(), bag.end());
-      k += '|';
-      for (const Packet& p : bag)
-        k += static_cast<char>(p.data << 7 | p.msg << 3 |
-                               static_cast<int>(p.ack - m_.first_seq));
+      const auto packets = [&](const std::vector<Packet>& q) {
+        k += '|';
+        for (const Packet& p : q)
+          k += static_cast<char>(p.data << 7 | p.msg << 3 |
+                                 static_cast<int>(p.ack - m_.first_seq));
+      };
+      packets(bag);
+      packets(me.driver);
       k += '|';
     }
     k += static_cast<char>(s.faults);
@@ -268,11 +313,16 @@ class Checker {
             post(n, e);
             visit(std::move(n), depth);
           }
-          const bool in_flight = !s.chan[0].empty() || !s.chan[1].empty();
-          if (s.end[e].armed && (!in_flight || s.faults < m_.faults)) {
+          const bool premature = in_flight(s, e);
+          if (s.end[e].armed && (!premature || s.faults < m_.faults)) {
             State n = s;
-            if (in_flight) ++n.faults;
+            if (premature) ++n.faults;
             timeout(n, e);
+            visit(std::move(n), depth);
+          }
+          if (!s.end[e].driver.empty()) {
+            State n = s;
+            release(n, e);
             visit(std::move(n), depth);
           }
           const std::vector<Packet>& bag = s.chan[e];
@@ -312,10 +362,11 @@ std::string check(const Model& m) {
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-  std::printf("window %zu, %zu msgs %s, %d faults, first seq %u: %zu states "
-              "in %lld ms\n",
+  std::printf("window %zu, %zu msgs %s, %d faults, first seq %u%s: %zu "
+              "states in %lld ms\n",
               m.window, m.msgs, m.bidirectional ? "each way" : "one way",
-              m.faults, m.first_seq, c.states(), static_cast<long long>(ms));
+              m.faults, m.first_seq, m.hold ? ", driver holds" : "",
+              c.states(), static_cast<long long>(ms));
   if (failure.empty() && !c.exhausted())
     failure = "depth bound reached with states left to explore";
   return failure;
@@ -359,6 +410,38 @@ TEST(ReliabilityModel, SequenceNumbersWrap) {
   m.bidirectional = true;
   m.faults = 1;
   EXPECT_EQ(check(m), "");
+}
+
+TEST(ReliabilityModel, DriverHoldsCopiesForAnyNumberOfTimeouts) {
+  // Every packet waits in its end's driver until a release step, and the
+  // timer may fire any number of times while only that driver holds
+  // packets: the retry budget must not run out on copies that never left.
+  for (std::size_t w = 1; w <= 2; ++w) {
+    Model m;
+    m.hold = true;
+    m.window = w;
+    m.bidirectional = false;
+    EXPECT_EQ(check(m), "") << "one way, window " << w;
+  }
+  Model m;
+  m.hold = true;
+  m.faults = 1;
+  EXPECT_EQ(check(m), "") << "each way";
+}
+
+TEST(ReliabilityModel, CatchesAGiveUpWhileTheHeadIsHeld) {
+  // With the rule that counts every timeout, a copy held in the driver
+  // for 11 RTOs spends the retry budget, and the end gives up on a rail
+  // that lost nothing.
+  Model m;
+  m.hold = true;
+  m.ignore_driver = true;
+  m.msgs = 1;
+  m.bidirectional = false;
+  m.faults = 0;
+  const std::string failure = check(m);
+  EXPECT_NE(failure.find("still in the driver"), std::string::npos)
+      << failure;
 }
 
 TEST(ReliabilityModel, CatchesAnAckHeldBehindAFullWindow) {
