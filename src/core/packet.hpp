@@ -23,10 +23,10 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <vector>
 
 #include "core/types.hpp"
 #include "util/assert.hpp"
+#include "util/small_vector.hpp"
 #include "util/wire.hpp"
 
 namespace mado::core {
@@ -216,11 +216,14 @@ void encode_bulk_header(Bytes& out, const BulkHeader& bh);
 BulkHeader decode_bulk(ByteSpan packet, ByteSpan& data, bool crc_check);
 
 /// Decoded view of one eager packet. Fragment payload views point into the
-/// packet buffer passed to parse(); keep it alive while using them.
+/// packet buffer passed to parse(); keep it alive while using them. A
+/// packet of up to a default lookahead window of fragments decodes without
+/// a heap allocation.
 struct DecodedPacket {
+  static constexpr std::size_t kInlineFrags = 16;
   PacketHeader header;
-  std::vector<FragHeader> frags;
-  std::vector<ByteSpan> payloads;  // parallel to frags
+  SmallVector<FragHeader, kInlineFrags> frags;
+  SmallVector<ByteSpan, kInlineFrags> payloads;  // parallel to frags
 };
 
 /// Parse an eager packet. Throws CheckError on malformed input (bad magic,
