@@ -181,10 +181,11 @@ Channel Engine::open_channel(NodeId peer, ChannelId id, TrafficClass cls) {
   PeerState& ps = peer_ref(peer);
   std::lock_guard lk(ps.mu);
   MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
-  auto [it, inserted] = ps.channels.emplace(id, ChannelState{});
-  MADO_CHECK_MSG(inserted, "channel " << id << " already open to peer "
+  ChannelState& cs = ps.channels[id];
+  MADO_CHECK_MSG(!cs.open, "channel " << id << " already open to peer "
                                       << peer);
-  it->second.cls = cls;
+  cs.open = true;
+  cs.cls = cls;
   // The peer shard is resolved exactly once, here; post() reuses it.
   return Channel(this, peer, id, cls, &ps);
 }
@@ -199,6 +200,13 @@ Engine::PeerState& Engine::peer_ref(NodeId peer) const {
   PeerState* ps = find_peer(peer);
   MADO_CHECK_MSG(ps != nullptr, "unknown peer " << peer);
   return *ps;
+}
+
+Engine::ChannelState& Engine::channel_locked(PeerState& ps, ChannelId ch) {
+  auto it = ps.channels.find(ch);
+  MADO_CHECK_MSG(it != ps.channels.end() && it->second.open,
+                 "channel " << ch << " not open");
+  return it->second;
 }
 
 RailId Engine::rail_for_class_locked(const PeerState& ps,
@@ -300,9 +308,7 @@ std::size_t Engine::drain_submit_ring_locked(PeerState& ps) {
 
 void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
                            const SendStateRef& state, Nanos enq_time) {
-  auto cit = ps.channels.find(ch);
-  MADO_CHECK_MSG(cit != ps.channels.end(), "channel " << ch << " not open");
-  ChannelState& cs = cit->second;
+  ChannelState& cs = channel_locked(ps, ch);
 
   const auto nfrags = static_cast<std::uint16_t>(msg.fragment_count());
   const RailId rail_id = rail_for_class_locked(ps, cs.cls);
@@ -1330,93 +1336,7 @@ void Engine::stop_progress_thread() {
 }
 
 bool Engine::wait_until(const std::function<bool()>& pred, Nanos timeout) {
-  return wait_until_impl(pred, timeout);
-}
-
-bool Engine::wait_until_impl(const std::function<bool()>& pred,
-                             Nanos timeout) {
-  std::function<bool()> ext;
-  {
-    std::lock_guard<std::mutex> lk(misc_mu_);
-    ext = external_progress_;
-  }
-  if (ext) {
-    // Cooperative simulation mode: pump the world until pred holds or the
-    // event queue drains (virtual time — wall timeout does not apply).
-    // pred synchronizes itself.
-    for (;;) {
-      if (pred()) return true;
-      if (!ext()) return pred();
-    }
-  }
-  const Nanos deadline = timers_.now() + timeout;
-  global_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  bool ok = false;
-  for (;;) {
-    // Epoch before pred: a wake_global() that lands after this load (even
-    // while pred runs) moves the epoch, and the check below skips the park.
-    const std::uint64_t epoch = global_epoch_.load(std::memory_order_seq_cst);
-    // Self-pump only when no progress thread is attached: with one (or N)
-    // running, a waiter pumping too would double-poll endpoints and
-    // contend every shard lock it touches (inflating opt.lock_wait_ns for
-    // nothing) — park on the cv and let the owners work instead. Checked
-    // every iteration so a stop_progress_thread() mid-wait hands the
-    // pumping duty back to the waiter.
-    if (!prog_running_.load(std::memory_order_acquire)) {
-      progress();
-      eng_stats_.inc(Ctr::ProgSelfPumps);
-    }
-    if (pred()) {
-      ok = true;
-      break;
-    }
-    if (timers_.now() > deadline) break;
-    std::unique_lock<std::mutex> lk(wait_mu_);
-    if (global_epoch_.load(std::memory_order_seq_cst) == epoch)
-      cv_.wait_for(lk, std::chrono::microseconds(200));
-  }
-  global_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-  return ok;
-}
-
-bool Engine::wait_peer_impl(PeerState& ps, const std::function<bool()>& pred,
-                            Nanos timeout) {
-  // Already satisfied (an arrived message, a completed send): no hook copy,
-  // no waiter registration, no self-pump.
-  if (pred()) return true;
-  std::function<bool()> ext;
-  {
-    std::lock_guard<std::mutex> lk(misc_mu_);
-    ext = external_progress_;
-  }
-  if (ext) {
-    for (;;) {
-      if (!ext()) return pred();
-      if (pred()) return true;
-    }
-  }
-  const Nanos deadline = timers_.now() + timeout;
-  ps.waiters.fetch_add(1, std::memory_order_seq_cst);
-  bool ok = false;
-  for (;;) {
-    // Same epoch protocol and self-pump gate as wait_until_impl, on the
-    // peer's own cv.
-    const std::uint64_t epoch = ps.wake_epoch.load(std::memory_order_seq_cst);
-    if (!prog_running_.load(std::memory_order_acquire)) {
-      progress();
-      eng_stats_.inc(Ctr::ProgSelfPumps);
-    }
-    if (pred()) {
-      ok = true;
-      break;
-    }
-    if (timers_.now() > deadline) break;
-    std::unique_lock<std::mutex> lk(ps.wait_mu);
-    if (ps.wake_epoch.load(std::memory_order_seq_cst) == epoch)
-      ps.cv.wait_for(lk, std::chrono::microseconds(200));
-  }
-  ps.waiters.fetch_sub(1, std::memory_order_seq_cst);
-  return ok;
+  return wait_on(global_waits_, pred, timeout);
 }
 
 bool Engine::send_done(const SendHandle& h) const {
@@ -1440,15 +1360,13 @@ bool Engine::wait_send(const SendHandle& h, Nanos timeout) {
   };
   if (pred()) return ok;  // already over: no peer lookup, no wait
   PeerState* ps = find_peer(state->peer);
-  if (ps)
-    wait_peer_impl(*ps, pred, timeout);
-  else
-    wait_until_impl(pred, timeout);
+  wait_on(ps ? ps->waits : global_waits_, pred, timeout);
   return ok;
 }
 
 bool Engine::flush(Nanos timeout) {
-  return wait_until_impl(
+  return wait_on(
+      global_waits_,
       [this] {
         std::shared_lock<std::shared_mutex> plk(peers_mu_);
         for (const auto& [id, ps] : peers_) {
@@ -1719,8 +1637,10 @@ Engine::Snapshot Engine::snapshot() const {
     Snapshot::PeerInfo pi;
     pi.id = id;
     pi.shared_bulk_chunks = ps->rdv_out.pool().size();
-    pi.open_channels = ps->channels.size();
-    pi.rx_pending_msgs = ps->rx_msgs.size();
+    for (const auto& [ch, cs] : ps->channels) {
+      pi.open_channels += cs.open ? 1 : 0;
+      pi.rx_pending_msgs += cs.rx.open_messages();
+    }
     pi.submit_ring_pending =
         ps->ring_pending.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < ps->rails.size(); ++i) {
@@ -1813,13 +1733,15 @@ void IncomingMessage::unpack(void* buf, std::size_t len, RecvMode mode) {
   MADO_CHECK_MSG(!finished_, "unpack after finish");
   auto& ps = Engine::shard_of(peer_cache_);
   const bool done = eng_->post_unpack(ps, ch_, seq_, next_, buf, len);
-  if (mode == RecvMode::Express && !done) eng_->wait_frag(ps, ch_, seq_, next_);
+  if (mode == RecvMode::Express && !done)
+    eng_->wait_frag(ps, ch_, seq_, next_, /*landed=*/true);
   ++next_;
 }
 
 std::size_t IncomingMessage::next_size() {
   MADO_CHECK_MSG(!finished_, "next_size after finish");
-  return eng_->wait_frag_size(Engine::shard_of(peer_cache_), ch_, seq_, next_);
+  return eng_->wait_frag(Engine::shard_of(peer_cache_), ch_, seq_, next_,
+                         /*landed=*/false);
 }
 
 Bytes IncomingMessage::unpack_bytes() {

@@ -12,8 +12,9 @@
 // Also implemented here: the rendezvous protocol (RTS travels as an
 // aggregatable control fragment; data flows on bulk tracks, split over
 // rails per MultirailPolicy), traffic classes with dynamic re-assignment,
-// and the receive side (demultiplexing, unexpected-fragment buffering,
-// incremental unpack).
+// and the receive side's I/O (demultiplexing, copies into the unpacked
+// buffers, waits); its verdicts come from one RxChannel per channel
+// (core/receive.hpp).
 //
 // Threading model (sharded; docs/internals.md §1 has the full write-up):
 // engine state is partitioned per peer. Each PeerState carries its own
@@ -56,7 +57,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -70,6 +70,7 @@
 #include "core/message.hpp"
 #include "core/packet.hpp"
 #include "core/payload_pool.hpp"
+#include "core/receive.hpp"
 #include "core/reliability.hpp"
 #include "core/rendezvous.hpp"
 #include "core/strategy.hpp"
@@ -307,47 +308,13 @@ class Engine final {
 
   struct ChannelState {
     TrafficClass cls = TrafficClass::SmallEager;
+    /// open_channel ran here. A fragment can arrive first: its channel is
+    /// then created closed, and keeps it until the application opens it.
+    bool open = false;
     MsgSeq next_tx_seq = 0;
-    MsgSeq next_attach_seq = 0;
     std::uint32_t outstanding_sends = 0;
-    /// The lowest message seq not finished here, and the finished seqs
-    /// above it. A fragment of a finished message (replayed across rails
-    /// after a failover, landing late) is dropped as a duplicate instead
-    /// of resurrecting the message; an earlier message still open is not.
-    MsgSeq rx_done_floor = 0;
-    std::set<MsgSeq> rx_done_above;
+    RxChannel rx;
   };
-
-  /// Receive-side state of one fragment.
-  struct RxSlot {
-    bool have_data = false;  // eager payload arrived (buffered or copied)
-    Bytes buffered;          // payload when it arrived before the unpack
-    Byte* dest = nullptr;
-    std::size_t dest_len = 0;
-    bool posted = false;
-    bool done = false;
-    // Rendezvous (its bytes are counted in the transfer's RdvRx):
-    bool is_rdv = false;
-    std::uint64_t token = 0;
-    std::uint64_t total = 0;
-  };
-
-  struct RxMessage {
-    std::uint16_t nfrags_total = 0;  // 0 = not known yet
-    std::vector<RxSlot> slots;
-    std::uint16_t posted_count = 0;
-    std::uint16_t done_count = 0;
-
-    RxSlot& slot(FragIdx idx) {
-      if (slots.size() <= idx) slots.resize(idx + std::size_t{1});
-      return slots[idx];
-    }
-    bool complete() const {
-      return nfrags_total != 0 && done_count == nfrags_total;
-    }
-  };
-
-  using RxKey = std::pair<ChannelId, MsgSeq>;
 
   /// Sender-side rendezvous state.
   struct RdvTx {
@@ -449,6 +416,19 @@ class Engine final {
     std::mutex mu_;
   };
 
+  /// Threads blocked until a predicate holds (wait_on). `cv` is notified
+  /// only when `waiters` is non-zero. Every such wake bumps `epoch`; a
+  /// waiter snapshots it before its predicate and parks only if it is
+  /// unchanged under `mu`, so a wake that lands while the predicate runs is
+  /// never lost.
+  struct WaitSlot {
+    std::mutex mu;  ///< cv's mutex — NOT a peer lock, so waiters never
+                    ///< contend with the hot path
+    std::condition_variable cv;
+    std::atomic<int> waiters{0};
+    std::atomic<std::uint64_t> epoch{0};
+  };
+
   /// All state for one peer, guarded by its own `mu`. Everything the wire
   /// protocols key by (peer, token) lives here keyed by token: rendezvous
   /// tables, in-flight records, pending gets, RMA acks — they were always
@@ -500,15 +480,7 @@ class Engine final {
     mutable PeerMutex mu;  ///< guards every non-atomic member below
 
     /// Completion waiters parked on this peer (wait_send, wait_frag, ...).
-    /// `cv` is notified only when `waiters` is non-zero. Every such wake
-    /// bumps `wake_epoch`; a waiter snapshots it before its predicate and
-    /// parks only if it is unchanged under `wait_mu`, so a wake that lands
-    /// while the predicate runs is never lost.
-    mutable std::condition_variable cv;
-    mutable std::mutex wait_mu;  ///< cv's mutex — NOT `mu`, so waiters
-                                 ///< never contend with the hot path
-    std::atomic<int> waiters{0};
-    std::atomic<std::uint64_t> wake_epoch{0};
+    WaitSlot waits;
 
     /// Per-peer stats shard (registered as a child of the engine root),
     /// bumped through the lookup-free counter table.
@@ -536,7 +508,6 @@ class Engine final {
     std::size_t max_frame = 0;
     std::size_t max_eager = 0;
     std::map<ChannelId, ChannelState> channels;
-    std::map<RxKey, RxMessage> rx_msgs;
     /// Rendezvous decisions: the queued chunks toward the peer, and the
     /// verdict on replays of what it sends.
     RdvSender rdv_out;
@@ -599,9 +570,10 @@ class Engine final {
   /// already here and has been copied (an Express unpack need not wait).
   bool post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx,
                    void* buf, std::size_t len);
-  void wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx);
-  std::size_t wait_frag_size(PeerState& ps, ChannelId ch, MsgSeq seq,
-                             FragIdx idx);
+  /// Wait until fragment `idx` of message `seq` has arrived (`landed`: and
+  /// its bytes are in the unpacked buffer); returns its size.
+  std::uint64_t wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq,
+                          FragIdx idx, bool landed);
   void finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx nposted);
   void flush_channel(PeerState& ps, ChannelId ch);
 
@@ -628,6 +600,8 @@ class Engine final {
   // ---- locked internals (callers hold ps.mu) ----------------------------
 
   RailId rail_for_class_locked(const PeerState& ps, TrafficClass cls) const;
+  /// Channel `ch`, which the application opened (CHECKed).
+  static ChannelState& channel_locked(PeerState& ps, ChannelId ch);
 
   /// Drain the submit ring into the backlog (ring order), then return how
   /// many ops were applied. Called by every peer-lock holder before
@@ -705,13 +679,15 @@ class Engine final {
                                  const Bytes& payload);
   void deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
                                 ByteSpan payload);
-  /// The message whose slot `fh` fills, or nullptr for a replay: a
-  /// fragment of a finished message, or of a slot already filled.
-  RxMessage* filling_locked(PeerState& ps, const FragHeader& fh);
+  /// The slot of `rx` that fragment `fh` of `len` bytes (`rdv`: its RTS)
+  /// fills, or nullptr for a replay: a fragment of a finished message, or of a slot
+  /// already filled.
+  RxChannel::Slot* arrive_locked(PeerState& ps, RxChannel& rx,
+                                 const FragHeader& fh, std::uint64_t len,
+                                 bool rdv);
   void handle_rts_locked(PeerState& ps, const FragHeader& fh,
                          ByteSpan payload);
   void handle_cts_locked(PeerState& ps, ByteSpan payload);
-  void note_nfrags_locked(RxMessage& msg, const FragHeader& fh);
   /// Queue the RdvCts answering the RTS `fh` of rendezvous `token`, whose
   /// RdvRx already knows where the bytes land.
   void send_cts_locked(PeerState& ps, const FragHeader& fh,
@@ -734,13 +710,6 @@ class Engine final {
   /// The last byte of rendezvous `token` landed: complete its target.
   void finish_rdv_rx_locked(PeerState& ps, RailId rail, std::uint64_t token,
                             const RdvRx& rx);
-  void mark_slot_done_locked(RxMessage& msg, RxSlot& slot);
-  /// finish() bookkeeping: if message (ch, seq) is complete, check that
-  /// `nposted` fragments were unpacked, erase it and record it finished in
-  /// the channel's rx_done_floor / rx_done_above. Returns false, changing
-  /// nothing, while it is not.
-  bool retire_if_complete_locked(PeerState& ps, ChannelId ch, MsgSeq seq,
-                                 FragIdx nposted);
 
   // RMA internals.
   void handle_rma_put_locked(PeerState& ps, ByteSpan payload);
@@ -763,13 +732,13 @@ class Engine final {
 
   // ---- wait plumbing ---------------------------------------------------
 
-  /// Generic wait: pred synchronizes itself; sleeps on the GLOBAL cv.
-  bool wait_until_impl(const std::function<bool()>& pred, Nanos timeout);
-  /// Peer-scoped wait: pred synchronizes itself; sleeps on ps.cv so only
-  /// completions on this peer wake it. A pred that already holds returns
-  /// at once, before any of the wait machinery.
-  bool wait_peer_impl(PeerState& ps, const std::function<bool()>& pred,
-                      Nanos timeout);
+  /// Wait on `w` until `pred` holds, which synchronizes itself: a peer's
+  /// slot, which only that peer's completions wake, or the global one. On
+  /// a peer's slot a pred that already holds returns at once, before any
+  /// of the wait machinery; a global wait (flush, wait_until) drives the
+  /// engine once first when no progress thread runs.
+  template <class Pred>
+  bool wait_on(WaitSlot& w, Pred&& pred, Nanos timeout);
 
   // ---- progress threads -------------------------------------------------
 
@@ -855,18 +824,14 @@ class Engine final {
   /// before notifying, so the notify cannot slip between a waiter's epoch
   /// check and its cv wait (the ProgSlot protocol).
   void wake_peer(PeerState& ps) {
-    if (ps.waiters.load(std::memory_order_seq_cst) > 0) {
-      ps.wake_epoch.fetch_add(1, std::memory_order_seq_cst);
-      { std::lock_guard<std::mutex> lk(ps.wait_mu); }
-      ps.cv.notify_all();
-    }
-    wake_global();
+    wake(ps.waits);
+    wake(global_waits_);
   }
-  void wake_global() {
-    if (global_waiters_.load(std::memory_order_seq_cst) > 0) {
-      global_epoch_.fetch_add(1, std::memory_order_seq_cst);
-      { std::lock_guard<std::mutex> lk(wait_mu_); }
-      cv_.notify_all();
+  static void wake(WaitSlot& w) {
+    if (w.waiters.load(std::memory_order_seq_cst) > 0) {
+      w.epoch.fetch_add(1, std::memory_order_seq_cst);
+      { std::lock_guard<std::mutex> lk(w.mu); }
+      w.cv.notify_all();
     }
   }
 
@@ -928,11 +893,8 @@ class Engine final {
   std::array<std::atomic<RailId>, kTrafficClassCount> class_rail_{};
 
   /// Global waiters (flush / generic wait_until). Peer-scoped waits use the
-  /// per-peer cv instead, so one peer's completions don't wake the world.
-  mutable std::mutex wait_mu_;
-  mutable std::condition_variable cv_;
-  std::atomic<int> global_waiters_{0};
-  std::atomic<std::uint64_t> global_epoch_{0};  ///< as PeerState::wake_epoch
+  /// peer's slot instead, so one peer's completions don't wake the world.
+  WaitSlot global_waits_;
 
   /// Park/wakeup slots, one per progress thread, created in the
   /// constructor so note_activity() never races start/stop of the threads.
@@ -959,5 +921,54 @@ class Engine final {
   std::atomic<bool> prog_running_{false};
   std::shared_ptr<std::atomic<bool>> alive_;
 };
+
+template <class Pred>
+bool Engine::wait_on(WaitSlot& w, Pred&& pred, Nanos timeout) {
+  // A peer wait already satisfied (an arrived message, a completed send):
+  // no hook copy, no waiter registration, no self-pump. A global wait
+  // pumps once first when no progress thread runs.
+  if (&w != &global_waits_ && pred()) return true;
+  std::function<bool()> ext;
+  {
+    std::lock_guard<std::mutex> lk(misc_mu_);
+    ext = external_progress_;
+  }
+  if (ext) {
+    // Cooperative simulation mode: pump the world until pred holds or the
+    // event queue drains (virtual time — wall timeout does not apply).
+    for (;;) {
+      if (pred()) return true;
+      if (!ext()) return pred();
+    }
+  }
+  const Nanos deadline = timers_.now() + timeout;
+  w.waiters.fetch_add(1, std::memory_order_seq_cst);
+  bool ok = false;
+  for (;;) {
+    // Epoch before pred: a wake() that lands after this load (even while
+    // pred runs) moves the epoch, and the check below skips the park.
+    const std::uint64_t epoch = w.epoch.load(std::memory_order_seq_cst);
+    // Self-pump only when no progress thread is attached: with one (or N)
+    // running, a waiter pumping too would double-poll endpoints and
+    // contend every shard lock it touches (inflating opt.lock_wait_ns for
+    // nothing) — park on the cv and let the owners work instead. Checked
+    // every iteration so a stop_progress_thread() mid-wait hands the
+    // pumping duty back to the waiter.
+    if (!prog_running_.load(std::memory_order_acquire)) {
+      progress();
+      eng_stats_.inc(Ctr::ProgSelfPumps);
+    }
+    if (pred()) {
+      ok = true;
+      break;
+    }
+    if (timers_.now() > deadline) break;
+    std::unique_lock<std::mutex> lk(w.mu);
+    if (w.epoch.load(std::memory_order_seq_cst) == epoch)
+      w.cv.wait_for(lk, std::chrono::microseconds(200));
+  }
+  w.waiters.fetch_sub(1, std::memory_order_seq_cst);
+  return ok;
+}
 
 }  // namespace mado::core

@@ -1,5 +1,7 @@
-// Receive side of the engine: packet demultiplexing, fragment reassembly,
-// the unexpected queue, rendezvous RTS/CTS handling and incremental unpack.
+// Receive side of the engine: packet demultiplexing, the copies of eager
+// fragments into unpacked buffers (or early copies until the unpack),
+// rendezvous RTS/CTS handling and the receive waits. Every eager-receive
+// verdict comes from the channel's RxChannel (core/receive.hpp).
 //
 // Locking: every handler below runs under exactly one peer lock (ps.mu).
 // on_packet() is the driver entry; during a progress lap (pump_shard, on
@@ -146,62 +148,37 @@ void Engine::handle_eager_packet_locked(PeerState& ps, RailId rail_id,
   }
 }
 
-void Engine::note_nfrags_locked(RxMessage& msg, const FragHeader& fh) {
-  MADO_CHECK_MSG(fh.nfrags_total > 0, "fragment with zero message size");
-  MADO_CHECK_MSG(fh.frag_idx < fh.nfrags_total, "fragment index out of range");
+RxChannel::Slot* Engine::arrive_locked(PeerState& ps, RxChannel& rx,
+                                       const FragHeader& fh,
+                                       std::uint64_t len, bool rdv) {
   MADO_CHECK_MSG(fh.last() == (fh.frag_idx + 1 == fh.nfrags_total),
                  "inconsistent last-fragment flag");
-  if (msg.nfrags_total == 0) {
-    msg.nfrags_total = fh.nfrags_total;
-  } else {
-    MADO_CHECK_MSG(msg.nfrags_total == fh.nfrags_total,
-                   "inconsistent message fragment count");
-  }
-}
-
-Engine::RxMessage* Engine::filling_locked(PeerState& ps,
-                                          const FragHeader& fh) {
   // A failover can resend a fragment whose message already finished here
   // (it landed on the dead rail, its ack did not).
-  auto cit = ps.channels.find(fh.channel);
-  if (replay_locked(ps,
-                    cit != ps.channels.end() &&
-                        (fh.msg_seq < cit->second.rx_done_floor ||
-                         cit->second.rx_done_above.count(fh.msg_seq) != 0),
-                    "fragment of a finished message"))
+  const RxChannel::Frag verdict =
+      rx.arrive(fh.msg_seq, fh.frag_idx, fh.nfrags_total, len, rdv);
+  if (replay_locked(ps, verdict == RxChannel::Frag::Finished,
+                    "fragment of a finished message") ||
+      replay_locked(ps, verdict == RxChannel::Frag::Duplicate,
+                    "duplicate fragment"))
     return nullptr;
-  RxMessage& msg = ps.rx_msgs[{fh.channel, fh.msg_seq}];
-  note_nfrags_locked(msg, fh);
-  const RxSlot& slot = msg.slot(fh.frag_idx);
-  if (replay_locked(ps, slot.have_data || slot.is_rdv, "duplicate fragment"))
-    return nullptr;
-  return &msg;
+  return rx.slot(fh.msg_seq, fh.frag_idx);
 }
 
 void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
                                       ByteSpan payload) {
-  RxMessage* msg = filling_locked(ps, fh);
-  if (!msg) return;
-  RxSlot& slot = msg->slot(fh.frag_idx);
-  slot.have_data = true;
-  if (slot.posted) {
-    MADO_CHECK_MSG(slot.dest_len == payload.size(),
-                   "unpack size " << slot.dest_len
-                                  << " != fragment size " << payload.size());
+  // A fragment for a channel not opened yet is kept until it is.
+  RxChannel& rx = ps.channels[fh.channel].rx;
+  RxChannel::Slot* slot = arrive_locked(ps, rx, fh, payload.size(), false);
+  if (!slot) return;
+  if (slot->posted) {
     if (!payload.empty())
-      std::memcpy(slot.dest, payload.data(), payload.size());
-    mark_slot_done_locked(*msg, slot);
+      std::memcpy(slot->dest, payload.data(), payload.size());
+    rx.land(fh.msg_seq, fh.frag_idx);
   } else {
-    slot.buffered.assign(payload.begin(), payload.end());
+    slot->early.assign(payload.begin(), payload.end());
     ps.stats.inc(Ctr::RxUnexpectedFrags);
   }
-}
-
-void Engine::mark_slot_done_locked(RxMessage& msg, RxSlot& slot) {
-  MADO_ASSERT(!slot.done);
-  slot.done = true;
-  slot.buffered = Bytes();  // release any unexpected-queue copy
-  ++msg.done_count;
 }
 
 // ---- rendezvous ----------------------------------------------------------------
@@ -221,23 +198,15 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
   rx.landing.len = rts.total_len;
   switch (rts.target) {
     case RdvTarget::Message: {
-      RxMessage* msg = filling_locked(ps, fh);
-      if (!msg) return;
-      RxSlot& slot = msg->slot(fh.frag_idx);
-      slot.is_rdv = true;
-      slot.token = rts.token;
-      slot.total = rts.total_len;
+      RxChannel::Slot* slot = arrive_locked(ps, ps.channels[fh.channel].rx,
+                                            fh, rts.total_len, true);
+      if (!slot) return;
+      slot->token = rts.token;
       rx.channel = fh.channel;
       rx.seq = fh.msg_seq;
       rx.idx = fh.frag_idx;
       ps.stats.inc(Ctr::RxRdvRts);
-      if (slot.posted) {
-        MADO_CHECK_MSG(slot.dest_len == slot.total,
-                       "unpack size " << slot.dest_len
-                                      << " != rendezvous size "
-                                      << slot.total);
-        rx.base = slot.dest;
-      }
+      if (slot->posted) rx.base = slot->dest;
       break;
     }
     case RdvTarget::Window: {
@@ -385,13 +354,10 @@ void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
 void Engine::finish_rdv_rx_locked(PeerState& ps, RailId rail,
                                   std::uint64_t token, const RdvRx& rx) {
   switch (rx.target) {
-    case RdvTarget::Message: {
-      auto mit = ps.rx_msgs.find({rx.channel, rx.seq});
-      MADO_CHECK(mit != ps.rx_msgs.end());
-      mark_slot_done_locked(mit->second, mit->second.slot(rx.idx));
+    case RdvTarget::Message:
+      ps.channels[rx.channel].rx.land(rx.seq, rx.idx);
       ps.stats.inc(Ctr::RxRdvCompleted);
       break;
-    }
     case RdvTarget::Window:
       push_rma_ack_locked(ps, rx.aux);
       ps.stats.inc(Ctr::RxRmaPutsCompleted);
@@ -496,32 +462,25 @@ void Engine::handle_rma_ack_locked(PeerState& ps, ByteSpan payload) {
 //
 // Every call below gets the shard the Channel cached at open_channel. A
 // message that has already arrived is received with one peer-lock
-// acquisition per call: post_unpack copies the buffered fragment and
-// reports it done (an Express unpack then skips wait_frag), and
-// finish_recv retires a complete message under the same lock that checks
-// it. Only data still on the wire takes the wait path (wait_peer_impl),
-// which itself returns before touching any wait state when its predicate
-// already holds.
+// acquisition per call: post_unpack copies the early fragment and reports
+// it done (an Express unpack then skips wait_frag), and finish_recv retires
+// a complete message under the same lock that checks it. Only data still on
+// the wire takes the wait path (wait_on), which itself returns before
+// touching any wait state when its predicate already holds.
 
 MsgSeq Engine::attach_recv(PeerState& ps, ChannelId ch) {
   std::lock_guard lk(ps.mu);
-  auto it = ps.channels.find(ch);
-  MADO_CHECK_MSG(it != ps.channels.end(), "channel " << ch << " not open");
-  return it->second.next_attach_seq++;
+  return channel_locked(ps, ch).rx.attach();
 }
 
 bool Engine::probe_recv(PeerState& ps, ChannelId ch) const {
   std::lock_guard lk(ps.mu);
-  auto cit = ps.channels.find(ch);
-  MADO_CHECK_MSG(cit != ps.channels.end(), "channel " << ch << " not open");
-  auto it = ps.rx_msgs.find({ch, cit->second.next_attach_seq});
-  return it != ps.rx_msgs.end() && it->second.nfrags_total != 0;
+  return channel_locked(ps, ch).rx.announced();
 }
 
 bool Engine::recv_complete(PeerState& ps, ChannelId ch, MsgSeq seq) const {
   std::lock_guard lk(ps.mu);
-  auto it = ps.rx_msgs.find({ch, seq});
-  return it != ps.rx_msgs.end() && it->second.complete();
+  return channel_locked(ps, ch).rx.complete(seq);
 }
 
 bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
@@ -530,34 +489,23 @@ bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
   bool done = false;
   {
     std::lock_guard lk(ps.mu);
-    RxMessage& msg = ps.rx_msgs[{ch, seq}];
-    RxSlot& slot = msg.slot(idx);
-    MADO_CHECK_MSG(!slot.posted, "fragment already unpacked");
-    slot.posted = true;
-    slot.dest = static_cast<Byte*>(buf);
-    slot.dest_len = len;
-    ++msg.posted_count;
-
-    if (slot.have_data) {
-      MADO_CHECK_MSG(slot.buffered.size() == len,
-                     "unpack size " << len << " != fragment size "
-                                    << slot.buffered.size());
-      if (len > 0) std::memcpy(buf, slot.buffered.data(), len);
-      mark_slot_done_locked(msg, slot);
+    RxChannel& rx = channel_locked(ps, ch).rx;
+    const RxChannel::Slot& slot =
+        rx.post(seq, idx, static_cast<Byte*>(buf), len);
+    if (slot.arrived && !slot.rdv) {
+      if (len > 0) std::memcpy(buf, slot.early.data(), len);
+      rx.land(seq, idx);
       done = true;
-    } else if (slot.is_rdv) {
-      MADO_CHECK_MSG(slot.total == len,
-                     "unpack size " << len << " != rendezvous size "
-                                    << slot.total);
+    } else if (slot.arrived) {
       // The destination is known now: the transfer can start.
-      RdvRx* rx = ps.rdv_rx.find(slot.token);
-      MADO_CHECK(rx != nullptr);
-      rx->base = slot.dest;
+      RdvRx* rdv = ps.rdv_rx.find(slot.token);
+      MADO_CHECK(rdv != nullptr);
+      rdv->base = slot.dest;
       FragHeader fh;
       fh.channel = ch;
       fh.msg_seq = seq;
       fh.frag_idx = idx;
-      fh.nfrags_total = msg.nfrags_total;
+      fh.nfrags_total = rx.nfrags(seq);
       send_cts_locked(ps, fh, slot.token);
       pump_peer_locked(ps);
     }
@@ -566,122 +514,50 @@ bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
   return done;
 }
 
-void Engine::wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx) {
-  const bool ok = wait_peer_impl(
-      ps,
-      [&ps, ch, seq, idx] {
+std::uint64_t Engine::wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq,
+                                FragIdx idx, bool landed) {
+  std::uint64_t len = 0;
+  const bool ok = wait_on(
+      ps.waits,
+      [&] {
         std::lock_guard lk(ps.mu);
-        auto it = ps.rx_msgs.find({ch, seq});
-        if (it == ps.rx_msgs.end()) return false;
-        if (it->second.slots.size() <= idx) return false;
-        return it->second.slots[idx].done;
+        const RxChannel::Slot* slot = channel_locked(ps, ch).rx.slot(seq, idx);
+        if (!slot || !(landed ? slot->done : slot->arrived)) return false;
+        len = slot->len;
+        return true;
       },
       kDefaultTimeout);
   MADO_CHECK_MSG(ok, "timed out waiting for fragment " << idx
                                                        << " of message "
                                                        << seq);
-}
-
-std::size_t Engine::wait_frag_size(PeerState& ps, ChannelId ch, MsgSeq seq,
-                                   FragIdx idx) {
-  // A fragment's size is known once either its eager payload is buffered,
-  // its unpack already completed, or — for rendezvous — the RTS arrived.
-  std::size_t size = 0;
-  const bool ok = wait_peer_impl(
-      ps,
-      [&ps, ch, seq, idx, &size] {
-        std::lock_guard lk(ps.mu);
-        auto it = ps.rx_msgs.find({ch, seq});
-        if (it == ps.rx_msgs.end() || it->second.slots.size() <= idx)
-          return false;
-        const RxSlot& slot = it->second.slots[idx];
-        if (slot.is_rdv) {
-          size = slot.total;
-          return true;
-        }
-        if (slot.have_data && !slot.done) {
-          size = slot.buffered.size();
-          return true;
-        }
-        if (slot.done) {
-          size = slot.dest_len;
-          return true;
-        }
-        return false;
-      },
-      kDefaultTimeout);
-  MADO_CHECK_MSG(ok, "timed out waiting for fragment " << idx << " size");
-  return size;
-}
-
-bool Engine::retire_if_complete_locked(PeerState& ps, ChannelId ch,
-                                       MsgSeq seq, FragIdx nposted) {
-  auto it = ps.rx_msgs.find({ch, seq});
-  if (it == ps.rx_msgs.end() || !it->second.complete()) return false;
-  MADO_CHECK_MSG(nposted == it->second.nfrags_total,
-                 "finish() after unpacking " << nposted << " of "
-                                             << it->second.nfrags_total
-                                             << " fragments");
-  ps.rx_msgs.erase(it);
-  if (auto cit = ps.channels.find(ch); cit != ps.channels.end()) {
-    // Dedup for rail replays. In order, the floor just moves on; a message
-    // finished early waits in rx_done_above until the floor reaches it.
-    ChannelState& cs = cit->second;
-    if (seq != cs.rx_done_floor) {
-      cs.rx_done_above.insert(seq);
-    } else {
-      do ++cs.rx_done_floor;
-      while (cs.rx_done_above.erase(cs.rx_done_floor) != 0);
-    }
-  }
-  ps.stats.inc(Ctr::RxMsgsCompleted);
-  return true;
+  return len;
 }
 
 void Engine::finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq,
                          FragIdx nposted) {
-  {
-    // Fast path: the whole message is here — check and retire it under
-    // this one lock.
-    std::lock_guard lk(ps.mu);
-    if (retire_if_complete_locked(ps, ch, seq, nposted)) return;
-  }
-  // First learn the message's fragment count (the first arrived fragment
-  // carries it), then check the application consumed everything, then wait
-  // for full delivery.
-  bool ok = wait_peer_impl(
-      ps,
-      [&ps, ch, seq] {
+  // The first arrived fragment tells the message's fragment count: a
+  // finish() that unpacked another number fails then, without waiting for
+  // the rest.
+  std::uint16_t nfrags = 0;
+  const bool ok = wait_on(
+      ps.waits,
+      [&] {
         std::lock_guard lk(ps.mu);
-        auto it = ps.rx_msgs.find({ch, seq});
-        return it != ps.rx_msgs.end() && it->second.nfrags_total != 0;
-      },
-      kDefaultTimeout);
-  MADO_CHECK_MSG(ok, "timed out waiting for message " << seq);
-  {
-    std::lock_guard lk(ps.mu);
-    const RxMessage& msg = ps.rx_msgs.at({ch, seq});
-    MADO_CHECK_MSG(nposted == msg.nfrags_total,
-                   "finish() after unpacking " << nposted << " of "
-                                               << msg.nfrags_total
-                                               << " fragments");
-  }
-  ok = wait_peer_impl(
-      ps,
-      [&ps, ch, seq] {
-        std::lock_guard lk(ps.mu);
-        auto it = ps.rx_msgs.find({ch, seq});
-        return it != ps.rx_msgs.end() && it->second.complete();
+        RxChannel& rx = channel_locked(ps, ch).rx;
+        nfrags = rx.nfrags(seq);
+        return nfrags != 0 && (nfrags != nposted || rx.retire(seq));
       },
       kDefaultTimeout);
   MADO_CHECK_MSG(ok, "timed out completing message " << seq);
-  std::lock_guard lk(ps.mu);
-  retire_if_complete_locked(ps, ch, seq, nposted);
+  MADO_CHECK_MSG(nposted == nfrags, "finish() after unpacking "
+                                        << nposted << " of " << nfrags
+                                        << " fragments");
+  ps.stats.inc(Ctr::RxMsgsCompleted);
 }
 
 void Engine::flush_channel(PeerState& ps, ChannelId ch) {
-  const bool ok = wait_peer_impl(
-      ps,
+  const bool ok = wait_on(
+      ps.waits,
       [&ps, ch] {
         std::lock_guard lk(ps.mu);
         auto it = ps.channels.find(ch);
