@@ -1335,10 +1335,6 @@ void Engine::stop_progress_thread() {
   progress();
 }
 
-bool Engine::wait_until(const std::function<bool()>& pred, Nanos timeout) {
-  return wait_on(global_waits_, pred, timeout);
-}
-
 bool Engine::send_done(const SendHandle& h) const {
   MADO_CHECK(h.valid());
   return h.state_->pending.load(std::memory_order_acquire) == 0;
@@ -1639,7 +1635,7 @@ Engine::Snapshot Engine::snapshot() const {
     pi.shared_bulk_chunks = ps->rdv_out.pool().size();
     for (const auto& [ch, cs] : ps->channels) {
       pi.open_channels += cs.open ? 1 : 0;
-      pi.rx_pending_msgs += cs.rx.open_messages();
+      pi.rx_pending_msgs += cs.rx.entries();
     }
     pi.submit_ring_pending =
         ps->ring_pending.load(std::memory_order_acquire);
@@ -1715,8 +1711,10 @@ SendHandle Channel::post(Message msg) {
 
 IncomingMessage Channel::begin_recv() {
   MADO_CHECK(valid());
+  Engine::PeerState& ps = Engine::shard_of(peer_cache_);
+  std::lock_guard lk(ps.mu);
   return IncomingMessage(eng_, peer_cache_, id_,
-                         eng_->attach_recv(Engine::shard_of(peer_cache_), id_));
+                         Engine::channel_locked(ps, id_).rx.attach());
 }
 
 void Channel::flush() {
@@ -1726,7 +1724,9 @@ void Channel::flush() {
 
 bool Channel::probe() const {
   MADO_CHECK(valid());
-  return eng_->probe_recv(Engine::shard_of(peer_cache_), id_);
+  Engine::PeerState& ps = Engine::shard_of(peer_cache_);
+  std::lock_guard lk(ps.mu);
+  return Engine::channel_locked(ps, id_).rx.announced();
 }
 
 void IncomingMessage::unpack(void* buf, std::size_t len, RecvMode mode) {
@@ -1758,7 +1758,9 @@ void IncomingMessage::finish() {
 
 bool IncomingMessage::ready() const {
   MADO_CHECK_MSG(!finished_, "ready after finish");
-  return eng_->recv_complete(Engine::shard_of(peer_cache_), ch_, seq_);
+  Engine::PeerState& ps = Engine::shard_of(peer_cache_);
+  std::lock_guard lk(ps.mu);
+  return Engine::channel_locked(ps, ch_).rx.complete(seq_);
 }
 
 }  // namespace mado::core

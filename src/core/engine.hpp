@@ -145,8 +145,10 @@ class Engine final {
   /// Wait until `pred` holds. `pred` is evaluated WITHOUT any engine lock
   /// held — it must do its own synchronization (e.g. via counters_snapshot
   /// or snapshot()).
-  bool wait_until(const std::function<bool()>& pred,
-                  Nanos timeout = kDefaultTimeout);
+  template <class Pred>
+  bool wait_until(Pred&& pred, Nanos timeout = kDefaultTimeout) {
+    return wait_on(global_waits_, pred, timeout);
+  }
   /// Wait until all backlogs, submit rings, bulk queues and in-flight
   /// packets drain.
   bool flush(Nanos timeout = kDefaultTimeout);
@@ -335,10 +337,9 @@ class Engine final {
   /// the table lives inside the sending peer's shard now.
   struct RdvRx {
     RdvTarget target = RdvTarget::Message;
-    // Message target: the receive slot to complete.
-    ChannelId channel = 0;
-    MsgSeq seq = 0;
-    FragIdx idx = 0;
+    /// The RTS's fragment: the CTS answers it, and a Message target's
+    /// bytes complete its receive slot.
+    FragHeader rts;
     /// Where the bytes land, known once the CTS goes out (a Message
     /// target's when its fragment is unpacked).
     Byte* base = nullptr;
@@ -563,9 +564,6 @@ class Engine final {
   // open_channel, so none of them touches the peer map.
   SendHandle submit(PeerState& ps, ChannelId ch, TrafficClass cls,
                     Message msg);
-  MsgSeq attach_recv(PeerState& ps, ChannelId ch);
-  bool probe_recv(PeerState& ps, ChannelId ch) const;
-  bool recv_complete(PeerState& ps, ChannelId ch, MsgSeq seq) const;
   /// Register the destination of fragment `idx`; true if the fragment was
   /// already here and has been copied (an Express unpack need not wait).
   bool post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx,
@@ -689,7 +687,7 @@ class Engine final {
                          ByteSpan payload);
   void handle_cts_locked(PeerState& ps, ByteSpan payload);
   /// Queue the RdvCts answering the RTS `fh` of rendezvous `token`, whose
-  /// RdvRx already knows where the bytes land.
+  /// RdvRx already knows where the bytes land. Callers pump.
   void send_cts_locked(PeerState& ps, const FragHeader& fh,
                        std::uint64_t token);
   /// The CTS of `token` arrived: place its chunks, by the cost model's

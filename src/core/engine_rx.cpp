@@ -56,12 +56,7 @@ void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,
                                  const Bytes& payload) {
   if (rail_id >= ps.rails.size()) return;
   try {
-    MADO_CHECK_MSG(payload.size() >= 4, "runt packet");
-    const std::uint32_t magic =
-        static_cast<std::uint32_t>(payload[0]) |
-        (static_cast<std::uint32_t>(payload[1]) << 8) |
-        (static_cast<std::uint32_t>(payload[2]) << 16) |
-        (static_cast<std::uint32_t>(payload[3]) << 24);
+    const std::uint32_t magic = WireReader(ByteSpan(payload)).u32();
     if (magic == kPacketMagic) {
       handle_eager_packet_locked(ps, rail_id, payload);
     } else if (magic == kBulkMagic) {
@@ -194,6 +189,7 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
   trace_locked(TraceEvent::RdvRts, ps.id, 0, rts.token, rts.total_len);
   RdvRx rx;
   rx.target = rts.target;
+  rx.rts = fh;
   rx.aux = rts.aux;
   rx.landing.len = rts.total_len;
   switch (rts.target) {
@@ -202,9 +198,6 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
                                             fh, rts.total_len, true);
       if (!slot) return;
       slot->token = rts.token;
-      rx.channel = fh.channel;
-      rx.seq = fh.msg_seq;
-      rx.idx = fh.frag_idx;
       ps.stats.inc(Ctr::RxRdvRts);
       if (slot->posted) rx.base = slot->dest;
       break;
@@ -250,7 +243,6 @@ void Engine::send_cts_locked(PeerState& ps, const FragHeader& fh,
   const RailId rail = rail_for_class_locked(ps, TrafficClass::Control);
   ps.rails[rail]->backlog.push_control(std::move(tf));
   ps.stats.inc(Ctr::TxRdvCts);
-  // Callers pump (post_unpack and handle_eager_packet both do).
 }
 
 void Engine::handle_cts_locked(PeerState& ps, ByteSpan payload) {
@@ -355,7 +347,7 @@ void Engine::finish_rdv_rx_locked(PeerState& ps, RailId rail,
                                   std::uint64_t token, const RdvRx& rx) {
   switch (rx.target) {
     case RdvTarget::Message:
-      ps.channels[rx.channel].rx.land(rx.seq, rx.idx);
+      ps.channels[rx.rts.channel].rx.land(rx.rts.msg_seq, rx.rts.frag_idx);
       ps.stats.inc(Ctr::RxRdvCompleted);
       break;
     case RdvTarget::Window:
@@ -460,28 +452,14 @@ void Engine::handle_rma_ack_locked(PeerState& ps, ByteSpan payload) {
 
 // ---- application receive API ------------------------------------------------------
 //
-// Every call below gets the shard the Channel cached at open_channel. A
-// message that has already arrived is received with one peer-lock
-// acquisition per call: post_unpack copies the early fragment and reports
-// it done (an Express unpack then skips wait_frag), and finish_recv retires
-// a complete message under the same lock that checks it. Only data still on
+// Every call below gets the shard the Channel cached at open_channel; the
+// handles attach, probe and poll a channel's RxChannel under the peer lock
+// themselves. A message that has already arrived is received with one
+// peer-lock acquisition per call: post_unpack copies the early fragment and
+// reports it done (an Express unpack then skips wait_frag), and finish_recv
+// retires a complete message under the same lock that checks it. Only data still on
 // the wire takes the wait path (wait_on), which itself returns before
 // touching any wait state when its predicate already holds.
-
-MsgSeq Engine::attach_recv(PeerState& ps, ChannelId ch) {
-  std::lock_guard lk(ps.mu);
-  return channel_locked(ps, ch).rx.attach();
-}
-
-bool Engine::probe_recv(PeerState& ps, ChannelId ch) const {
-  std::lock_guard lk(ps.mu);
-  return channel_locked(ps, ch).rx.announced();
-}
-
-bool Engine::recv_complete(PeerState& ps, ChannelId ch, MsgSeq seq) const {
-  std::lock_guard lk(ps.mu);
-  return channel_locked(ps, ch).rx.complete(seq);
-}
 
 bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
                          FragIdx idx, void* buf, std::size_t len) {
@@ -501,12 +479,7 @@ bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
       RdvRx* rdv = ps.rdv_rx.find(slot.token);
       MADO_CHECK(rdv != nullptr);
       rdv->base = slot.dest;
-      FragHeader fh;
-      fh.channel = ch;
-      fh.msg_seq = seq;
-      fh.frag_idx = idx;
-      fh.nfrags_total = rx.nfrags(seq);
-      send_cts_locked(ps, fh, slot.token);
+      send_cts_locked(ps, rdv->rts, slot.token);
       pump_peer_locked(ps);
     }
   }

@@ -1,51 +1,37 @@
 #include "core/receive.hpp"
 
+#include <algorithm>
+#include <ranges>
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace mado::core {
 
-bool RxChannel::announced() const {
-  const Entry* e = find(attach_);
-  return e != nullptr && !e->finished && e->nfrags != 0;
-}
-
 std::size_t RxChannel::lower_bound(MsgSeq seq) const {
-  std::size_t lo = 0, hi = size_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (at(mid).seq < seq)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
+  return *std::ranges::partition_point(
+      std::views::iota(std::size_t{0}, size_),
+      [&](std::size_t i) { return at(i).seq < seq; });
 }
 
-const RxChannel::Entry* RxChannel::find(MsgSeq seq) const {
+std::size_t RxChannel::find_open(MsgSeq seq) const {
   const std::size_t i = lower_bound(seq);
-  return i < size_ && at(i).seq == seq ? &at(i) : nullptr;
+  return i < size_ && at(i).seq == seq && !at(i).finished ? i : size_;
 }
 
-RxChannel::Entry& RxChannel::open_entry(MsgSeq seq) {
+RxChannel::Entry& RxChannel::open(MsgSeq seq) {
   MADO_ASSERT(seq >= floor_);
   const std::size_t i = lower_bound(seq);
   if (i < size_ && at(i).seq == seq) return at(i);
   if (size_ == ring_.size()) {
-    std::vector<Entry> ring(ring_.empty() ? 2 : ring_.size() * 2);
+    std::vector<Entry> ring(std::max<std::size_t>(2, ring_.size() * 2));
     for (std::size_t k = 0; k < size_; ++k) ring[k] = std::move(at(k));
     ring_.swap(ring);
     head_ = 0;
   }
-  // Shift the later entries up by one: none when the message is newest.
-  for (std::size_t k = size_; k > i; --k) at(k) = std::move(at(k - 1));
-  ++size_;
-  Entry& e = at(i);
-  e.seq = seq;
-  e.nfrags = 0;
-  e.landed = 0;
-  e.finished = false;
-  e.slots.clear();
-  return e;
+  // Shift the later entries up by one: none when the message is the newest.
+  for (std::size_t k = size_++; k > i; --k) at(k) = std::move(at(k - 1));
+  return at(i) = Entry{seq, 0, 0, false, {}};
 }
 
 RxChannel::Frag RxChannel::arrive(MsgSeq seq, FragIdx idx,
@@ -54,18 +40,19 @@ RxChannel::Frag RxChannel::arrive(MsgSeq seq, FragIdx idx,
   MADO_CHECK_MSG(nfrags > 0, "fragment with zero message size");
   MADO_CHECK_MSG(idx < nfrags, "fragment index out of range");
   if (seq < floor_) return Frag::Finished;
-  if (const Entry* e = find(seq)) {
-    if (e->finished) return Frag::Finished;
-    MADO_CHECK_MSG(e->nfrags == 0 || e->nfrags == nfrags,
+  if (const std::size_t i = lower_bound(seq); i < size_ && at(i).seq == seq) {
+    const Entry& e = at(i);
+    if (e.finished) return Frag::Finished;
+    MADO_CHECK_MSG(e.nfrags == 0 || e.nfrags == nfrags,
                    "inconsistent message fragment count");
-    if (idx < e->slots.size()) {
-      const Slot& s = e->slots[idx];
+    if (idx < e.slots.size()) {
+      const Slot& s = e.slots[idx];
       if (s.arrived) return Frag::Duplicate;
       MADO_CHECK_MSG(!s.posted || s.len == len,
                      "unpack size " << s.len << " != fragment size " << len);
     }
   }
-  Entry& e = open_entry(seq);
+  Entry& e = open(seq);
   e.nfrags = nfrags;
   if (e.slots.size() <= idx) e.slots.resize(idx + std::size_t{1});
   Slot& s = e.slots[idx];
@@ -82,7 +69,7 @@ RxChannel::Slot& RxChannel::post(MsgSeq seq, FragIdx idx, Byte* dest,
     MADO_CHECK_MSG(!s->arrived || s->len == len,
                    "unpack size " << len << " != fragment size " << s->len);
   }
-  Entry& e = open_entry(seq);
+  Entry& e = open(seq);
   MADO_ASSERT(!e.finished);
   if (e.slots.size() <= idx) e.slots.resize(idx + std::size_t{1});
   Slot& s = e.slots[idx];
@@ -93,21 +80,21 @@ RxChannel::Slot& RxChannel::post(MsgSeq seq, FragIdx idx, Byte* dest,
 }
 
 void RxChannel::land(MsgSeq seq, FragIdx idx) {
-  Entry* e = find(seq);
-  MADO_ASSERT(e != nullptr && !e->finished && idx < e->slots.size());
-  Slot& s = e->slots[idx];
+  const std::size_t i = find_open(seq);
+  MADO_ASSERT(i < size_);
+  Entry& e = at(i);
+  Slot& s = e.slots[idx];
   MADO_ASSERT(s.arrived && s.posted && !s.done);
   s.done = true;
   s.early = Bytes();
-  ++e->landed;
+  ++e.landed;
 }
 
 bool RxChannel::retire(MsgSeq seq) {
   if (!complete(seq)) return false;
   if (seq != floor_) {
-    // Finished before an earlier message: keep a mark until the floor
-    // reaches it.
-    Entry& e = *find(seq);
+    // Finished before an earlier message: a mark until the floor gets here.
+    Entry& e = at(find_open(seq));
     e.finished = true;
     e.slots.clear();
     return true;
@@ -123,26 +110,23 @@ bool RxChannel::retire(MsgSeq seq) {
 }
 
 const RxChannel::Slot* RxChannel::slot(MsgSeq seq, FragIdx idx) const {
-  const Entry* e = find(seq);
-  if (!e || e->finished || idx >= e->slots.size()) return nullptr;
-  return &e->slots[idx];
+  const std::size_t i = find_open(seq);
+  if (i == size_ || idx >= at(i).slots.size()) return nullptr;
+  return &at(i).slots[idx];
+}
+
+RxChannel::Slot* RxChannel::slot(MsgSeq seq, FragIdx idx) {
+  return const_cast<Slot*>(std::as_const(*this).slot(seq, idx));
 }
 
 std::uint16_t RxChannel::nfrags(MsgSeq seq) const {
-  const Entry* e = find(seq);
-  return e && !e->finished ? e->nfrags : std::uint16_t{0};
+  const std::size_t i = find_open(seq);
+  return i == size_ ? std::uint16_t{0} : at(i).nfrags;
 }
 
 bool RxChannel::complete(MsgSeq seq) const {
-  const Entry* e = find(seq);
-  return e && !e->finished && e->nfrags != 0 && e->landed == e->nfrags;
-}
-
-std::size_t RxChannel::open_messages() const {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < size_; ++i)
-    if (!at(i).finished) ++n;
-  return n;
+  const std::size_t i = find_open(seq);
+  return i < size_ && at(i).nfrags != 0 && at(i).landed == at(i).nfrags;
 }
 
 }  // namespace mado::core

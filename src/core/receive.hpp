@@ -1,27 +1,19 @@
 // The eager receive side of one channel, Madeleine's unpack: every verdict
 // that is not I/O, with no locks, timers or engine types, so that it can be
 // checked exhaustively on its own (tests/core/test_receive_model.cpp). The
-// engine executes the verdicts: it owns the copies, the RTS/CTS of a
-// rendezvous fragment, the waits, stats and trace.
+// engine executes them: copies, the CTS of a rendezvous fragment, waits,
+// stats and trace.
 //
-// Every fragment is addressed by (channel, seq, index), so a message is
-// rebuilt whatever rail or order its fragments came by. An RxChannel keeps
-// the channel's attach seq (the seq of the next receive the application
-// begins), its floor (the lowest seq not finished here) and, above the
-// floor in seq order, one entry per message that is open (a fragment of it
-// arrived or was unpacked) or finished before an earlier one. A fragment
-// below the floor or of a finished entry belongs to a finished message: a
-// failover replayed it across rails after it had landed.
-//
-// Entries sit in one ring that doubles when full. Traffic received oldest
-// first appends at the back and retires from the front; a message that
-// overtook an earlier one inserts in place. Memory follows what arrived,
-// never the gap between seqs: a far-ahead seq costs one entry.
+// Fragments are addressed by (channel, seq, index), so a message is rebuilt
+// whatever rail or order its fragments came by. Above the floor, the lowest
+// seq not finished here, each message that is open or finished before an
+// earlier one has an entry, in seq order, in one ring that doubles when
+// full. A fragment below the floor or of a finished entry is a replay that
+// a failover resent after it landed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -32,13 +24,11 @@ namespace mado::core {
 
 class RxChannel {
  public:
-  /// One fragment of an open message.
   struct Slot {
-    Bytes early;            ///< eager payload that arrived before its unpack
-    Byte* dest = nullptr;   ///< the unpack's buffer, once posted
+    Bytes early;           ///< eager payload that arrived before its unpack
+    Byte* dest = nullptr;  ///< the unpack's buffer
     /// The fragment's bytes (a rendezvous one's: its transfer's), set by
-    /// whichever of its arrival and its unpack came first and checked by
-    /// the other.
+    /// the first of its arrival and its unpack and checked by the other.
     std::uint64_t len = 0;
     std::uint64_t token = 0;  ///< rendezvous: the transfer
     bool arrived = false;     ///< its eager payload or its RTS is here
@@ -46,52 +36,40 @@ class RxChannel {
     bool posted = false;      ///< the application unpacked it
     bool done = false;        ///< its bytes are in `dest`
   };
-  enum class Frag : std::uint8_t {
-    Fill,       ///< the fragment fills its slot
-    Duplicate,  ///< the slot is filled already: drop the copy
-    Finished,   ///< its message finished here: drop the replay
-  };
+  /// A fragment fills its slot, is a second copy, or is of a finished
+  /// message; the engine drops the last two.
+  enum class Frag : std::uint8_t { Fill, Duplicate, Finished };
 
   /// Begin the next receive: its seq.
   MsgSeq attach() { return attach_++; }
   /// Whether a fragment of the message the next attach() returns arrived.
-  bool announced() const;
+  bool announced() const { return nfrags(attach_) != 0; }
 
-  /// Fragment `idx` of message `seq`, one of `nfrags`, arrived: an eager
-  /// payload of `len` bytes, or (`rdv`) the RTS of a `len`-byte transfer.
-  /// Fill opens the message if it is new and marks the slot arrived; the
-  /// engine then lands the bytes if the slot is posted, else keeps them in
-  /// `early`. CHECKs a malformed or inconsistent header, and a size that
-  /// differs from a posted unpack's, before it changes anything.
+  /// Fragment `idx` of message `seq`, one of `nfrags`, arrived: `len` eager
+  /// bytes, or (`rdv`) the RTS of a `len`-byte transfer. Fill marks the slot
+  /// arrived; the engine lands the bytes if it is posted, else keeps them in
+  /// `early`. CHECKs a malformed header and a size that is not the unpack's
+  /// before it changes anything.
   Frag arrive(MsgSeq seq, FragIdx idx, std::uint16_t nfrags, std::uint64_t len,
               bool rdv);
-  /// The application unpacks fragment `idx` of message `seq`, which it
-  /// attached and has not finished, into `len` bytes at `dest`: opens the
-  /// message if it is new. CHECKs a second unpack of the slot and a size
-  /// that differs from an arrived fragment's.
+  /// The application unpacks fragment `idx` of message `seq`, attached and
+  /// not finished, into `len` bytes at `dest`. CHECKs a second unpack and a
+  /// size that is not the arrived fragment's.
   Slot& post(MsgSeq seq, FragIdx idx, Byte* dest, std::uint64_t len);
-  /// The bytes of fragment `idx` of open message `seq` are in its
-  /// destination; an early copy is released.
+  /// The bytes of fragment `idx` of `seq` are in `dest`; `early` is freed.
   void land(MsgSeq seq, FragIdx idx);
-  /// Retire message `seq` if every fragment landed: true, and a replay of
-  /// it is a Finished verdict from now on. False, changing nothing, while
-  /// it is not complete.
+  /// Retire message `seq` if every fragment landed; false, changing
+  /// nothing, while one has not. A copy of it is Finished from then on.
   bool retire(MsgSeq seq);
 
-  /// Fragment `idx` of message `seq`, or null if the message is not open
-  /// or nothing touched the slot yet.
+  /// Fragment `idx` of open message `seq`, or null if nothing touched it.
+  Slot* slot(MsgSeq seq, FragIdx idx);
   const Slot* slot(MsgSeq seq, FragIdx idx) const;
-  Slot* slot(MsgSeq seq, FragIdx idx) {
-    return const_cast<Slot*>(std::as_const(*this).slot(seq, idx));
-  }
-  /// Fragments of open message `seq`; 0 while none arrived or if it is not
-  /// open.
+  /// Fragments of open message `seq`; 0 until one of them arrived.
   std::uint16_t nfrags(MsgSeq seq) const;
   bool complete(MsgSeq seq) const;
-
   MsgSeq floor() const { return floor_; }
-  std::size_t open_messages() const;
-  /// Entries held: open messages and finished marks above the floor.
+  /// Open messages and finished marks above the floor.
   std::size_t entries() const { return size_; }
 
  private:
@@ -110,13 +88,10 @@ class RxChannel {
   }
   /// Position of the first entry whose seq is not below `seq`.
   std::size_t lower_bound(MsgSeq seq) const;
-  const Entry* find(MsgSeq seq) const;
-  Entry* find(MsgSeq seq) {
-    return const_cast<Entry*>(std::as_const(*this).find(seq));
-  }
-  /// The entry of `seq`, which is not below the floor, opened in place if
-  /// it has none.
-  Entry& open_entry(MsgSeq seq);
+  /// Position of the open entry of `seq`, or size_ if it has none.
+  std::size_t find_open(MsgSeq seq) const;
+  /// The entry of `seq` (not below the floor), inserted in place if absent.
+  Entry& open(MsgSeq seq);
 
   std::vector<Entry> ring_;  ///< a power of two long, or empty
   std::size_t head_ = 0;
