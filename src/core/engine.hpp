@@ -678,8 +678,8 @@ class Engine final {
   void deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
                                 ByteSpan payload);
   /// The slot of `rx` that fragment `fh` of `len` bytes (`rdv`: its RTS)
-  /// fills, or nullptr for a replay: a fragment of a finished message, or of a slot
-  /// already filled.
+  /// fills, or nullptr for a replay: a fragment of a finished message, or
+  /// of a slot already filled.
   RxChannel::Slot* arrive_locked(PeerState& ps, RxChannel& rx,
                                  const FragHeader& fh, std::uint64_t len,
                                  bool rdv);
