@@ -326,7 +326,8 @@ class Checker {
       put(s.rx.complete(seq));
       for (std::uint16_t f = 0; f < m_.frags[i]; ++f) {
         put(m.dest[f]);
-        put(m.landed[f] | m.filled[f] << 2);
+        put(m.landed[f]);
+        put(m.filled[f]);
         const RxChannel::Slot* slot = s.rx.slot(seq, f);
         if (!slot) {
           put(0xfd);

@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -313,8 +314,10 @@ class UdpFuzzTest : public ::testing::Test {
 
   static Bytes datagram(std::uint8_t type, std::uint8_t track,
                         const Bytes& body = {}) {
-    Bytes d{type, track};
-    d.insert(d.end(), body.begin(), body.end());
+    Bytes d(2 + body.size());
+    d[0] = type;
+    d[1] = track;
+    std::copy(body.begin(), body.end(), d.begin() + 2);
     return d;
   }
 
