@@ -26,6 +26,13 @@ constexpr std::size_t kEagerFrameOverhead = PacketHeader::kWireSize +
 /// yielding, before the thread parks on its slot.
 constexpr std::size_t kSpinLaps = 64;
 constexpr std::size_t kYieldLaps = 64;
+/// Yields, each followed by a look at the wait slot's epoch, that a waiter
+/// makes before it parks while progress threads run: ~7 µs on an idle
+/// 4-vCPU VM at ~370 ns a yield. The awaited event is usually that close,
+/// and a parked waiter costs its waker a futex wake. A yield, unlike a
+/// pause spin, leaves the CPU to the progress threads when more waiters
+/// than CPUs wait (docs/internals.md §1).
+constexpr std::size_t kWaitYields = 20;
 /// Tries, a CPU pause apart, that a thread makes for a held peer lock
 /// before it blocks on it.
 constexpr std::size_t kLockSpins = 128;
@@ -240,36 +247,47 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
   }
 
   if (ps.ring) {
-    if (std::unique_lock lk(ps.mu, std::try_to_lock);
-        lk.owns_lock()) {
-      // Uncontended fast path (flat combining): nobody holds the shard, so
-      // skip the ring round-trip entirely — drain whatever racing threads
-      // parked, then submit inline. A single application thread always
-      // lands here, so post() latency with the ring enabled is identical
-      // to the ring-disabled engine (and to the pre-sharding locked path).
-      // The lock is scoped: a driver's send() that throws (clause 6)
-      // leaves the shard unlocked.
-      ps.stats.inc(Ctr::OptLockAcquisitions);
-      drain_submit_ring_locked(ps);
-      submit_locked(ps, ch, std::move(msg), state, state->submit_time);
-      return SendHandle(state);
+    // Hand-off: while progress threads run, every post parks in the ring
+    // and the shard's owner submits it at its next lap, so the application
+    // thread goes straight back to computing and the optimizer sees the
+    // posts that pile up while the track is busy (paper §3). Inline sends
+    // from the application thread kept the shm track idle, so the
+    // optimizer aggregated almost nothing (docs/internals.md §1).
+    const bool handoff = prog_running_.load(std::memory_order_seq_cst);
+    if (!handoff) {
+      if (std::unique_lock lk(ps.mu, std::try_to_lock); lk.owns_lock()) {
+        // No progress thread and nobody holds the shard (flat combining):
+        // skip the ring, drain whatever racing threads parked, then submit
+        // inline. A single application thread of a simulated or
+        // hand-pumped world always lands here. The lock is scoped: a
+        // driver's send() that throws (clause 6) leaves the shard unlocked.
+        ps.stats.inc(Ctr::OptLockAcquisitions);
+        drain_submit_ring_locked(ps);
+        submit_locked(ps, ch, std::move(msg), state, state->submit_time);
+        return SendHandle(state);
+      }
     }
-    // Shard busy: park the message in the submit ring and return without
-    // blocking. The current lock holder (the progressor, or a combining
-    // submitter) drains it into the backlog at the next NIC-idle instant.
-    // Between those instants parked submissions accumulate — widening the
-    // optimizer's lookahead window exactly as the paper intends.
+    // Park the message and return without blocking. Whoever holds the
+    // shard next (the owner's lap, or a combining submitter) drains it
+    // into the backlog at the next NIC-idle instant.
     SubmitOp op;
     op.channel = ch;
     op.msg = std::move(msg);
     op.state = state;
     op.enq_time = state->submit_time;
     if (ps.ring->try_push(std::move(op))) {
-      ps.ring_pending.fetch_add(1, std::memory_order_release);
+      ps.ring_pending.fetch_add(1, std::memory_order_seq_cst);
       // A parked op is no driver event, so no driver rings for it.
       note_activity(ps);
-      if (std::unique_lock lk(ps.mu, std::try_to_lock);
-          lk.owns_lock()) {
+      if (prog_running_.load(std::memory_order_seq_cst))
+        return SendHandle(state);
+      if (handoff) {
+        // The threads stopped after we looked, and stop_progress_thread()'s
+        // final pass may have missed the push: drain it ourselves.
+        PeerLock lk(ps);
+        drain_submit_ring_locked(ps);
+      } else if (std::unique_lock lk(ps.mu, std::try_to_lock);
+                 lk.owns_lock()) {
         // The holder may have released between our failed try_lock and the
         // push landing; re-check so the op cannot linger un-drained until
         // the next pump.
@@ -1091,6 +1109,15 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
 
 // ---- progression / waiting -------------------------------------------------
 
+bool Engine::epoch_moved_while_yielding(const WaitSlot& w,
+                                        std::uint64_t epoch) {
+  for (std::size_t i = 0; i < kWaitYields; ++i) {
+    std::this_thread::yield();
+    if (w.epoch.load(std::memory_order_seq_cst) != epoch) return true;
+  }
+  return false;
+}
+
 bool Engine::pump_shard(PeerState& ps, std::vector<RxEvent>& events) {
   // Claim the shard: whoever wins drives the whole pump. A lost claim means
   // another thread (owner, stealer, or a manual progress() caller) is
@@ -1114,7 +1141,9 @@ bool Engine::pump_shard(PeerState& ps, std::vector<RxEvent>& events) {
          r = r->next.load(std::memory_order_acquire))
       r->ep->progress();
   }
-  const bool have_ring = ps.ring_pending.load(std::memory_order_acquire) > 0;
+  // seq_cst: stop_progress_thread()'s final pass must see a post that
+  // read prog_running_ true after its push (see submit()).
+  const bool have_ring = ps.ring_pending.load(std::memory_order_seq_cst) > 0;
   bool did_work = false;
   if (!events.empty() || have_ring) {
     did_work = true;
@@ -1327,7 +1356,7 @@ void Engine::stop_progress_thread() {
   }
   for (auto& t : progress_threads_) t.join();
   progress_threads_.clear();
-  prog_running_.store(false, std::memory_order_release);
+  prog_running_.store(false, std::memory_order_seq_cst);
   // Teardown ordering: a submit, arrival or timer can land between a
   // thread's final lap and the join. Now that no thread owns anything, one
   // manual pass delivers every staged event, parked ring op and due timer

@@ -24,9 +24,11 @@
 // The peer map itself is read-mostly behind a shared_mutex and peers are
 // never erased, so a resolved PeerState* stays valid for the engine's
 // lifetime. Application threads submitting to different peers never
-// contend. The submit fast path does not even take the peer lock:
-// fragments ride a bounded lock-free MPMC ring drained by whoever holds
-// the peer lock next (flat combining).
+// contend. While progress threads run, a post takes no peer lock at all:
+// it parks the message in a bounded lock-free MPMC ring and rings the
+// shard's owner, whose lap submits it (the hand-off). Without progress
+// threads an uncontended post submits inline, and a contended one parks
+// in the ring for whoever holds the peer lock next (flat combining).
 //
 // Progress runs on cfg.progress_threads shard-owning threads: every peer
 // is statically assigned an owner (insertion order modulo thread count,
@@ -37,8 +39,9 @@
 // sleep until the next timer deadline. A per-shard pump claim
 // (PeerState::pumping) keeps driver progress() single-entrant per endpoint
 // whichever thread — owner, stealer, or a manual progress() caller — runs
-// the lap, and a lap that finds nothing takes no lock. Waiters park while
-// progress threads run. Peer-scoped timers (nagle, RTO) run on whichever
+// the lap, and a lap that finds nothing takes no lock. While progress
+// threads run, a waiter yields for a few µs, watching its wait slot, and
+// then parks. Peer-scoped timers (nagle, RTO) run on whichever
 // thread runs the timer wheel and take the peer lock like any other locked
 // path.
 //
@@ -562,6 +565,11 @@ class Engine final {
 
   // Every handle call works on the shard the Channel resolved at
   // open_channel, so none of them touches the peer map.
+
+  /// Post `msg` on channel `ch`. While progress threads run, the message
+  /// always parks in the submit ring for the shard's owner (the hand-off);
+  /// otherwise it submits inline when the shard is free. A full ring
+  /// falls back to the locked path.
   SendHandle submit(PeerState& ps, ChannelId ch, TrafficClass cls,
                     Message msg);
   /// Register the destination of fragment `idx`; true if the fragment was
@@ -737,6 +745,10 @@ class Engine final {
   /// engine once first when no progress thread runs.
   template <class Pred>
   bool wait_on(WaitSlot& w, Pred&& pred, Nanos timeout);
+  /// Yield a bounded number of times (kWaitYields), watching `w`'s epoch;
+  /// true as soon as it moves off `epoch`. Takes no lock.
+  static bool epoch_moved_while_yielding(const WaitSlot& w,
+                                         std::uint64_t epoch);
 
   // ---- progress threads -------------------------------------------------
 
@@ -765,7 +777,8 @@ class Engine final {
   /// polling. The armed gate keeps the hot path cheap: while the thread
   /// polls, this is one load and nothing else. Callers first publish their
   /// work under a lock the thread's final poll lap also takes (a driver
-  /// queue) or followed by an atomic read-modify-write (the submit ring's
+  /// queue), with a seq_cst store that lap reads (the shm driver's rings),
+  /// or followed by an atomic read-modify-write (the submit ring's
   /// counter, the timer host's listener lock), so either this load sees
   /// `armed` or that lap sees the work.
   bool wake_slot(ProgSlot& s) {
@@ -949,10 +962,11 @@ bool Engine::wait_on(WaitSlot& w, Pred&& pred, Nanos timeout) {
     // Self-pump only when no progress thread is attached: with one (or N)
     // running, a waiter pumping too would double-poll endpoints and
     // contend every shard lock it touches (inflating opt.lock_wait_ns for
-    // nothing) — park on the cv and let the owners work instead. Checked
-    // every iteration so a stop_progress_thread() mid-wait hands the
-    // pumping duty back to the waiter.
-    if (!prog_running_.load(std::memory_order_acquire)) {
+    // nothing) — wait and let the owners work instead. Checked every
+    // iteration so a stop_progress_thread() mid-wait hands the pumping
+    // duty back to the waiter.
+    const bool threaded = prog_running_.load(std::memory_order_acquire);
+    if (!threaded) {
       progress();
       eng_stats_.inc(Ctr::ProgSelfPumps);
     }
@@ -961,6 +975,10 @@ bool Engine::wait_on(WaitSlot& w, Pred&& pred, Nanos timeout) {
       break;
     }
     if (timers_.now() > deadline) break;
+    // A progress thread usually delivers within a few µs: yield on the
+    // epoch first, and park (which costs the waker a futex wake) only if
+    // nothing woke the slot meanwhile.
+    if (threaded && epoch_moved_while_yielding(w, epoch)) continue;
     std::unique_lock<std::mutex> lk(w.mu);
     if (w.epoch.load(std::memory_order_seq_cst) == epoch)
       w.cv.wait_for(lk, std::chrono::microseconds(200));

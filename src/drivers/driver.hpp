@@ -34,12 +34,17 @@
 //     counts no retry while a packet's last copy is still inside the
 //     driver, so a send held forever would stall its rail, never fail it.
 //     The simulated driver completes at the NIC model's accept time; shm
-//     queues the completion inside send(); the socket driver's TX thread
-//     writes into a socketpair whose peer RX thread always reads, and a
-//     broken socket fails every queued send; UDP sends a frame once the
-//     credit window admits it (a stall resets the window after 20 ms), and
-//     after 2 s of peer silence breaks the link, failing every queued
-//     send.
+//     completes at hand-off, pushing the completion onto its own ring
+//     inside send(); the socket driver's TX thread writes into a
+//     socketpair whose peer RX thread always reads, and a broken socket
+//     fails every queued send; UDP sends a frame once the credit window
+//     admits it (a stall resets the window after 20 ms), and after 2 s of
+//     peer silence breaks the link, failing every queued send.
+//  8. Calls to send() on one endpoint never overlap, nor do calls to its
+//     progress(); a send() may run beside a progress(). The engine holds
+//     the peer lock around every send() and the shard's pump claim
+//     (PeerState::pumping) around every progress(). Drivers may rely on
+//     it: the shm driver's rings have one producer and one consumer.
 #pragma once
 
 #include <atomic>

@@ -12,7 +12,7 @@ Capabilities shm_profile() {
   c.gather_scatter = false;  // frames are contiguous copies
   c.max_gather_segments = 1;
   c.track_count = 2;
-  c.cost.pio_overhead = 80;          // one queue handoff
+  c.cost.pio_overhead = 80;          // one ring handoff
   c.cost.dma_overhead = 80;
   c.cost.per_segment = 0;
   c.cost.pio_threshold = 256;

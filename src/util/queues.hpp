@@ -1,15 +1,18 @@
 // Queues used at the driver/engine boundary.
 //
-// SpscRing<T>:  lock-free single-producer single-consumer ring with a fixed
-//               power-of-two capacity; used between a driver IO thread and
-//               the engine's progress loop.
+// SpscRing<T>:  single-producer single-consumer queue: a lock-free
+//               power-of-two ring, plus a locked spill list that takes
+//               pushes only while the ring is full or the spill still holds
+//               items, so push() never fails and never blocks on the
+//               consumer. The shm driver hands frames and completions over
+//               through it; a steady-state push or pop takes no lock.
 // MpmcRing<T>:  lock-free bounded multi-producer multi-consumer ring
 //               (Vyukov's sequence-stamped design); used as the per-peer
 //               submit ring so application threads can enqueue messages
 //               without ever contending with the progressor's peer lock.
 // MpscQueue<T>: mutex-protected multi-producer single-consumer queue with
-//               optional blocking pop; used for completion delivery where
-//               multiple IO threads feed one progress loop.
+//               optional blocking pop; used by the socket and UDP drivers,
+//               whose IO threads feed one progress loop.
 #pragma once
 
 #include <atomic>
@@ -26,6 +29,18 @@
 
 namespace mado {
 
+/// One producer thread and one consumer thread at a time (callers
+/// serialize each side; the shm driver relies on driver contract clause 8
+/// for that). FIFO holds across the spill: the producer uses the ring only
+/// while the spill is empty, so every spilled item is newer than every
+/// ring item, and the consumer, once it sees the spill flag, drains the
+/// ring again under the spill lock before it takes a spilled item.
+///
+/// A push publishes with a seq_cst store and a pop looks with a seq_cst
+/// load. A producer that pushes and then checks whether the consumer went
+/// to sleep (a seq_cst load of the sleeper's flag, as the engine's
+/// progress threads arm with a seq_cst store before their last look at
+/// their queues) is then seen by that last look, or sees the flag.
 template <typename T>
 class SpscRing {
  public:
@@ -35,20 +50,69 @@ class SpscRing {
                    "capacity must be a power of two");
   }
 
-  /// Producer side. Returns false if full.
-  bool try_push(T v) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t next = (head + 1) & mask_;
-    if (next == tail_.load(std::memory_order_acquire)) return false;
-    buf_[head] = std::move(v);
-    head_.store(next, std::memory_order_release);
-    return true;
+  /// Producer side, ring only. Returns false if the ring is full or the
+  /// spill holds items (a ring item must not pass them).
+  bool try_push(T v) { return ring_push(v); }
+
+  /// Producer side. Never fails: into the ring when it can, else onto the
+  /// spill, the one path that locks.
+  void push(T v) {
+    if (ring_push(v)) return;
+    std::lock_guard<std::mutex> lk(spill_mu_);
+    spill_.push_back(std::move(v));
+    spilled_.store(true, std::memory_order_seq_cst);
   }
 
   /// Consumer side. Returns nullopt if empty.
   std::optional<T> try_pop() {
+    if (auto v = ring_pop()) return v;
+    if (!spilled_.load(std::memory_order_seq_cst)) return std::nullopt;
+    std::lock_guard<std::mutex> lk(spill_mu_);
+    // Items the producer put in the ring before it spilled are older than
+    // every spilled item; under the lock its ring writes are visible.
+    if (auto v = ring_pop()) return v;
+    T v = std::move(spill_[spill_head_]);
+    spill_[spill_head_] = T();  // see ring_pop for why moved-from slots reset
+    if (++spill_head_ == spill_.size()) {
+      spill_.clear();
+      spill_head_ = 0;
+      spilled_.store(false, std::memory_order_release);
+    }
+    return v;
+  }
+
+  bool empty() const {
+    return tail_.load(std::memory_order_acquire) ==
+               head_.load(std::memory_order_acquire) &&
+           !spilled_.load(std::memory_order_acquire);
+  }
+
+  std::size_t size() const {
+    const std::size_t h = head_.load(std::memory_order_acquire);
+    const std::size_t t = tail_.load(std::memory_order_acquire);
+    std::size_t n = (h - t) & mask_;
+    if (spilled_.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lk(spill_mu_);
+      n += spill_.size() - spill_head_;
+    }
+    return n;
+  }
+
+ private:
+  /// Moves from `v` only on success.
+  bool ring_push(T& v) {
+    if (spilled_.load(std::memory_order_acquire)) return false;
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    const std::size_t next = (head + 1) & mask_;
+    if (next == tail_.load(std::memory_order_acquire)) return false;
+    buf_[head] = std::move(v);
+    head_.store(next, std::memory_order_seq_cst);
+    return true;
+  }
+
+  std::optional<T> ring_pop() {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_.load(std::memory_order_acquire)) return std::nullopt;
+    if (tail == head_.load(std::memory_order_seq_cst)) return std::nullopt;
     T v = std::move(buf_[tail]);
     // Reset the slot: a moved-from T may still own resources (e.g. a Bytes
     // payload whose buffer the move left behind, or a shared_ptr a given
@@ -60,22 +124,16 @@ class SpscRing {
     return v;
   }
 
-  bool empty() const {
-    return tail_.load(std::memory_order_acquire) ==
-           head_.load(std::memory_order_acquire);
-  }
-
-  std::size_t size() const {
-    const std::size_t h = head_.load(std::memory_order_acquire);
-    const std::size_t t = tail_.load(std::memory_order_acquire);
-    return (h - t) & mask_;
-  }
-
- private:
   std::vector<T> buf_;
   std::size_t mask_;
   alignas(64) std::atomic<std::size_t> head_{0};
   alignas(64) std::atomic<std::size_t> tail_{0};
+  /// True while the spill holds items: set by the producer, cleared by the
+  /// consumer when it takes the last one, both under spill_mu_.
+  alignas(64) std::atomic<bool> spilled_{false};
+  mutable std::mutex spill_mu_;
+  std::vector<T> spill_;          ///< guarded by spill_mu_
+  std::size_t spill_head_ = 0;    ///< consumer's next spill index
 };
 
 /// Bounded lock-free MPMC ring after Dmitry Vyukov's design: every slot
@@ -149,7 +207,7 @@ class MpmcRing {
     }
     Slot& s = slots_[pos & mask_];
     T v = std::move(s.value);
-    s.value = T();  // see SpscRing::try_pop for why moved-from slots reset
+    s.value = T();  // see SpscRing::ring_pop for why moved-from slots reset
     s.seq.store(pos + mask_ + 1, std::memory_order_release);
     return v;
   }

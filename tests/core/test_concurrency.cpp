@@ -809,6 +809,61 @@ TEST(ConcurrencyTeardown, ShutdownUnderLoadDrainsStagedWork) {
   }
 }
 
+// The hand-off: while progress threads run, every post parks in the
+// submit ring and the shard owner's lap submits it, even from a lone
+// application thread on an idle shard. Once the threads stop, posts
+// combine inline again and the ring carries nothing.
+TEST(ProgressHandoff, PostsRideTheRingWhileThreadsRun) {
+  constexpr std::uint32_t kPosts = 64;  // below the default ring's 256
+  ShmWorld world{EngineConfig{}};
+  Engine& a = world.node(0);
+  Channel tx = a.open_channel(1, 1);
+  Channel rx = world.node(1).open_channel(0, 1);
+  std::vector<SendHandle> handles;
+  for (std::uint32_t i = 0; i < kPosts; ++i)
+    handles.push_back(send_bytes(tx, pattern(64, i)));
+  for (SendHandle& h : handles) EXPECT_TRUE(a.wait_send(h));
+  EXPECT_EQ(a.counters_snapshot()["submit.ring_ops"], kPosts)
+      << "with progress threads running every post rides the ring";
+
+  a.stop_progress_thread();
+  for (std::uint32_t i = kPosts; i < 2 * kPosts; ++i)
+    EXPECT_TRUE(a.wait_send(send_bytes(tx, pattern(64, i))));
+  EXPECT_EQ(a.counters_snapshot()["submit.ring_ops"], kPosts)
+      << "without progress threads an uncontended post combines inline";
+  for (std::uint32_t i = 0; i < 2 * kPosts; ++i)
+    EXPECT_EQ(recv_bytes(rx, 64), pattern(64, i));
+}
+
+// A thread posting while another stops the progress threads. A post that
+// saw the threads running may push after their final laps and after
+// stop_progress_thread()'s own last pass; its poster then drains it. Every
+// handle completes by flush(), and the engine ends quiescent.
+TEST(ProgressHandoff, PostsRacingStopAllCompleteByFlush) {
+  for (int round = 0; round < 20; ++round) {
+    HubWorld w(1, EngineConfig{});
+    Channel ch = w.hub->open_channel(1, 1);
+    std::vector<SendHandle> handles;
+    std::atomic<bool> posting{false};
+    std::thread poster([&] {
+      for (int i = 0; i < 200; ++i) {
+        handles.push_back(send_bytes(ch, pattern(64)));
+        posting.store(true, std::memory_order_release);
+      }
+    });
+    while (!posting.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    w.hub->stop_progress_thread();
+    poster.join();
+    EXPECT_TRUE(w.hub->flush()) << "round " << round;
+    for (const SendHandle& h : handles)
+      EXPECT_TRUE(w.hub->send_done(h)) << "round " << round;
+    Engine::Snapshot snap = w.hub->snapshot();
+    EXPECT_TRUE(snap.quiescent()) << "round " << round << "\n"
+                                  << snap.to_string();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ISSUE 7: timer wheel integration — idle engines hold no timers, and a
 // parked owner honors a deadline armed after it went to sleep.

@@ -335,6 +335,42 @@ TEST_P(DriverConformanceTest, ConcurrentTracksShareOnePeerWithoutInterference) {
   EXPECT_TRUE(h_->ha.failures.empty());
 }
 
+// A burst of three times what an shm ring holds, on both tracks, sent
+// before either side is pumped: the frames and completions that do not
+// fit spill, and the contract still holds once the pumping starts —
+// per-track FIFO, byte-exact payloads, completions in send order.
+TEST_P(DriverConformanceTest, BurstPastTheRingKeepsOrder) {
+  constexpr std::uint64_t kN = 3 * ShmEndpoint::kRingSlots;
+  const auto payload = [](TrackId track, std::uint64_t i) {
+    return make_payload(track == kTrackEager ? 40 : 300,
+                        static_cast<std::uint8_t>(track * 0x80 + i));
+  };
+  for (std::uint64_t i = 0; i < kN; ++i)
+    for (TrackId track : {kTrackEager, kTrackBulk})
+      h_->send(*h_->a, track, payload(track, i),
+               (std::uint64_t{track} << 32) | i);
+  ASSERT_TRUE(h_->pump_until([&] {
+    return h_->hb.packets.size() == 2 * kN &&
+           h_->ha.completions.size() == 2 * kN;
+  }));
+  std::uint64_t seen[2] = {0, 0}, done[2] = {0, 0};
+  for (const auto& pkt : h_->hb.packets) {
+    ASSERT_LT(pkt.track, 2);
+    EXPECT_EQ(pkt.payload, payload(pkt.track, seen[pkt.track]))
+        << "track " << int(pkt.track) << " frame " << seen[pkt.track];
+    ++seen[pkt.track];
+  }
+  for (const auto& c : h_->ha.completions) {
+    ASSERT_LT(c.track, 2);
+    EXPECT_EQ(c.token, (std::uint64_t{c.track} << 32) | done[c.track])
+        << "track " << int(c.track);
+    ++done[c.track];
+  }
+  EXPECT_EQ(seen[kTrackEager], kN);
+  EXPECT_EQ(seen[kTrackBulk], kN);
+  EXPECT_TRUE(h_->ha.failures.empty());
+}
+
 TEST_P(DriverConformanceTest, PeerDestructionIsSafe) {
   // Destroy the receiver with a packet in flight: the sender's send still
   // resolves exactly once. Drivers that complete on local hand-off (shm,

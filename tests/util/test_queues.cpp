@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -116,6 +117,86 @@ TEST(SpscRing, TwoThreadStress) {
   }
   producer.join();
   EXPECT_TRUE(q.empty());
+}
+
+// push() never fails: past the ring's capacity it spills, and order holds
+// across the spill, also for pushes that land while the spill is pending
+// and the consumer has begun to drain.
+TEST(SpscRing, FifoAcrossSpill) {
+  SpscRing<int> q(8);
+  int next_in = 0, next_out = 0;
+  for (; next_in < 3 * 8; ++next_in) q.push(next_in);  // 7 ring, 17 spill
+  EXPECT_EQ(q.size(), 24u);
+  EXPECT_FALSE(q.try_push(-1)) << "a ring push may not pass the spill";
+  for (int i = 0; i < 10; ++i) {
+    auto v = q.try_pop();
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(*v, next_out++);
+  }
+  // The ring has room again, but the spill is pending: these must queue
+  // behind it.
+  for (int i = 0; i < 12; ++i) q.push(next_in++);
+  while (auto v = q.try_pop()) EXPECT_EQ(*v, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_TRUE(q.empty());
+  // Drained: the ring takes pushes again.
+  EXPECT_TRUE(q.try_push(next_in));
+  EXPECT_EQ(q.try_pop().value(), next_in);
+}
+
+TEST(SpscRing, SpilledPopLeavesNoResourcePinned) {
+  StickyResource::live = 0;
+  {
+    SpscRing<StickyResource> q(2);  // one ring slot: the rest spill
+    for (int i = 0; i < 4; ++i) q.push(StickyResource(i));
+    EXPECT_EQ(StickyResource::live, 4);
+    for (int i = 0; i < 3; ++i) {
+      auto v = q.try_pop();
+      ASSERT_TRUE(v.has_value());
+      EXPECT_EQ(v->value, i);
+    }
+    EXPECT_EQ(StickyResource::live, 1);  // only the one still queued
+    q.try_pop();
+    EXPECT_EQ(StickyResource::live, 0);
+  }
+  EXPECT_EQ(StickyResource::live, 0);
+}
+
+// One producer and one consumer thread, with bursts that run past the
+// ring's capacity so the spill fills and drains while both sides race:
+// every item arrives once, in order. The consumer stalls now and then
+// until the producer has spilled, so the spill is certain to be used.
+TEST(SpscRing, OneProducerOneConsumerBurstsPastCapacity) {
+  constexpr std::size_t kSlots = 16;
+  constexpr std::uint64_t kN = 1u << 20;
+  SpscRing<std::uint64_t> q(kSlots);
+  std::atomic<bool> produced{false};
+  std::thread producer([&] {
+    std::uint64_t i = 0;
+    for (std::uint64_t burst = 1; i < kN; burst = burst % 97 + 1) {
+      for (std::uint64_t b = 0; b < burst && i < kN; ++b) q.push(i++);
+      if (burst % 5 == 0) std::this_thread::yield();
+    }
+    produced.store(true, std::memory_order_release);
+  });
+  std::uint64_t popped = 0, out_of_order = 0, stalls_past_ring = 0;
+  while (popped < kN) {
+    if ((popped & 0xffff) == 0) {
+      while (q.size() < 3 * kSlots &&
+             !produced.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      if (q.size() >= kSlots) ++stalls_past_ring;
+    }
+    if (auto v = q.try_pop()) {
+      if (*v != popped) ++out_of_order;
+      ++popped;
+    }
+  }
+  producer.join();
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_GT(stalls_past_ring, 0u) << "the burst never reached the spill";
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.try_pop().has_value());
 }
 
 TEST(MpscQueue, PushPop) {
