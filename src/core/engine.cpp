@@ -250,9 +250,9 @@ SendHandle Engine::submit(PeerState& ps, ChannelId ch, TrafficClass cls,
     // Hand-off: while progress threads run, every post parks in the ring
     // and the shard's owner submits it at its next lap, so the application
     // thread goes straight back to computing and the optimizer sees the
-    // posts that pile up while the track is busy (paper §3). Inline sends
-    // from the application thread kept the shm track idle, so the
-    // optimizer aggregated almost nothing (docs/internals.md §1).
+    // posts that pile up while the track is busy (paper §3). Why inline
+    // sends lost once the shm driver stopped blocking them: see
+    // docs/internals.md §1.
     const bool handoff = prog_running_.load(std::memory_order_seq_cst);
     if (!handoff) {
       if (std::unique_lock lk(ps.mu, std::try_to_lock); lk.owns_lock()) {
