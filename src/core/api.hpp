@@ -73,12 +73,14 @@ class IncomingMessage {
 
  private:
   friend class Channel;
-  IncomingMessage(Engine* eng, void* peer_cache, ChannelId ch, MsgSeq seq)
-      : eng_(eng), peer_cache_(peer_cache), ch_(ch), seq_(seq) {}
+  IncomingMessage(Engine* eng, void* peer_cache, void* chan_cache, MsgSeq seq)
+      : eng_(eng), peer_cache_(peer_cache), chan_cache_(chan_cache),
+        seq_(seq) {}
   Engine* eng_ = nullptr;
-  /// The channel's cached peer shard: receive calls never touch the map.
+  /// The Channel's cached peer shard and channel state: receive calls
+  /// touch neither the peer map nor the channel map.
   void* peer_cache_ = nullptr;
-  ChannelId ch_ = 0;
+  void* chan_cache_ = nullptr;
   MsgSeq seq_ = 0;
   FragIdx next_ = 0;
   bool finished_ = false;
@@ -113,16 +115,19 @@ class Channel {
  private:
   friend class Engine;
   Channel(Engine* eng, NodeId peer, ChannelId id, TrafficClass cls,
-          void* peer_cache)
-      : eng_(eng), peer_(peer), id_(id), cls_(cls), peer_cache_(peer_cache) {}
+          void* peer_cache, void* chan_cache)
+      : eng_(eng), peer_(peer), id_(id), cls_(cls), peer_cache_(peer_cache),
+        chan_cache_(chan_cache) {}
   Engine* eng_ = nullptr;
   NodeId peer_ = 0;
   ChannelId id_ = 0;
   TrafficClass cls_ = TrafficClass::SmallEager;
-  /// Peer shard resolved once at open_channel (opaque: the shard type is
-  /// private to Engine). post() and every receive call hand it back, so
-  /// neither path touches the peer map.
+  /// Peer shard and channel state resolved once at open_channel (opaque:
+  /// both types are private to Engine; neither ever moves). post() and
+  /// every receive call hand them back, so neither path touches the peer
+  /// map, and receives lock only the channel's own receive state.
   void* peer_cache_ = nullptr;
+  void* chan_cache_ = nullptr;
 };
 
 }  // namespace mado::core

@@ -193,8 +193,9 @@ Channel Engine::open_channel(NodeId peer, ChannelId id, TrafficClass cls) {
                                       << peer);
   cs.open = true;
   cs.cls = cls;
-  // The peer shard is resolved exactly once, here; post() reuses it.
-  return Channel(this, peer, id, cls, &ps);
+  // The peer shard and the channel are resolved exactly once, here; the
+  // handles reuse them.
+  return Channel(this, peer, id, cls, &ps, &cs);
 }
 
 Engine::PeerState* Engine::find_peer(NodeId peer) const {
@@ -1664,6 +1665,7 @@ Engine::Snapshot Engine::snapshot() const {
     pi.shared_bulk_chunks = ps->rdv_out.pool().size();
     for (const auto& [ch, cs] : ps->channels) {
       pi.open_channels += cs.open ? 1 : 0;
+      std::lock_guard rlk(cs.rx_mu);
       pi.rx_pending_msgs += cs.rx.entries();
     }
     pi.submit_ring_pending =
@@ -1740,10 +1742,9 @@ SendHandle Channel::post(Message msg) {
 
 IncomingMessage Channel::begin_recv() {
   MADO_CHECK(valid());
-  Engine::PeerState& ps = Engine::shard_of(peer_cache_);
-  std::lock_guard lk(ps.mu);
-  return IncomingMessage(eng_, peer_cache_, id_,
-                         Engine::channel_locked(ps, id_).rx.attach());
+  Engine::ChannelState& cs = Engine::channel_of(chan_cache_);
+  std::lock_guard lk(cs.rx_mu);
+  return IncomingMessage(eng_, peer_cache_, chan_cache_, cs.rx.attach());
 }
 
 void Channel::flush() {
@@ -1753,23 +1754,25 @@ void Channel::flush() {
 
 bool Channel::probe() const {
   MADO_CHECK(valid());
-  Engine::PeerState& ps = Engine::shard_of(peer_cache_);
-  std::lock_guard lk(ps.mu);
-  return Engine::channel_locked(ps, id_).rx.announced();
+  const Engine::ChannelState& cs = Engine::channel_of(chan_cache_);
+  std::lock_guard lk(cs.rx_mu);
+  return cs.rx.announced();
 }
 
 void IncomingMessage::unpack(void* buf, std::size_t len, RecvMode mode) {
   MADO_CHECK_MSG(!finished_, "unpack after finish");
   auto& ps = Engine::shard_of(peer_cache_);
-  const bool done = eng_->post_unpack(ps, ch_, seq_, next_, buf, len);
+  auto& cs = Engine::channel_of(chan_cache_);
+  const bool done = eng_->post_unpack(ps, cs, seq_, next_, buf, len);
   if (mode == RecvMode::Express && !done)
-    eng_->wait_frag(ps, ch_, seq_, next_, /*landed=*/true);
+    eng_->wait_frag(ps, cs, seq_, next_, /*landed=*/true);
   ++next_;
 }
 
 std::size_t IncomingMessage::next_size() {
   MADO_CHECK_MSG(!finished_, "next_size after finish");
-  return eng_->wait_frag(Engine::shard_of(peer_cache_), ch_, seq_, next_,
+  return eng_->wait_frag(Engine::shard_of(peer_cache_),
+                         Engine::channel_of(chan_cache_), seq_, next_,
                          /*landed=*/false);
 }
 
@@ -1781,15 +1784,16 @@ Bytes IncomingMessage::unpack_bytes() {
 
 void IncomingMessage::finish() {
   MADO_CHECK_MSG(!finished_, "finish called twice");
-  eng_->finish_recv(Engine::shard_of(peer_cache_), ch_, seq_, next_);
+  eng_->finish_recv(Engine::shard_of(peer_cache_),
+                    Engine::channel_of(chan_cache_), seq_, next_);
   finished_ = true;
 }
 
 bool IncomingMessage::ready() const {
   MADO_CHECK_MSG(!finished_, "ready after finish");
-  Engine::PeerState& ps = Engine::shard_of(peer_cache_);
-  std::lock_guard lk(ps.mu);
-  return Engine::channel_locked(ps, ch_).rx.complete(seq_);
+  const Engine::ChannelState& cs = Engine::channel_of(chan_cache_);
+  std::lock_guard lk(cs.rx_mu);
+  return cs.rx.complete(seq_);
 }
 
 }  // namespace mado::core

@@ -19,8 +19,9 @@
 // Threading model (sharded; docs/internals.md §1 has the full write-up):
 // engine state is partitioned per peer. Each PeerState carries its own
 // mutex guarding everything reachable from it (rails, backlogs, reliability
-// windows, rendezvous tables, RX reassembly, in-flight records); a thread
-// that finds it held spins a bounded number of tries before it blocks.
+// windows, rendezvous tables, the channel map, in-flight records) except
+// each channel's receive state (below); a thread that finds it held spins a
+// bounded number of tries before it blocks.
 // The peer map itself is read-mostly behind a shared_mutex and peers are
 // never erased, so a resolved PeerState* stays valid for the engine's
 // lifetime. Application threads submitting to different peers never
@@ -45,10 +46,18 @@
 // thread runs the timer wheel and take the peer lock like any other locked
 // path.
 //
-// Lock order: peers_mu_ (shared) → PeerState::mu → {windows_mu_, wait/park
-// mutexes, ProgSlot::mu}; at most one peer lock is held at a
-// time. Counters are sharded per peer and aggregated on read, so
-// counters_snapshot() never stalls the hot path.
+// Each channel's receive state (ChannelState::rx, its RxChannel) has a lock
+// of its own, ChannelState::rx_mu. The progress side takes it inside the
+// peer lock wherever it touches rx; the application's receive calls take it
+// alone, so receiving an arrived message never waits on the peer lock. A
+// rendezvous fragment's unpack that must answer the RTS decides so under
+// rx_mu, releases it, and only then takes the peer lock to queue the CTS.
+//
+// Lock order: peers_mu_ (shared) → PeerState::mu → ChannelState::rx_mu →
+// {windows_mu_, wait/park mutexes, ProgSlot::mu}; at most one peer lock and
+// one channel lock are held at a time, and no code takes a peer lock while
+// it holds a channel lock. Counters are sharded per peer and aggregated on
+// read, so counters_snapshot() never stalls the hot path.
 #pragma once
 
 #include <array>
@@ -311,6 +320,24 @@ class Engine final {
     }
   };
 
+  /// The peer lock: a std::mutex that retries a bounded number of times,
+  /// with a CPU pause between tries, before it blocks. Its critical
+  /// sections are short, so a thread that finds it held usually gets it
+  /// within the spin — without the futex sleep and the syscall wake that a
+  /// plain std::mutex would cost both sides of every hand-off.
+  class PeerMutex {
+   public:
+    void lock();
+    bool try_lock() { return mu_.try_lock(); }
+    void unlock() { mu_.unlock(); }
+
+   private:
+    std::mutex mu_;
+  };
+
+  /// One channel toward a peer, a node of PeerState::channels: map nodes
+  /// never move and channels are never erased, so the handles keep a
+  /// pointer to it. Everything but `rx` is guarded by the peer lock.
   struct ChannelState {
     TrafficClass cls = TrafficClass::SmallEager;
     /// open_channel ran here. A fragment can arrive first: its channel is
@@ -318,6 +345,10 @@ class Engine final {
     bool open = false;
     MsgSeq next_tx_seq = 0;
     std::uint32_t outstanding_sends = 0;
+    /// Guards `rx`. The progress side takes it inside the peer lock; the
+    /// application's receive calls take it alone, so they never wait for
+    /// a progress thread applying another channel's arrivals.
+    mutable PeerMutex rx_mu;
     RxChannel rx;
   };
 
@@ -403,21 +434,6 @@ class Engine final {
     drv::TrackId track = 0;
     std::uint64_t token = 0;
     Bytes payload;
-  };
-
-  /// The peer lock: a std::mutex that retries a bounded number of times,
-  /// with a CPU pause between tries, before it blocks. Its critical
-  /// sections are short, so a thread that finds it held usually gets it
-  /// within the spin — without the futex sleep and the syscall wake that a
-  /// plain std::mutex would cost both sides of every hand-off.
-  class PeerMutex {
-   public:
-    void lock();
-    bool try_lock() { return mu_.try_lock(); }
-    void unlock() { mu_.unlock(); }
-
-   private:
-    std::mutex mu_;
   };
 
   /// Threads blocked until a predicate holds (wait_on). `cv` is notified
@@ -511,6 +527,7 @@ class Engine final {
     /// bounds, not one rail's.
     std::size_t max_frame = 0;
     std::size_t max_eager = 0;
+    /// The map, under `mu`; each node's `rx` under its own rx_mu.
     std::map<ChannelId, ChannelState> channels;
     /// Rendezvous decisions: the queued chunks toward the peer, and the
     /// verdict on replays of what it sends.
@@ -558,13 +575,18 @@ class Engine final {
 
   // ---- submit path (called from handles) -------------------------------
 
-  /// The peer shard a Channel cached at open_channel (opaque to handles).
+  /// The peer shard and the channel a Channel cached at open_channel
+  /// (opaque to handles).
   static PeerState& shard_of(void* peer_cache) {
     return *static_cast<PeerState*>(peer_cache);
   }
+  static ChannelState& channel_of(void* chan_cache) {
+    return *static_cast<ChannelState*>(chan_cache);
+  }
 
-  // Every handle call works on the shard the Channel resolved at
-  // open_channel, so none of them touches the peer map.
+  // Every handle call works on the shard and the channel the Channel
+  // resolved at open_channel, so none of them touches the peer map, and no
+  // receive call touches the channel map.
 
   /// Post `msg` on channel `ch`. While progress threads run, the message
   /// always parks in the submit ring for the shard's owner (the hand-off);
@@ -574,13 +596,14 @@ class Engine final {
                     Message msg);
   /// Register the destination of fragment `idx`; true if the fragment was
   /// already here and has been copied (an Express unpack need not wait).
-  bool post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx idx,
+  bool post_unpack(PeerState& ps, ChannelState& cs, MsgSeq seq, FragIdx idx,
                    void* buf, std::size_t len);
   /// Wait until fragment `idx` of message `seq` has arrived (`landed`: and
   /// its bytes are in the unpacked buffer); returns its size.
-  std::uint64_t wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq,
+  std::uint64_t wait_frag(PeerState& ps, const ChannelState& cs, MsgSeq seq,
                           FragIdx idx, bool landed);
-  void finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq, FragIdx nposted);
+  void finish_recv(PeerState& ps, ChannelState& cs, MsgSeq seq,
+                   FragIdx nposted);
   void flush_channel(PeerState& ps, ChannelId ch);
 
   // ---- driver callback entry (no engine lock held) ---------------------
@@ -687,7 +710,7 @@ class Engine final {
                                 ByteSpan payload);
   /// The slot of `rx` that fragment `fh` of `len` bytes (`rdv`: its RTS)
   /// fills, or nullptr for a replay: a fragment of a finished message, or
-  /// of a slot already filled.
+  /// of a slot already filled. Callers also hold the channel's rx_mu.
   RxChannel::Slot* arrive_locked(PeerState& ps, RxChannel& rx,
                                  const FragHeader& fh, std::uint64_t len,
                                  bool rdv);

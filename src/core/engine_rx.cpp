@@ -3,11 +3,14 @@
 // rendezvous RTS/CTS handling and the receive waits. Every eager-receive
 // verdict comes from the channel's RxChannel (core/receive.hpp).
 //
-// Locking: every handler below runs under exactly one peer lock (ps.mu).
-// on_packet() is the driver entry; during a progress lap (pump_shard, on
-// whichever progress thread owns or stole the shard) it stages the packet
-// into the lap's event batch instead of locking (see progress_lap.hpp), so
-// a pump of N endpoints costs one lock acquisition, not N.
+// Locking: every handler below runs under exactly one peer lock (ps.mu),
+// and takes a channel's rx_mu inside it wherever it touches that channel's
+// RxChannel. The application's receive calls (the end of this file) take
+// rx_mu alone. on_packet() is the driver entry; during a progress lap
+// (pump_shard, on whichever progress thread owns or stole the shard) it
+// stages the packet into the lap's event batch instead of locking (see
+// progress_lap.hpp), so a pump of N endpoints costs one lock acquisition,
+// not N.
 #include <algorithm>
 #include <cstring>
 #include <mutex>
@@ -163,7 +166,9 @@ RxChannel::Slot* Engine::arrive_locked(PeerState& ps, RxChannel& rx,
 void Engine::deliver_data_frag_locked(PeerState& ps, const FragHeader& fh,
                                       ByteSpan payload) {
   // A fragment for a channel not opened yet is kept until it is.
-  RxChannel& rx = ps.channels[fh.channel].rx;
+  ChannelState& cs = ps.channels[fh.channel];
+  std::lock_guard lk(cs.rx_mu);
+  RxChannel& rx = cs.rx;
   RxChannel::Slot* slot = arrive_locked(ps, rx, fh, payload.size(), false);
   if (!slot) return;
   if (slot->posted) {
@@ -194,8 +199,14 @@ void Engine::handle_rts_locked(PeerState& ps, const FragHeader& fh,
   rx.landing.len = rts.total_len;
   switch (rts.target) {
     case RdvTarget::Message: {
-      RxChannel::Slot* slot = arrive_locked(ps, ps.channels[fh.channel].rx,
-                                            fh, rts.total_len, true);
+      // Exactly one of this RTS and the fragment's unpack answers: each
+      // decides on the slot's posted/arrived flags under rx_mu. An unpack
+      // that finds the RTS here answers after it drops rx_mu, under the
+      // peer lock, which this thread holds until the RdvRx below is in.
+      ChannelState& cs = ps.channels[fh.channel];
+      std::lock_guard lk(cs.rx_mu);
+      RxChannel::Slot* slot = arrive_locked(ps, cs.rx, fh, rts.total_len,
+                                            true);
       if (!slot) return;
       slot->token = rts.token;
       ps.stats.inc(Ctr::RxRdvRts);
@@ -346,10 +357,13 @@ void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
 void Engine::finish_rdv_rx_locked(PeerState& ps, RailId rail,
                                   std::uint64_t token, const RdvRx& rx) {
   switch (rx.target) {
-    case RdvTarget::Message:
-      ps.channels[rx.rts.channel].rx.land(rx.rts.msg_seq, rx.rts.frag_idx);
+    case RdvTarget::Message: {
+      ChannelState& cs = ps.channels[rx.rts.channel];
+      std::lock_guard lk(cs.rx_mu);
+      cs.rx.land(rx.rts.msg_seq, rx.rts.frag_idx);
       ps.stats.inc(Ctr::RxRdvCompleted);
       break;
+    }
     case RdvTarget::Window:
       push_rma_ack_locked(ps, rx.aux);
       ps.stats.inc(Ctr::RxRmaPutsCompleted);
@@ -452,22 +466,26 @@ void Engine::handle_rma_ack_locked(PeerState& ps, ByteSpan payload) {
 
 // ---- application receive API ------------------------------------------------------
 //
-// Every call below gets the shard the Channel cached at open_channel; the
-// handles attach, probe and poll a channel's RxChannel under the peer lock
-// themselves. A message that has already arrived is received with one
-// peer-lock acquisition per call: post_unpack copies the early fragment and
-// reports it done (an Express unpack then skips wait_frag), and finish_recv
-// retires a complete message under the same lock that checks it. Only data still on
-// the wire takes the wait path (wait_on), which itself returns before
-// touching any wait state when its predicate already holds.
+// Every call below gets the shard and the channel the Channel cached at
+// open_channel, and attaches, probes and polls the channel's RxChannel
+// under its rx_mu alone: a progress thread applying arrivals under the
+// peer lock holds rx_mu only while it touches this channel. A message that
+// has already arrived is received with one rx_mu acquisition per call:
+// post_unpack copies the early fragment and reports it done (an Express
+// unpack then skips wait_frag), and finish_recv retires a complete message
+// under the same lock that checks it. Only data still on the wire takes
+// the wait path (wait_on), which itself returns before touching any wait
+// state when its predicate already holds.
 
-bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
+bool Engine::post_unpack(PeerState& ps, ChannelState& cs, MsgSeq seq,
                          FragIdx idx, void* buf, std::size_t len) {
   MADO_CHECK(buf != nullptr || len == 0);
   bool done = false;
+  bool answer = false;  // this unpack answers the fragment's RTS
+  std::uint64_t token = 0;
   {
-    std::lock_guard lk(ps.mu);
-    RxChannel& rx = channel_locked(ps, ch).rx;
+    std::lock_guard lk(cs.rx_mu);
+    RxChannel& rx = cs.rx;
     const RxChannel::Slot& slot =
         rx.post(seq, idx, static_cast<Byte*>(buf), len);
     if (slot.arrived && !slot.rdv) {
@@ -475,26 +493,34 @@ bool Engine::post_unpack(PeerState& ps, ChannelId ch, MsgSeq seq,
       rx.land(seq, idx);
       done = true;
     } else if (slot.arrived) {
-      // The destination is known now: the transfer can start.
-      RdvRx* rdv = ps.rdv_rx.find(slot.token);
-      MADO_CHECK(rdv != nullptr);
-      rdv->base = slot.dest;
-      send_cts_locked(ps, rdv->rts, slot.token);
-      pump_peer_locked(ps);
+      answer = true;
+      token = slot.token;
     }
+  }
+  if (answer) {
+    // The RTS came first and left the answer to this unpack (see
+    // handle_rts_locked): the destination is known now, so the transfer
+    // can start. The RTS's handler emplaced the RdvRx under the peer lock
+    // before it released it, so it is there.
+    std::lock_guard lk(ps.mu);
+    RdvRx* rdv = ps.rdv_rx.find(token);
+    MADO_CHECK(rdv != nullptr);
+    rdv->base = static_cast<Byte*>(buf);
+    send_cts_locked(ps, rdv->rts, token);
+    pump_peer_locked(ps);
   }
   wake_peer(ps);
   return done;
 }
 
-std::uint64_t Engine::wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq,
-                                FragIdx idx, bool landed) {
+std::uint64_t Engine::wait_frag(PeerState& ps, const ChannelState& cs,
+                                MsgSeq seq, FragIdx idx, bool landed) {
   std::uint64_t len = 0;
   const bool ok = wait_on(
       ps.waits,
       [&] {
-        std::lock_guard lk(ps.mu);
-        const RxChannel::Slot* slot = channel_locked(ps, ch).rx.slot(seq, idx);
+        std::lock_guard lk(cs.rx_mu);
+        const RxChannel::Slot* slot = cs.rx.slot(seq, idx);
         if (!slot || !(landed ? slot->done : slot->arrived)) return false;
         len = slot->len;
         return true;
@@ -506,7 +532,7 @@ std::uint64_t Engine::wait_frag(PeerState& ps, ChannelId ch, MsgSeq seq,
   return len;
 }
 
-void Engine::finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq,
+void Engine::finish_recv(PeerState& ps, ChannelState& cs, MsgSeq seq,
                          FragIdx nposted) {
   // The first arrived fragment tells the message's fragment count: a
   // finish() that unpacked another number fails then, without waiting for
@@ -515,10 +541,9 @@ void Engine::finish_recv(PeerState& ps, ChannelId ch, MsgSeq seq,
   const bool ok = wait_on(
       ps.waits,
       [&] {
-        std::lock_guard lk(ps.mu);
-        RxChannel& rx = channel_locked(ps, ch).rx;
-        nfrags = rx.nfrags(seq);
-        return nfrags != 0 && (nfrags != nposted || rx.retire(seq));
+        std::lock_guard lk(cs.rx_mu);
+        nfrags = cs.rx.nfrags(seq);
+        return nfrags != 0 && (nfrags != nposted || cs.rx.retire(seq));
       },
       kDefaultTimeout);
   MADO_CHECK_MSG(ok, "timed out completing message " << seq);

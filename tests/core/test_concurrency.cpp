@@ -9,6 +9,10 @@
 // pump exclusivity, work stealing off a wedged owner, ring parity across
 // progress_threads, and shutdown under load.
 //
+// Each channel's receive lock: an arrived message is received while another
+// thread holds the peer lock, and 16 channels are received by a blocking
+// and a polling thread while progress threads apply arrivals.
+//
 // All tests here carry the ctest label "concurrency" and are part of the
 // TSan matrix: their value is as much what the sanitizer sees as what the
 // assertions check.
@@ -16,9 +20,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -199,6 +205,66 @@ TEST(ConcurrencyStress, ContendedPostsParkInRing) {
   EXPECT_EQ(counters["tx.msgs"], kParked + 1);
 }
 
+// Receiving an arrived message takes only its channel's lock: begin_recv,
+// the Express unpack and finish return while another thread holds the
+// receiver's peer lock. B's second rail is a BlockingEndpoint; a helper's
+// inline post on a channel pinned to it parks in send() with B's peer lock
+// for A held. A watchdog frees it once the receive returned, or after
+// ~1 s, so a receive that needs the peer lock fails the test instead of
+// hanging it.
+TEST(ReceiveFastPath, ArrivedMessageIsReceivedWhileThePeerLockIsHeld) {
+  RealTimerHost ta, tb;
+  Engine a(0, EngineConfig{}, ta), b(1, EngineConfig{}, tb);
+  auto pair = drv::ShmEndpoint::make_pair();
+  a.add_rail(1, std::move(pair.a));
+  b.add_rail(0, std::move(pair.b));
+  auto ep = std::make_unique<BlockingEndpoint>();
+  BlockingEndpoint* held = ep.get();
+  b.add_rail(0, std::move(ep));  // rail 1
+  b.set_class_rail(TrafficClass::Bulk, 1);
+  Channel tx = a.open_channel(1, 1);
+  Channel rx = b.open_channel(0, 1);
+  Channel pinned = b.open_channel(0, 2, TrafficClass::Bulk);
+  send_bytes(tx, pattern(64, 3));
+  for (int i = 0; i < 100000 && b.stats().counter("rx.packets") == 0; ++i) {
+    a.progress();
+    b.progress();
+  }
+  ASSERT_EQ(b.stats().counter("rx.packets"), 1u);
+
+  std::thread helper([&] { send_bytes(pinned, pattern(64, 4)); });
+  while (!held->in_send()) std::this_thread::yield();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool received = false;
+  std::atomic<bool> freed{false};
+  std::thread watchdog([&] {
+    {
+      std::unique_lock lk(mu);
+      cv.wait_for(lk, std::chrono::seconds(1), [&] { return received; });
+    }
+    freed.store(true, std::memory_order_release);
+    held->release();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const Bytes got = recv_bytes(rx, 64);
+  const bool before_free = !freed.load(std::memory_order_acquire);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  {
+    std::lock_guard lk(mu);
+    received = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  helper.join();
+  EXPECT_EQ(got, pattern(64, 3));
+  EXPECT_TRUE(before_free) << "the receive returned after " << ms
+                           << " ms, once the peer lock was free";
+  EXPECT_TRUE(b.flush());
+}
+
 // Senders and receivers in separate threads over two channels: data
 // integrity end to end while the per-peer cv machinery (wait_frag /
 // finish_recv) runs concurrently with submits on the same peer shard.
@@ -222,6 +288,153 @@ TEST(ConcurrencyStress, SendRecvThreadsDataIntegrity) {
     });
   }
   for (auto& t : ts) t.join();
+}
+
+// Each channel's receive lock under progress threads: 16 channels carry
+// 64 B, multi-fragment and rendezvous-sized messages. One thread receives
+// half of the channels oldest-first, blocking, with Express and Cheaper
+// unpacks; another takes the other half by polling probe() and ready().
+// The last channel is opened only once fragments for it have arrived, so a
+// progress thread creates its ChannelState while the other channels'
+// cached pointers are in use.
+TEST(ConcurrencyStress, ChannelReceiveLocksUnderProgressThreads) {
+  constexpr ChannelId kChannels = 16, kLate = kChannels - 1;
+  constexpr std::uint32_t kRounds = 40, kLateFirst = kRounds / 2;
+  // Fragment sizes of message i on channel c: one 64 B fragment, three
+  // eager ones, or a header and a rendezvous one (≥ shm's 64 KiB).
+  auto shape = [](ChannelId c, std::uint32_t i) -> std::vector<std::size_t> {
+    switch ((c + i) % 3) {
+      case 0: return {64};
+      case 1: return {16, 3000, 64};
+      default: return {16, 70000};
+    }
+  };
+  auto bytes = [](ChannelId c, std::uint32_t i, std::size_t f,
+                  std::size_t len) {
+    return pattern(len, c * 1000u + i * 10u + static_cast<std::uint32_t>(f));
+  };
+  ShmWorld w{EngineConfig{}};
+  Engine& snd = w.node(0);
+  Engine& rcv = w.node(1);
+  std::vector<Channel> tx;
+  for (ChannelId c = 0; c < kChannels; ++c)
+    tx.push_back(snd.open_channel(1, c));
+  std::vector<Channel> rx;
+  for (ChannelId c = 0; c < kLate; ++c) rx.push_back(rcv.open_channel(0, c));
+
+  // Phase A: the first half of the rounds on every channel but the last,
+  // then the last channel's first half. Phase B: the rest, once the last
+  // channel is open.
+  std::uint64_t phase_a_frags = 0;
+  for (std::uint32_t i = 0; i < kLateFirst; ++i)
+    for (ChannelId c = 0; c < kChannels; ++c)
+      phase_a_frags += shape(c, i).size();
+  std::atomic<bool> late_open{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  auto post = [&](ChannelId c, std::uint32_t i) {
+    Message m;
+    const auto sizes = shape(c, i);
+    for (std::size_t f = 0; f < sizes.size(); ++f) {
+      const Bytes b = bytes(c, i, f, sizes[f]);
+      m.pack(b.data(), b.size(), SendMode::Safe);
+    }
+    return tx[c].post(std::move(m));
+  };
+  std::thread sender([&] {
+    std::vector<SendHandle> handles;
+    for (std::uint32_t i = 0; i < kLateFirst; ++i)
+      for (ChannelId c = 0; c < kLate; ++c) handles.push_back(post(c, i));
+    for (std::uint32_t i = 0; i < kLateFirst; ++i)
+      handles.push_back(post(kLate, i));
+    while (!late_open.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    for (std::uint32_t i = kLateFirst; i < kRounds; ++i)
+      for (ChannelId c = 0; c < kChannels; ++c) handles.push_back(post(c, i));
+    for (SendHandle& h : handles) EXPECT_TRUE(snd.wait_send(h));
+  });
+
+  // Blocking receiver: channels 0..7, round by round.
+  std::thread blocking([&] {
+    for (std::uint32_t i = 0; i < kRounds; ++i)
+      for (ChannelId c = 0; c < kChannels / 2; ++c) {
+        const auto sizes = shape(c, i);
+        std::vector<Bytes> got;
+        for (std::size_t len : sizes) got.emplace_back(len);
+        IncomingMessage im = rx[c].begin_recv();
+        for (std::size_t f = 0; f < sizes.size(); ++f)
+          im.unpack(got[f].data(), got[f].size(),
+                    f == 0 ? RecvMode::Express : RecvMode::Cheaper);
+        im.finish();
+        for (std::size_t f = 0; f < sizes.size(); ++f)
+          EXPECT_EQ(got[f], bytes(c, i, f, sizes[f]))
+              << "channel " << c << " message " << i << " fragment " << f;
+      }
+  });
+
+  // Polling receiver: channels 8..14, then the late one once its
+  // fragments are here. Each channel has at most one open receive.
+  struct Open {
+    Open(ChannelId id, Channel channel) : c(id), ch(channel) {}
+    ChannelId c;
+    Channel ch;
+    std::uint32_t next = 0;
+    std::optional<IncomingMessage> im;
+    std::vector<Bytes> got;
+  };
+  std::thread poller([&] {
+    std::vector<Open> chans;
+    for (ChannelId c = kChannels / 2; c < kLate; ++c)
+      chans.emplace_back(c, rx[c]);
+    std::size_t done = 0;
+    while (done < kChannels / 2 && std::chrono::steady_clock::now() < deadline) {
+      bool moved = false;
+      if (!late_open.load(std::memory_order_relaxed) &&
+          rcv.stats().counter("rx.frags") >= phase_a_frags) {
+        Channel late = rcv.open_channel(0, kLate);
+        EXPECT_TRUE(late.probe()) << "the late channel's first message";
+        chans.emplace_back(kLate, late);
+        late_open.store(true, std::memory_order_release);
+      }
+      for (Open& o : chans) {
+        if (o.next == kRounds) continue;
+        const auto sizes = shape(o.c, o.next);
+        if (!o.im) {
+          if (!o.ch.probe()) continue;
+          o.im.emplace(o.ch.begin_recv());
+          o.got.clear();
+          for (std::size_t len : sizes) o.got.emplace_back(len);
+          for (Bytes& g : o.got)
+            o.im->unpack(g.data(), g.size(), RecvMode::Cheaper);
+          moved = true;
+        }
+        if (!o.im->ready()) continue;
+        o.im->finish();
+        for (std::size_t f = 0; f < sizes.size(); ++f)
+          EXPECT_EQ(o.got[f], bytes(o.c, o.next, f, sizes[f]))
+              << "channel " << o.c << " message " << o.next << " fragment "
+              << f;
+        o.im.reset();
+        if (++o.next == kRounds) ++done;
+        moved = true;
+      }
+      if (!moved) std::this_thread::yield();
+    }
+    EXPECT_EQ(done, kChannels / 2u) << "polled channels left unfinished";
+  });
+
+  sender.join();
+  blocking.join();
+  poller.join();
+  EXPECT_TRUE(late_open.load());
+  EXPECT_TRUE(snd.flush());
+  EXPECT_TRUE(rcv.flush());
+  for (Engine* e : {&snd, &rcv}) {
+    const Engine::Snapshot s = e->snapshot();
+    EXPECT_TRUE(s.quiescent()) << s.to_string();
+    for (const auto& p : s.peers) EXPECT_EQ(p.rx_pending_msgs, 0u);
+  }
 }
 
 // A monitoring thread hammers counters_snapshot() + snapshot() +
