@@ -346,8 +346,8 @@ class Engine final {
     MsgSeq next_tx_seq = 0;
     std::uint32_t outstanding_sends = 0;
     /// Guards `rx`. The progress side takes it inside the peer lock; the
-    /// application's receive calls take it alone, so they never wait for
-    /// a progress thread applying another channel's arrivals.
+    /// application's receive calls take it alone, so they wait for a
+    /// progress thread only while it touches this channel.
     mutable PeerMutex rx_mu;
     RxChannel rx;
   };
