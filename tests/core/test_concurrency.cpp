@@ -388,7 +388,8 @@ TEST(ConcurrencyStress, ChannelReceiveLocksUnderProgressThreads) {
     for (ChannelId c = kChannels / 2; c < kLate; ++c)
       chans.emplace_back(c, rx[c]);
     std::size_t done = 0;
-    while (done < kChannels / 2 && std::chrono::steady_clock::now() < deadline) {
+    while (done < kChannels / 2 &&
+           std::chrono::steady_clock::now() < deadline) {
       bool moved = false;
       if (!late_open.load(std::memory_order_relaxed) &&
           rcv.stats().counter("rx.frags") >= phase_a_frags) {
